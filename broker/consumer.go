@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -15,18 +16,19 @@ import (
 // last one stopped.
 //
 // Attachment protocol: a resuming connection claims cs.c first, replays
-// logged history, and only then flips cs.live. Publishers append every
+// logged history, and only then flips cs.live. Publishers stage every
 // matched record under cs.mu but push it to the connection only while
-// live — records appended mid-replay are picked up by the replay's
-// final round, which runs under cs.mu, so the replay/live handoff
-// neither loses nor needs to deduplicate deliveries.
+// live — records staged mid-replay are picked up by the replay's final
+// round, which runs under cs.mu and first waits for them to commit, so
+// the replay/live handoff neither loses nor needs to deduplicate
+// deliveries.
 type consumerState struct {
 	s    *Server
 	name string
 
 	mu   sync.Mutex //apcm:lockrank=3
-	c    *conn // claiming connection; nil when offline
-	live bool  // replay finished; publishers deliver directly
+	c    *conn      // claiming connection; nil when offline
+	live bool       // replay finished; publishers deliver directly
 }
 
 // detach releases the consumer if c still holds it.
@@ -124,14 +126,15 @@ func (s *Server) Checkpoint(path string) error {
 	return first
 }
 
-// appendConsumerRecord encodes and commits one delivery record:
-// uvarint name length, name, then tail (uvarint n, n×uvarint client
-// ids, event) — the same tail bytes the durable frame carries.
-func (s *Server) appendConsumerRecord(name string, tail []byte) (uint64, error) {
-	rec := appendUvarint(nil, uint64(len(name)))
+// stageConsumerRecord encodes and stages one delivery record: uvarint
+// name length, name, then tail (uvarint n, n×uvarint client ids,
+// event) — the same tail bytes the durable frame carries.
+func (s *Server) stageConsumerRecord(name string, tail []byte) (uint64, error) {
+	rec := make([]byte, 0, binary.MaxVarintLen64+len(name)+len(tail))
+	rec = appendUvarint(rec, uint64(len(name)))
 	rec = append(rec, name...)
 	rec = append(rec, tail...)
-	return s.log.Append(rec)
+	return s.log.Stage(rec)
 }
 
 // decodeConsumerRecord splits a logged record into its consumer name
@@ -144,42 +147,88 @@ func decodeConsumerRecord(rec []byte) (name string, tail []byte, err error) {
 	return string(rest[:nlen]), rest[nlen:], nil
 }
 
-// deliverDurable commits one matched delivery for cs and, if a live
-// connection is attached, pushes it as a durable frame. The commit
+// maxUnsettled bounds how far staging may run ahead of the commit (and,
+// on a -repl-sync leader, of the follower): fewer durable frames than
+// the outbox holds can be waiting for their record, so a stalled disk
+// or follower backpressures the publisher and send's slow-consumer
+// timer keeps measuring the socket alone.
+const maxUnsettled = outboxSize / 2
+
+// deliverDurable stages one matched delivery for cs and, if a live
+// connection is attached, enqueues it as a durable frame at once; the
+// connection's writer holds the frame until the record commits
+// (writeDurable), so the publisher's read loop never waits for the
+// fsync and the records of in-flight publishes share it. Staging
 // happens under cs.mu so it is ordered against the resume replay:
-// whatever is appended before the replay's final round is replayed,
-// whatever after is delivered here. Delivery counts only after the
-// record is durable and the frame was accepted by the outbox.
-//
-//apcm:durable
-func (s *Server) deliverDurable(target *conn, cs *consumerState, tail []byte, nsubs int) {
+// whatever is staged before the replay's final round is replayed,
+// whatever after is delivered here. buf holds the delivery tail behind
+// frameRoom spare bytes (handlePublish).
+func (s *Server) deliverDurable(target *conn, cs *consumerState, buf []byte, nsubs int) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	off, err := s.appendConsumerRecord(cs.name, tail)
+	off, err := s.stageConsumerRecord(cs.name, buf[frameRoom:])
 	if err != nil {
 		s.logAppendErrs.Add(1)
 		s.Logf("broker: durable delivery for %q lost: %v", cs.name, err)
 		return
 	}
-	if s.ReplSync && s.role.Load() == roleLeader {
-		// delivered ⊆ committed ⊆ replicated: park until the follower
-		// acknowledged this record. With no follower attached the wait
-		// degrades to single-node durability rather than blocking —
-		// counted, so operators can alert on the weakened guarantee.
+	if !cs.live || cs.c != target {
+		return
+	}
+	if off >= maxUnsettled {
+		// Errors are the writer's to report, frame by frame; this wait
+		// only paces the publisher.
+		_, _ = s.log.WaitCommitted(off-maxUnsettled, target.dead)
+		if s.replSyncLeader() {
+			_ = s.log.WaitReplicated(off-maxUnsettled, target.dead)
+		}
+	}
+	var hdr [binary.MaxVarintLen64]byte
+	frame := framed(buf, msgDurable, hdr[:binary.PutUvarint(hdr[:], off)])
+	target.push(outFrame{b: frame, off: off, nsubs: nsubs})
+}
+
+// writeDurable is the writer's half of a live durable delivery: it
+// holds the frame until its record is committed and, on a -repl-sync
+// leader, acknowledged by the follower, then writes it and counts its
+// deliveries — delivered ⊆ committed at the socket. A frame whose
+// commit fails is dropped uncounted and the connection stays up; the
+// log's sticky failure fails every later delivery the same way.
+//
+//apcm:durable
+func (c *conn) writeDurable(f outFrame) error {
+	s := c.s
+	committed, err := s.log.WaitCommitted(f.off, c.dead)
+	if err != nil {
+		s.logAppendErrs.Add(1)
+		s.Logf("broker: durable delivery at offset %d lost: %v", f.off, err)
+		return nil
+	}
+	if committed <= f.off {
+		return nil // the connection died mid-wait
+	}
+	if s.replSyncLeader() {
+		// delivered ⊆ committed ⊆ replicated. With no follower attached
+		// the wait degrades to single-node durability rather than
+		// blocking — counted, so operators can alert on it.
 		s.replSyncWaits.Add(1)
 		if _, attached := s.log.Replicated(); !attached {
 			s.replSyncDegraded.Add(1)
-		} else if err := s.log.WaitReplicated(off, target.replDead); err != nil {
-			s.Logf("broker: repl-sync wait for %q at offset %d: %v", cs.name, off, err)
+		} else if err := s.log.WaitReplicated(f.off, c.dead); err != nil {
+			s.Logf("broker: repl-sync wait at offset %d: %v", f.off, err)
 		}
 	}
-	if cs.live && cs.c == target {
-		frame := appendUvarint([]byte{msgDurable}, off)
-		frame = append(frame, tail...)
-		if target.send(frame) {
-			s.delivered.Add(int64(nsubs))
-		}
+	if err := c.write(f.b); err != nil {
+		return err
 	}
+	s.delivered.Add(int64(f.nsubs))
+	return nil
+}
+
+// replSyncLeader reports whether durable delivery waits for the
+// follower's acknowledgement.
+func (s *Server) replSyncLeader() bool {
+	return s.ReplSync && s.role.Load() == roleLeader
 }
 
 func (c *conn) handleResume(body []byte) error {
@@ -264,8 +313,9 @@ func (c *conn) handleResume(body []byte) error {
 // replayConsumer streams cs's logged records from start to the present
 // and attaches the connection for live delivery. Catch-up rounds run
 // unlocked (history can be long); the final round holds cs.mu so that,
-// combined with publishers appending under cs.mu, the handoff boundary
-// is exact: every record is either replayed here or pushed live.
+// combined with publishers staging under cs.mu, the handoff boundary
+// is exact: every record staged before the flip is committed and
+// replayed here, every record staged after it is pushed live.
 func (c *conn) replayConsumer(cs *consumerState, start uint64) error {
 	s := c.s
 	pos := start
@@ -284,6 +334,10 @@ func (c *conn) replayConsumer(cs *consumerState, start uint64) error {
 	if cs.c != c {
 		return errors.New("consumer detached during resume replay")
 	}
+	// Records staged for cs but not yet committed would otherwise be
+	// neither replayed (beyond Committed) nor pushed (not live yet). A
+	// failed log commits nothing more, so Committed is final either way.
+	_ = s.log.Sync()
 	if committed := s.log.Committed(); pos < committed {
 		if err := c.replayRange(cs.name, pos, committed); err != nil {
 			return err

@@ -81,6 +81,12 @@ func (r *crashRecorder) onDurable(off uint64, ev *expr.Event) {
 	r.mu.Unlock()
 }
 
+func (r *crashRecorder) count() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.offs)
+}
+
 func (r *crashRecorder) snapshot() ([]uint64, []int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -15,8 +15,9 @@ import (
 	"github.com/streammatch/apcm/metrics"
 )
 
-// startDurableServer runs a broker with durability enabled on dir.
-func startDurableServer(t *testing.T, dir string) (*Server, string, *metrics.Registry) {
+// startDurableServer runs a broker with durability enabled on dir;
+// tune, when given, adjusts the server before Serve.
+func startDurableServer(t *testing.T, dir string, tune ...func(*Server)) (*Server, string, *metrics.Registry) {
 	t.Helper()
 	eng := apcm.MustNew(apcm.Options{Workers: 1})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -28,6 +29,9 @@ func startDurableServer(t *testing.T, dir string) (*Server, string, *metrics.Reg
 	s.LogDir = dir
 	s.Log = commitlog.Config{FlushInterval: 200 * time.Microsecond}
 	s.Metrics = metrics.New()
+	for _, f := range tune {
+		f(s)
+	}
 	go func() {
 		if err := s.Serve(ln); err != nil {
 			t.Logf("Serve: %v", err)

@@ -493,7 +493,7 @@ func TestShutdownDeadlineHardCloses(t *testing.T) {
 	// them (the writeLoop is deliberately not started).
 	a, b := net.Pipe()
 	defer b.Close()
-	c := &conn{s: srv, nc: a, outbox: make(chan []byte, 4), done: make(chan struct{}), byClient: make(map[uint64]expr.ID)}
+	c := &conn{s: srv, nc: a, outbox: make(chan outFrame, 4), done: make(chan struct{}), byClient: make(map[uint64]expr.ID)}
 	srv.mu.Lock()
 	srv.conns[c] = struct{}{}
 	srv.mu.Unlock()

@@ -196,6 +196,21 @@ func appendUvarint(dst []byte, v uint64) []byte {
 	return binary.AppendUvarint(dst, v)
 }
 
+// frameRoom is the spare room handlePublish leaves in front of a
+// delivery tail for the frame header: the message type and, on a
+// durable frame, the uvarint log offset.
+const frameRoom = 1 + binary.MaxVarintLen64
+
+// framed writes typ and hdr into buf's spare room, right in front of
+// the tail at buf[frameRoom:], and returns the frame — one buffer per
+// delivery, not one per frame.
+func framed(buf []byte, typ byte, hdr []byte) []byte {
+	start := frameRoom - 1 - len(hdr)
+	buf[start] = typ
+	copy(buf[start+1:], hdr)
+	return buf[start:]
+}
+
 func readUvarint(b []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
 	if n <= 0 {

@@ -20,7 +20,7 @@ func newTestConn(t *testing.T, srv *Server, outboxCap int) *conn {
 	c := &conn{
 		s:        srv,
 		nc:       a,
-		outbox:   make(chan []byte, outboxCap),
+		outbox:   make(chan outFrame, outboxCap),
 		done:     make(chan struct{}),
 		byClient: make(map[uint64]expr.ID),
 	}
@@ -107,9 +107,9 @@ func TestDeliveredCountsEnqueuedFrames(t *testing.T) {
 		t.Fatalf("delivered = %d, want 1", del)
 	}
 	select {
-	case frame := <-healthy.outbox:
-		if frame[0] != msgMatch {
-			t.Fatalf("outbox holds %q frame, want match", frame[0])
+	case f := <-healthy.outbox:
+		if f.b[0] != msgMatch {
+			t.Fatalf("outbox holds %q frame, want match", f.b[0])
 		}
 	default:
 		t.Fatal("no frame enqueued for the healthy consumer")

@@ -68,16 +68,24 @@ func attachConsumer(t *testing.T, addr, name string) (*Client, *crashRecorder) {
 func TestReplicationCatchUpAndLiveTail(t *testing.T) {
 	leader, lAddr := startReplServer(t, t.TempDir(), nil)
 	c, rec := attachConsumer(t, lAddr, "repl")
-	const phase1 = 30
-	for seq := 0; seq < phase1; seq++ {
-		if err := c.Publish(crashEvent(seq)); err != nil {
+	// Phase 1 builds history until the leader has sealed segments for the
+	// bulk catch-up to ship. How many records that takes depends on how
+	// many share a flush (a batch never splits across segments), so the
+	// loop counts segments, not publishes.
+	phase1 := 0
+	for len(leader.log.SealedSegments()) < 2 {
+		if phase1 == 1000 {
+			t.Fatalf("%d publishes sealed %d segments, want 2", phase1, len(leader.log.SealedSegments()))
+		}
+		if err := c.Publish(crashEvent(phase1)); err != nil {
 			t.Fatal(err)
 		}
+		phase1++
+		waitFor(t, "phase-1 delivery", func() bool {
+			offs, _ := rec.snapshot()
+			return len(offs) >= phase1
+		})
 	}
-	waitFor(t, "phase-1 delivery", func() bool {
-		offs, _ := rec.snapshot()
-		return len(offs) >= phase1
-	})
 
 	follower, _ := startReplServer(t, t.TempDir(), func(s *Server) {
 		s.Follow = lAddr

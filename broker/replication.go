@@ -212,19 +212,6 @@ func (c *conn) handleReplHello(body []byte) error {
 	return nil
 }
 
-// replDead reports whether the replication connection is gone; the
-// sender polls it at every commit-wait wakeup (DetachReplica's
-// broadcast, triggered by this connection's unregister, guarantees a
-// wakeup when it flips).
-func (c *conn) replDead() bool {
-	select {
-	case <-c.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // replSender streams the log to the attached follower from offset next
 // onward: whole sealed segments (CRC-finalized 'G'/'g' chunk
 // transfers) while the position aligns with a segment boundary, raw
@@ -232,11 +219,13 @@ func (c *conn) replDead() bool {
 // caught up. One goroutine per attached replica; exits when the
 // connection dies.
 //
-//apcm:durable Append ordering is inherited: everything read here is
-// below the committed watermark.
+// Commit ordering is inherited: everything read here is below the
+// committed watermark.
+//
+//apcm:durable
 func (c *conn) replSender(next uint64) {
 	s := c.s
-	for !c.replDead() {
+	for !c.dead() {
 		if shipped, ok := c.shipAlignedSegment(&next); !ok {
 			return
 		} else if shipped {
@@ -244,7 +233,7 @@ func (c *conn) replSender(next uint64) {
 		}
 		sent := false
 		err := s.log.ReadBatches(next, func(base uint64, count uint32, raw []byte) error {
-			if c.replDead() {
+			if c.dead() {
 				return errStopReplay
 			}
 			if !c.sendChunked(msgReplBatch, raw) {
@@ -262,11 +251,11 @@ func (c *conn) replSender(next uint64) {
 			c.abort()
 			return
 		}
-		if c.replDead() {
+		if c.dead() {
 			return
 		}
 		if !sent {
-			if _, err := s.log.WaitCommitted(next, c.replDead); err != nil {
+			if _, err := s.log.WaitCommitted(next, c.dead); err != nil {
 				return
 			}
 		}

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log"
@@ -98,7 +99,7 @@ type Server struct {
 	// schedules use. Set before Serve.
 	ReplDial func(addr string) (net.Conn, error)
 
-	mu        sync.RWMutex //apcm:lockrank=1
+	mu        sync.RWMutex            //apcm:lockrank=1
 	subs      map[expr.ID]*subscriber // engine id -> owner
 	conns     map[*conn]struct{}
 	consumers map[string]*consumerState
@@ -153,6 +154,18 @@ type subscriber struct {
 	clientID uint64
 }
 
+// outboxSize is every connection's outbox capacity in frames.
+const outboxSize = 256
+
+// outFrame is one outbox entry. nsubs > 0 marks a live durable
+// delivery: the writer holds it until the record at off is committed
+// (writeDurable) and only then writes it and counts nsubs delivered.
+type outFrame struct {
+	b     []byte
+	off   uint64
+	nsubs int
+}
+
 // conn is one client connection. Outbound frames go through a bounded
 // outbox drained by a writer goroutine; a full outbox applies
 // backpressure to the publisher first and terminates the connection
@@ -160,16 +173,17 @@ type subscriber struct {
 type conn struct {
 	s      *Server
 	nc     net.Conn
-	outbox chan []byte
+	outbox chan outFrame
 	done   chan struct{}
 	closeO sync.Once
 	// hello flips after a valid version handshake; version is the
 	// negotiated protocol revision. Only the read loop touches them.
 	hello   bool
 	version byte
-	// enqueued/written frame counts; their equality is the drain
-	// condition in Shutdown (an empty outbox alone would miss the frame
-	// the writer currently holds in flight).
+	// enqueued/written frame counts, a frame dropped after a failed
+	// commit counting as written; their equality is the drain condition
+	// in Shutdown (an empty outbox alone would miss the frame the writer
+	// currently holds in flight or waits on the commit for).
 	enqueued atomic.Int64
 	written  atomic.Int64
 	// engine ids owned by this connection, keyed by client id, plus the
@@ -246,7 +260,7 @@ func (s *Server) attachMetrics() {
 		"publish handling latency: decode, match and fan-out enqueue")
 	reg.CounterFunc("apcm_broker_published_total", "events received from clients",
 		func() float64 { return float64(s.published.Load()) })
-	reg.CounterFunc("apcm_broker_delivered_total", "match notifications enqueued to clients",
+	reg.CounterFunc("apcm_broker_delivered_total", "match notifications delivered: enqueued (volatile) or written once committed (durable)",
 		func() float64 { return float64(s.delivered.Load()) })
 	reg.CounterFunc("apcm_broker_slow_consumer_drops_total", "connections dropped for stalling past SlowConsumerTimeout",
 		func() float64 { return float64(s.slowDrops.Load()) })
@@ -375,7 +389,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		c := &conn{
 			s:        s,
 			nc:       nc,
-			outbox:   make(chan []byte, 256),
+			outbox:   make(chan outFrame, outboxSize),
 			done:     make(chan struct{}),
 			byClient: make(map[uint64]expr.ID),
 		}
@@ -476,14 +490,16 @@ func (s *Server) outboxesFlushed() bool {
 }
 
 func (c *conn) writeLoop() {
-	timeout := c.s.writeTimeout()
 	for {
 		select {
-		case frame := <-c.outbox:
-			if timeout > 0 {
-				c.nc.SetWriteDeadline(time.Now().Add(timeout))
+		case f := <-c.outbox:
+			var err error
+			if f.nsubs > 0 {
+				err = c.writeDurable(f)
+			} else {
+				err = c.write(f.b)
 			}
-			if err := writeFrame(c.nc, frame); err != nil {
+			if err != nil {
 				c.shutdown()
 				return
 			}
@@ -494,6 +510,14 @@ func (c *conn) writeLoop() {
 	}
 }
 
+// write puts one frame on the socket under the write deadline.
+func (c *conn) write(frame []byte) error {
+	if timeout := c.s.writeTimeout(); timeout > 0 {
+		c.nc.SetWriteDeadline(time.Now().Add(timeout))
+	}
+	return writeFrame(c.nc, frame)
+}
+
 // send enqueues a frame and reports whether it was accepted. A full
 // outbox first applies backpressure (the sending publisher blocks,
 // bounding its ingestion rate to the consumer's drain rate, as pub/sub
@@ -502,8 +526,15 @@ func (c *conn) writeLoop() {
 // only count frames send accepted — a dropped frame never reaches the
 // wire.
 func (c *conn) send(frame []byte) bool {
+	return c.push(outFrame{b: frame})
+}
+
+// push is send for any outbox entry, live durable deliveries included.
+//
+//apcm:emits
+func (c *conn) push(f outFrame) bool {
 	select {
-	case c.outbox <- frame:
+	case c.outbox <- f:
 		c.enqueued.Add(1)
 		return true
 	case <-c.done:
@@ -517,7 +548,7 @@ func (c *conn) send(frame []byte) bool {
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
-	case c.outbox <- frame:
+	case c.outbox <- f:
 		c.enqueued.Add(1)
 		return true
 	case <-c.done:
@@ -526,6 +557,18 @@ func (c *conn) send(frame []byte) bool {
 		c.s.slowDrops.Add(1)
 		c.s.Logf("broker: dropping slow consumer %v (stalled %v)", c.nc.RemoteAddr(), timeout)
 		c.abort()
+		return false
+	}
+}
+
+// dead reports whether the connection is gone. Commit and replication
+// waits poll it at every wakeup; unregister wakes the log's waiters
+// once it flips.
+func (c *conn) dead() bool {
+	select {
+	case <-c.done:
+		return true
+	default:
 		return false
 	}
 }
@@ -582,9 +625,10 @@ func (c *conn) unregister() {
 	for _, id := range ids {
 		c.s.eng.Unsubscribe(id)
 	}
-	if c.s.ReplSync && c.s.log != nil {
-		// A dying consumer connection may be parked in WaitReplicated;
-		// wake the log's waiters so its cancellation check runs.
+	if c.s.log != nil {
+		// This connection's writer or a publisher delivering to it may be
+		// parked in a commit or replication wait; wake the log's waiters
+		// so their cancellation check runs.
 		c.s.log.Wake()
 	}
 }
@@ -801,21 +845,22 @@ func (c *conn) handlePublish(body []byte) error {
 	c.s.mu.RUnlock()
 	for target, clientIDs := range byConn {
 		// tail = uvarint n, n×uvarint ids, event — shared by the legacy
-		// match frame, the logged record and the durable frame.
-		tail := appendUvarint(nil, uint64(len(clientIDs)))
+		// match frame, the logged record and the durable frame. It is
+		// built behind frameRoom spare bytes, where the frame header goes.
+		buf := make([]byte, frameRoom, frameRoom+binary.MaxVarintLen64*(1+len(clientIDs))+len(body))
+		buf = appendUvarint(buf, uint64(len(clientIDs)))
 		for _, id := range clientIDs {
-			tail = appendUvarint(tail, id)
+			buf = appendUvarint(buf, id)
 		}
-		tail = expr.AppendEvent(tail, ev)
+		buf = expr.AppendEvent(buf, ev)
 		target.mu.Lock()
 		cs := target.consumer
 		target.mu.Unlock()
 		if cs != nil {
-			c.s.deliverDurable(target, cs, tail, len(clientIDs))
+			c.s.deliverDurable(target, cs, buf, len(clientIDs))
 			continue
 		}
-		frame := append([]byte{msgMatch}, tail...)
-		if target.send(frame) {
+		if target.send(framed(buf, msgMatch, nil)) {
 			c.s.delivered.Add(int64(len(clientIDs)))
 		}
 	}

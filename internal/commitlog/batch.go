@@ -2,11 +2,12 @@
 // batch-commit semantics, modeled on the simple-commit-log design: an
 // append stages its record into an in-memory batch, batches are flushed
 // to fixed-size segment files when they reach a byte threshold or a
-// block-time deadline (whichever first), and an append does not return
-// until its batch is on disk (fsync'd unless Config.NoFsync). Recovery
-// scans the segment chain, truncates a torn tail batch back to the last
-// valid boundary, and resumes appending at the recovered offset, so the
-// commit point — the moment Append returns — survives crashes.
+// block-time deadline (whichever first), and a commit wait does not
+// return until its batch is on disk (fsync'd unless Config.NoFsync).
+// Recovery scans the segment chain, truncates a torn tail batch back to
+// the last valid boundary, and resumes appending at the recovered
+// offset, so the commit point — the moment WaitCommitted (or Append,
+// which is Stage plus that wait) returns — survives crashes.
 //
 // The broker uses one Log for durable match delivery plus an
 // OffsetStore tracking each consumer's acknowledged position; both live

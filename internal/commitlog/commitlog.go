@@ -33,12 +33,12 @@ type Failpoint int
 
 // Crash-injection points, in hot-path order.
 const (
-	// FpAppend fires at the top of Append, before the record is staged:
-	// a crash here loses the record entirely, which is correct — Append
-	// never returned, so the caller never counted it delivered.
+	// FpAppend fires at the top of Stage, before the record is staged:
+	// a crash here loses the record entirely, which is correct — Stage
+	// never returned an offset, so the caller never counted it delivered.
 	FpAppend Failpoint = iota
 	// FpWrite fires in the flusher after a batch is sealed but before
-	// its write(2): the batch is lost, its appenders still blocked.
+	// its write(2): the batch is lost, its commit waiters still blocked.
 	FpWrite
 	// FpPreSync fires after write(2) but before fsync: the batch is in
 	// the page cache only. A crash test emulates the power-loss case by
@@ -144,11 +144,12 @@ type segment struct {
 	mtime time.Time // seal time (sealed segments; retention age)
 }
 
-// Log is a durable append-only record log. Appends from any number of
-// goroutines are staged into a shared batch and group-committed by a
-// single flusher goroutine; Append returns only after its record is on
-// disk, so "Append returned nil" is the delivery-counting event. Reads
-// (Read) see exactly the committed prefix.
+// Log is a durable append-only record log. Records from any number of
+// goroutines are staged into a shared batch (Stage) and group-committed
+// by a single flusher goroutine; WaitCommitted returns only after a
+// record is on disk, so its nil return is the delivery-counting event.
+// Append is the two in one call. Reads (Read) see exactly the committed
+// prefix.
 type Log struct {
 	dir string
 	cfg Config
@@ -190,6 +191,7 @@ type Log struct {
 	mAppendLat  *metrics.Histogram
 	mFlushLat   *metrics.Histogram
 	mSyncLat    *metrics.Histogram
+	mFlushRecs  *metrics.Histogram
 	mAppends    *metrics.Counter
 	mFlushes    *metrics.Counter
 	mFlushedB   *metrics.Counter
@@ -239,11 +241,13 @@ func (l *Log) attachMetrics() {
 		return
 	}
 	l.mAppendLat = reg.Histogram("apcm_broker_log_append_latency_ns",
-		"commit-log append latency: stage, group flush, fsync, wake")
+		"commit-log Append latency: stage, group flush, fsync, wake (Stage callers that wait separately are not timed)")
 	l.mFlushLat = reg.Histogram("apcm_broker_log_flush_latency_ns",
 		"commit-log batch write latency (write syscall only)")
 	l.mSyncLat = reg.Histogram("apcm_broker_log_fsync_latency_ns",
 		"commit-log fsync latency per flushed batch")
+	l.mFlushRecs = reg.HistogramShaped("apcm_broker_log_flush_records",
+		"records per flushed batch: how many staged records share one write and fsync", 1, 2, 24)
 	l.mAppends = reg.Counter("apcm_broker_log_appends_total",
 		"records appended to the commit log")
 	l.mFlushes = reg.Counter("apcm_broker_log_flushes_total",
@@ -381,10 +385,41 @@ func syncDir(dir string) error {
 // active segment and, unless Config.NoFsync, fsync'd. It returns the
 // record's offset. Concurrent appends share flushes (group commit), so
 // the latency cost of the fsync amortizes across however many records
-// arrived while the previous flush was in flight.
+// arrived while the previous flush was in flight. Append is Stage
+// followed by WaitCommitted; a caller with more to stage calls the two
+// separately, so its own records share the flush too.
 //
 //apcm:hotpath
 func (l *Log) Append(rec []byte) (uint64, error) {
+	var start time.Time
+	if l.mAppendLat != nil {
+		start = time.Now()
+	}
+	off, err := l.Stage(rec)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := l.WaitCommitted(off, nil); err != nil {
+		return 0, err
+	}
+	if l.mAppendLat != nil {
+		l.mAppendLat.Observe(float64(time.Since(start)))
+	}
+	return off, nil
+}
+
+// Stage assigns rec the next offset, stages it for the next group
+// commit and wakes the flusher, without waiting for the commit: the
+// record is durable once WaitCommitted(off, ...) returns. Stage blocks
+// only while the staging buffer is full, which is how a slow disk
+// pushes back on its callers.
+//
+// The lock is the group commit's staging rendezvous; its critical
+// section is a buffer append, and the fsync wait is WaitCommitted's.
+//
+//apcm:hotpath
+//apcm:locksafe
+func (l *Log) Stage(rec []byte) (uint64, error) {
 	if len(rec) > MaxRecord {
 		return 0, ErrRecordTooLarge
 	}
@@ -393,10 +428,6 @@ func (l *Log) Append(rec []byte) (uint64, error) {
 			l.fail(err)
 			return 0, err
 		}
-	}
-	var start time.Time
-	if l.mAppendLat != nil {
-		start = time.Now()
 	}
 	need := len(rec) + binary.MaxVarintLen64
 	l.mu.Lock()
@@ -421,17 +452,7 @@ func (l *Log) Append(rec []byte) (uint64, error) {
 	l.buf = binary.AppendUvarint(l.buf, uint64(len(rec)))
 	l.buf = append(l.buf, rec...)
 	l.kickFlusher()
-	for l.committed <= off && l.err == nil {
-		l.cond.Wait()
-	}
-	err := l.err
 	l.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if l.mAppendLat != nil {
-		l.mAppendLat.Observe(float64(time.Since(start)))
-	}
 	l.mAppends.Inc()
 	return off, nil
 }
@@ -465,10 +486,12 @@ func (l *Log) failLocked(err error) {
 // record, a full buffer, Close) or the block-time timer, it flushes the
 // staged batch repeatedly until nothing is staged, then sleeps again.
 //
-//apcm:locksafe flushLocked drops l.mu around the segment IO and
-// re-acquires it to advance the commit point; to the instance-conflated
-// lock graph that staging pattern looks like re-acquisition, but the
-// release always precedes the re-take on the same goroutine.
+// flushLocked drops l.mu around the segment IO and re-acquires it to
+// advance the commit point; to the instance-conflated lock graph that
+// staging pattern looks like re-acquisition, but the release always
+// precedes the re-take on the same goroutine.
+//
+//apcm:locksafe
 func (l *Log) flushLoop() {
 	defer close(l.done)
 	t := time.NewTimer(l.cfg.FlushInterval)
@@ -552,6 +575,7 @@ func (l *Log) flushLocked() {
 	l.active.end = l.committed
 	l.spare = data[:headerSize]
 	l.mFlushes.Inc()
+	l.mFlushRecs.Observe(float64(count))
 	l.mFlushedB.Add(int64(len(data)))
 	l.cond.Broadcast()
 }

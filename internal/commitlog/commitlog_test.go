@@ -266,6 +266,73 @@ func TestRecordTooLarge(t *testing.T) {
 	}
 }
 
+// holdFirstSync returns a config whose first flush blocks before its
+// fsync until release is closed.
+func holdFirstSync(release <-chan struct{}) Config {
+	var once sync.Once
+	cfg := fastCfg()
+	cfg.Failpoint = func(fi FailpointInfo) error {
+		if fi.Point == FpPreSync {
+			once.Do(func() { <-release })
+		}
+		return nil
+	}
+	return cfg
+}
+
+// TestStageDoesNotWaitForCommit: Stage hands out offsets while the
+// flusher is held mid-batch, and WaitCommitted returns once the records
+// are on disk.
+func TestStageDoesNotWaitForCommit(t *testing.T) {
+	release := make(chan struct{})
+	l := openLog(t, t.TempDir(), holdFirstSync(release))
+	for i := 0; i < 10; i++ {
+		off, err := l.Stage([]byte{byte(i)})
+		if err != nil || off != uint64(i) {
+			t.Fatalf("Stage #%d = %d, %v", i, off, err)
+		}
+	}
+	if c := l.Committed(); c != 0 {
+		t.Fatalf("Committed = %d while the first flush is held, want 0", c)
+	}
+	close(release)
+	if c, err := l.WaitCommitted(9, nil); err != nil || c != 10 {
+		t.Fatalf("WaitCommitted(9) = %d, %v, want 10", c, err)
+	}
+	if got := collect(t, l, 0); len(got) != 10 {
+		t.Fatalf("read %d records, want 10", len(got))
+	}
+}
+
+// TestWaitCommittedOutlivesClose: Close flushes what was staged before
+// it, so a commit wait on a staged record succeeds across Close, and a
+// wait past the staged end reports ErrClosed.
+func TestWaitCommittedOutlivesClose(t *testing.T) {
+	release := make(chan struct{})
+	l := openLog(t, t.TempDir(), holdFirstSync(release))
+	off, err := l.Stage([]byte("staged"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	waited := make(chan error, 1)
+	go func() {
+		_, err := l.WaitCommitted(off, nil)
+		waited <- err
+	}()
+	close(release)
+	if err := <-waited; err != nil {
+		t.Fatalf("WaitCommitted across Close = %v, want nil", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.WaitCommitted(off+1, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("WaitCommitted past the staged end after Close = %v, want ErrClosed", err)
+	}
+}
+
 func TestAppendAfterClose(t *testing.T) {
 	l := openLog(t, t.TempDir(), fastCfg())
 	if err := l.Close(); err != nil {

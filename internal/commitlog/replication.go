@@ -441,25 +441,29 @@ func (l *Log) WaitReplicated(off uint64, cancelled func() bool) error {
 }
 
 // WaitCommitted blocks until the committed watermark exceeds after,
-// then returns it — the leader's tail-streaming loop parks here
-// between batches. cancelled is polled at every wakeup; arrange for
-// Wake to be called after flipping whatever cancelled reads.
+// then returns it: the commit wait for a record Stage put at offset
+// after, and where the leader's tail-streaming loop parks between
+// batches. Close flushes what was staged before it, so a wait on a
+// staged offset outlives Close; a wait past the staged end returns
+// ErrClosed. cancelled is polled at every wakeup (the returned
+// watermark is then possibly still <= after); arrange for Wake to be
+// called after flipping whatever cancelled reads.
 func (l *Log) WaitCommitted(after uint64, cancelled func() bool) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.committed <= after && l.err == nil && !l.closed {
+	for l.committed <= after && l.err == nil && (!l.closed || after < l.next) {
 		if cancelled != nil && cancelled() {
 			return l.committed, nil
 		}
 		l.cond.Wait()
 	}
-	if l.err != nil {
+	switch {
+	case l.err != nil:
 		return 0, l.err
+	case l.committed > after:
+		return l.committed, nil
 	}
-	if l.closed {
-		return l.committed, ErrClosed
-	}
-	return l.committed, nil
+	return l.committed, ErrClosed
 }
 
 // Wake broadcasts to every waiter parked on the log's condition

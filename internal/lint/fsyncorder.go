@@ -14,20 +14,25 @@ import (
 // go to the wire before the commit log has accepted the record. In any
 // function annotated //apcm:durable, every *emission* — a call that can
 // put a delivery frame on a connection — must be *dominated* by a
-// *commit* — a completed commitlog Append/Sync — in the function's CFG.
-// Dominance is the right relation: it is exactly "on every execution
-// that reaches the emission, the commit already happened", which is the
-// crash-safety obligation (a crash after emission must find the record
-// in the log).
+// *commit* — a completed commitlog Append/Sync/WaitCommitted — in the
+// function's CFG. Dominance is the right relation: it is exactly "on
+// every execution that reaches the emission, the commit already
+// happened", which is the crash-safety obligation (a crash after
+// emission must find the record in the log).
 //
-// Emissions are calls to methods named send/Send/writeFrame/WriteFrame,
-// to functions annotated //apcm:emits, or to same-package functions
-// that transitively reach one. Commits are calls to Append/Sync methods
-// on a type named Log (the commitlog), or to same-package functions
-// that transitively perform one; a commit inside an `if err != nil`
-// failure branch still dominates nothing past its check, so the
-// ordinary `rec, err := log.Append(...)` then `if err != nil { return }`
-// shape verifies naturally.
+// Emissions are calls to functions or methods named
+// send/Send/writeFrame/WriteFrame, to functions annotated //apcm:emits,
+// or to same-package functions that transitively reach one. Commits are
+// calls to Append/Sync/WaitCommitted methods on a type named Log (the
+// commitlog), or to same-package functions that transitively perform
+// one. Stage is deliberately not a commit: it only assigns the offset,
+// and the record is durable once the WaitCommitted that follows it
+// returns. A commit inside an `if err != nil` failure branch still
+// dominates nothing past its check, so the ordinary
+// `rec, err := log.Append(...)` then `if err != nil { return }` shape
+// verifies naturally, and a commit wait skipped on some path (a
+// "fast path" guarded by a cached watermark) is reported. Diagnostics
+// keep their "Append/Sync" wording so existing baseline keys hold.
 //
 // The annotation is the boundary: un-annotated functions are not
 // durable paths (best-effort delivery may legitimately emit without
@@ -35,7 +40,7 @@ import (
 // exempt.
 var FsyncOrder = &analysis.Analyzer{
 	Name:     "fsyncorder",
-	Doc:      "require delivery emission in //apcm:durable functions to be dominated by a commitlog Append/Sync",
+	Doc:      "require delivery emission in //apcm:durable functions to be dominated by a commitlog Append/Sync/WaitCommitted",
 	Requires: []*analysis.Analyzer{inspect.Analyzer, ctrlflow.Analyzer},
 	Run:      runFsyncOrder,
 }
@@ -46,8 +51,8 @@ var emitMethodNames = map[string]bool{
 }
 
 // commitMethodNames are the direct commit shapes, on a receiver type
-// named Log.
-var commitMethodNames = map[string]bool{"Append": true, "Sync": true}
+// named Log. Stage is absent on purpose: staging is not committing.
+var commitMethodNames = map[string]bool{"Append": true, "Sync": true, "WaitCommitted": true}
 
 func runFsyncOrder(pass *analysis.Pass) (interface{}, error) {
 	flows := funcFlows(pass)
@@ -98,20 +103,28 @@ func runFsyncOrder(pass *analysis.Pass) (interface{}, error) {
 }
 
 // isEmitCall reports whether call is a direct emission: a method or
-// func value with one of the emitter names on a non-package receiver.
+// func value with one of the emitter names on a non-package receiver,
+// or an unqualified function of that name (the broker's writeFrame).
 // Transitive and //apcm:emits-annotated emissions are resolved through
 // the reach summaries (the annotation seeds the declaring body).
 func isEmitCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !emitMethodNames[sel.Sel.Name] {
-		return false
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		_, isFunc := pass.TypesInfo.Uses[fun].(*types.Func)
+		return isFunc && emitMethodNames[fun.Name]
+	case *ast.SelectorExpr:
+		if !emitMethodNames[fun.Sel.Name] {
+			return false
+		}
+		_, isPkg := pass.TypesInfo.Uses[selRoot(fun)].(*types.PkgName)
+		return !isPkg
 	}
-	_, isPkg := pass.TypesInfo.Uses[selRoot(sel)].(*types.PkgName)
-	return !isPkg
+	return false
 }
 
-// isCommitCall reports whether call is a direct commit: Append/Sync on
-// a receiver whose (possibly pointer) named type is Log.
+// isCommitCall reports whether call is a direct commit:
+// Append/Sync/WaitCommitted on a receiver whose (possibly pointer)
+// named type is Log.
 func isCommitCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || !commitMethodNames[sel.Sel.Name] {

@@ -30,8 +30,9 @@
 //     WaitGroup.Done, channel close or send, context cancellation — on
 //     all paths, or is annotated //apcm:detached.
 //   - fsyncorder: in //apcm:durable functions, delivery-frame emission
-//     is dominated by a completed commit-log Append/Sync — the
-//     machine-checked half of delivered ⊆ committed (DESIGN §9).
+//     is dominated by a completed commit-log Append/Sync/WaitCommitted
+//     (never Stage alone) — the machine-checked half of delivered ⊆
+//     committed (DESIGN §9).
 //   - atomicpublish: fields annotated //apcm:publish are typed atomics
 //     (atomic.Pointer/Value/...), and pointer-flip-published values are
 //     not mutated after the Store.

@@ -1,12 +1,13 @@
 //go:build apcmlint_smoke
 
-// Package smoke exists to prove the lint gate fires: it seeds exactly
+// Package smoke exists to prove the lint gate fires: it seeds at least
 // one violation per analyzer behind the apcmlint_smoke build tag, so
 // normal builds and tests never see it, while
 //
 //	go run ./cmd/apcm-lint -tags apcmlint_smoke ./internal/lint/smoke
 //
-// must exit nonzero with nine diagnostics — one per analyzer. CI runs
+// must exit nonzero with ten diagnostics — one per analyzer, plus a
+// second fsyncorder seed for the staged-commit shape. CI runs
 // that as a required step (see .github/workflows/ci.yml): a lint gate
 // that cannot fail is indistinguishable from no gate.
 package smoke
@@ -94,10 +95,11 @@ func fireAndForget(f func()) {
 }
 
 // Log mimics the commit log by type name, which is how the fsyncorder
-// analyzer matches Append/Sync commit calls.
+// analyzer matches Append/Sync/WaitCommitted commit calls.
 type Log struct{}
 
 func (*Log) Append(rec []byte) (uint64, error) { return 0, nil }
+func (*Log) Stage(rec []byte) (uint64, error)  { return 0, nil }
 
 type wire struct{}
 
@@ -110,6 +112,16 @@ func (*wire) send(b []byte) bool { return true }
 func leakyDeliver(l *Log, w *wire, b []byte) {
 	w.send(b)
 	l.Append(b)
+}
+
+// stagedDeliver seeds the staged-commit fsyncorder violation: Stage
+// assigns the offset but commits nothing, so the emission still
+// precedes the commit.
+//
+//apcm:durable
+func stagedDeliver(l *Log, w *wire, b []byte) {
+	l.Stage(b)
+	w.send(b)
 }
 
 // published seeds an atomicpublish violation: an //apcm:publish field

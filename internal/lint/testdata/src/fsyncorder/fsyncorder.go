@@ -6,10 +6,19 @@ type Log struct{}
 
 func (l *Log) Append(b []byte) (int64, error) { return 0, nil }
 func (l *Log) Sync() error                    { return nil }
+func (l *Log) Stage(b []byte) (uint64, error) { return 0, nil }
+
+func (l *Log) WaitCommitted(after uint64, cancelled func() bool) (uint64, error) {
+	return after + 1, nil
+}
 
 type conn struct{}
 
 func (c *conn) send(frame []byte) bool { return true }
+
+// writeFrame mirrors the broker's package-level frame writer: an
+// unqualified call by an emitter name is an emission too.
+func writeFrame(frame []byte) error { return nil }
 
 type state struct {
 	log *Log
@@ -83,6 +92,45 @@ func (s *state) viaEmitter(c *conn, frame []byte) {
 //apcm:emits
 func (s *state) pushFrame(c *conn, frame []byte) {
 	c.send(frame)
+}
+
+// stagedOnly emits after Stage alone: the offset exists but the record
+// is not on disk yet, so a crash can un-happen a delivered frame.
+//
+//apcm:durable
+func (s *state) stagedOnly(c *conn, frame []byte) error {
+	if _, err := s.log.Stage(frame); err != nil {
+		return err
+	}
+	c.send(frame) // want `not dominated by a commitlog Append/Sync`
+	return nil
+}
+
+// waited is the staged-commit shape: stage, then hold the frame until
+// the commit wait for its offset returns.
+//
+//apcm:durable
+func (s *state) waited(frame []byte, off uint64) error {
+	if _, err := s.log.WaitCommitted(off, nil); err != nil {
+		return nil
+	}
+	return writeFrame(frame)
+}
+
+// cachedWait skips the commit wait when a cached watermark says the
+// offset is already committed; the emission is then reachable without
+// a commit on this path, which the analyzer cannot see is safe.
+//
+//apcm:durable
+func (s *state) cachedWait(frame []byte, off uint64, committed *uint64) error {
+	if off >= *committed {
+		c, err := s.log.WaitCommitted(off, nil)
+		if err != nil {
+			return err
+		}
+		*committed = c
+	}
+	return writeFrame(frame) // want `not dominated by a commitlog Append/Sync`
 }
 
 // bestEffort is not annotated: non-durable delivery may emit freely.

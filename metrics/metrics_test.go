@@ -137,6 +137,42 @@ func TestSnapshotAndFuncs(t *testing.T) {
 	}
 }
 
+// TestSnapshotCallsFuncsOutsideLock: a read-time function may take a
+// lock whose holder is registering a metric at that moment (a broker
+// opening its commit log under its own lock while a scrape reads its
+// connection gauge). Snapshot must not hold the registry lock across
+// the function call, or the two deadlock.
+func TestSnapshotCallsFuncsOutsideLock(t *testing.T) {
+	r := New()
+	var owner sync.Mutex
+	entered := make(chan struct{})
+	r.GaugeFunc("owned", "reads under its owner's lock", func() float64 {
+		close(entered)
+		owner.Lock()
+		defer owner.Unlock()
+		return 1
+	})
+	owner.Lock()
+	done := make(chan struct{})
+	go func() {
+		r.Snapshot()
+		close(done)
+	}()
+	<-entered
+	registered := make(chan struct{})
+	go func() {
+		r.Counter("late_total", "registered while a snapshot waits on its owner")
+		close(registered)
+	}()
+	select {
+	case <-registered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("registration blocked behind a snapshot's read-time function")
+	}
+	owner.Unlock()
+	<-done
+}
+
 func TestPrometheusFormat(t *testing.T) {
 	r := New()
 	r.Counter("apcm_published_total", "events published").Add(12)

@@ -146,11 +146,24 @@ type Value struct {
 	Hist  HistogramSnapshot
 }
 
-// snapshotLocked reads every entry; the caller holds r.mu (read).
-func (r *Registry) snapshotLocked() []Value {
-	out := make([]Value, 0, len(r.order))
-	for _, name := range r.order {
-		e := r.entries[name]
+// Snapshot reads every metric, in registration order. Nil registries
+// return nil. Only the entry list is read under the registry lock: the
+// read-time functions take their owners' locks, and an owner may be
+// registering a metric while holding one (a broker opens its commit
+// log, which registers the log's instruments, under its own lock), so
+// calling them under the registry lock would deadlock the two.
+func (r *Registry) Snapshot() []Value {
+	if r == nil {
+		return nil
+	}
+	r.mu.RLock()
+	entries := make([]*entry, len(r.order))
+	for i, name := range r.order {
+		entries[i] = r.entries[name]
+	}
+	r.mu.RUnlock()
+	out := make([]Value, 0, len(entries))
+	for _, e := range entries {
 		v := Value{Name: e.name, Kind: e.kind, Help: e.help}
 		switch {
 		case e.fn != nil:
@@ -165,17 +178,6 @@ func (r *Registry) snapshotLocked() []Value {
 		out = append(out, v)
 	}
 	return out
-}
-
-// Snapshot reads every metric, in registration order. Nil registries
-// return nil.
-func (r *Registry) Snapshot() []Value {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.snapshotLocked()
 }
 
 // WriteJSON writes the snapshot as one flat JSON object keyed by metric

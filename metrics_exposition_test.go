@@ -53,16 +53,19 @@ func TestPrometheusExposition(t *testing.T) {
 	grp.Match(ev)
 
 	// Broker metrics attach when Serve starts; share the registry so the
-	// exposition covers both namespaces at once.
+	// exposition covers both namespaces at once. A log dir makes the
+	// commit log register its apcm_broker_log_* instruments too.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := broker.NewServer(eng)
 	srv.Metrics = reg
+	srv.LogDir = t.TempDir()
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 	waitForMetric(t, reg, "apcm_broker_connections")
+	waitForMetric(t, reg, "apcm_broker_log_segments")
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -115,10 +118,12 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 
 	// All three namespaces must be present: engine, shard group and
-	// broker instruments on the same registry.
+	// broker instruments (commit log included) on the same registry.
 	for _, want := range []string{
 		"apcm_match_latency_ns",
 		"apcm_broker_connections",
+		"apcm_broker_log_flush_records",
+		"apcm_broker_log_fsync_latency_ns",
 		"apcm_shard_count",
 		"apcm_shard_imbalance",
 		"apcm_shard_group_subscriptions",
