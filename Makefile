@@ -76,7 +76,7 @@ lint-smoke:
 	fi
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/commitlog/
 
 clean:
-	rm -f apcm-lint apcm-lint.json bench-smoke.out bench-ab.out bench-shard.out
+	rm -f apcm-lint apcm-lint.json

@@ -1,7 +1,6 @@
 // Package apcm is a high-throughput matcher for Boolean expressions over
 // event streams: a Go implementation of adaptive parallel compressed
-// event matching (A-PCM) in the publish/subscribe style, together with
-// the baselines it is evaluated against.
+// event matching (A-PCM) in the publish/subscribe style.
 //
 // Subscriptions are conjunctions of predicates (=, ≠, <, ≤, >, ≥,
 // BETWEEN, IN, NOT IN) over discrete attributes; events assign values to
@@ -14,17 +13,16 @@
 //	_ = eng.Subscribe(sub)
 //	matches := eng.Match(expr.MustParseEvent(sch, "price=300, brand=7"))
 //
-// Five algorithms share one interface: APCM (adaptive parallel
-// compressed matching, the default), PCM (always-compressed), BETree
-// (the sequential state-of-the-art index), Counting (classic inverted
-// counting index) and Scan (naive interpretation). See DESIGN.md for how
-// they relate and EXPERIMENTS.md for measured comparisons.
+// Subscriptions cluster in a BE-Tree and each cluster is served by the
+// compressed or the uncompressed kernel, whichever measures cheaper.
+// The baselines the paper evaluates A-PCM against live under internal/
+// and run through cmd/apcm-bench; see DESIGN.md for how they relate and
+// EXPERIMENTS.md for measured comparisons.
 package apcm
 
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,99 +30,20 @@ import (
 	"github.com/streammatch/apcm/expr"
 	"github.com/streammatch/apcm/internal/betree"
 	"github.com/streammatch/apcm/internal/core"
-	"github.com/streammatch/apcm/internal/counting"
-	"github.com/streammatch/apcm/internal/kindex"
-	"github.com/streammatch/apcm/internal/match"
-	"github.com/streammatch/apcm/internal/scan"
 	"github.com/streammatch/apcm/internal/sched"
 	"github.com/streammatch/apcm/metrics"
 )
 
-// Algorithm selects the matching algorithm backing an Engine.
-type Algorithm int
-
-const (
-	// APCM is adaptive parallel compressed matching (the paper's
-	// contribution and the default).
-	APCM Algorithm = iota
-	// PCM always uses the compressed kernel.
-	PCM
-	// BETree is the sequential state-of-the-art baseline.
-	BETree
-	// Counting is the classic inverted counting index baseline.
-	Counting
-	// KIndex is the classic posting-list index baseline (Whang et al.,
-	// VLDB 2009): subscriptions partitioned by equality-predicate count,
-	// matched by sorted posting-list intersection.
-	KIndex
-	// Scan is the naive per-subscription interpretation baseline.
-	Scan
-)
-
-// String names the algorithm as used in benchmark tables.
-func (a Algorithm) String() string {
-	switch a {
-	case APCM:
-		return "A-PCM"
-	case PCM:
-		return "PCM"
-	case BETree:
-		return "BE-Tree"
-	case Counting:
-		return "Counting"
-	case KIndex:
-		return "k-index"
-	case Scan:
-		return "Scan"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
-// Algorithms lists all supported algorithms in benchmark-table order.
-func Algorithms() []Algorithm {
-	return []Algorithm{Scan, Counting, KIndex, BETree, PCM, APCM}
-}
-
-// ParseAlgorithm resolves a name (case-insensitive, with or without
-// dashes: "apcm", "A-PCM", "betree", ...) to an Algorithm.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch strings.ToLower(strings.ReplaceAll(s, "-", "")) {
-	case "apcm", "adaptive":
-		return APCM, nil
-	case "pcm", "compressed":
-		return PCM, nil
-	case "betree", "be":
-		return BETree, nil
-	case "counting", "count":
-		return Counting, nil
-	case "kindex", "k":
-		return KIndex, nil
-	case "scan", "naive":
-		return Scan, nil
-	default:
-		return 0, fmt.Errorf("apcm: unknown algorithm %q", s)
-	}
-}
-
-// Options configures an Engine. The zero value selects A-PCM with
-// GOMAXPROCS workers and the default tuning.
+// Options configures an Engine. The zero value uses GOMAXPROCS workers
+// and the default tuning.
 type Options struct {
-	// Algorithm selects the matcher; default APCM.
-	Algorithm Algorithm
-
-	// Workers sets the parallel worker count for APCM/PCM matching and
-	// MatchBatch. 0 means GOMAXPROCS; 1 runs fully sequentially.
+	// Workers sets the parallel worker count for Match and MatchBatch. 0
+	// means GOMAXPROCS; 1 runs fully sequentially.
 	Workers int
 
-	// ClusterSize bounds BE-Tree pools before they split (APCM, PCM and
-	// BETree). Compressed matching prefers larger clusters. 0 picks the
-	// per-algorithm default (256 compressed, 32 BETree).
+	// ClusterSize bounds BE-Tree pools before they split. Compressed
+	// matching prefers larger clusters. 0 means default (256).
 	ClusterSize int
-
-	// MinCompressSize is the smallest cluster the compressed matchers
-	// compile; smaller pools are scanned. 0 means default (8).
-	MinCompressSize int
 
 	// ProbeInterval is how many events a cluster serves between A-PCM
 	// cost probes. 0 means default (64).
@@ -134,26 +53,6 @@ type Options struct {
 	// at which a single Match call fans out across workers. 0 means
 	// default (16).
 	IntraEventParallelism int
-
-	// DisableBatchMemo turns off the cross-event predicate memoization
-	// of the batch match path (MatchBatchInto and streams), leaving only
-	// per-event matching. An ablation switch for experiments; keep it
-	// off in production.
-	DisableBatchMemo bool
-
-	// DisableHybridPostings compiles every cluster posting dense, as
-	// before the density-adaptive layout. An ablation switch (see E18);
-	// keep it off in production.
-	DisableHybridPostings bool
-
-	// DisableFlatEq keeps cluster equality unions in hash maps only,
-	// never building the value-indexed flat tables. An ablation switch.
-	DisableFlatEq bool
-
-	// DisableGroupOrdering evaluates cluster predicate groups in
-	// attribute order instead of descending estimated-kill order. An
-	// ablation switch.
-	DisableGroupOrdering bool
 
 	// Normalize canonicalises subscriptions on Subscribe (merging
 	// redundant predicates per attribute; see expr.Expression.Normalize)
@@ -187,16 +86,7 @@ type Engine struct {
 	mu     sync.RWMutex //apcm:lockrank=1
 	closed bool
 
-	// Exactly one of cm (compressed algorithms) and sm (sequential
-	// baselines) is non-nil.
 	cm *core.Matcher
-	sm match.Matcher
-	// smMu serialises matches on stateful sequential matchers (Counting
-	// keeps per-event counters). It nests inside mu (Match holds the
-	// read lock when it takes smMu), never the other way around.
-	//apcm:lockrank=2
-	smMu       sync.Mutex
-	smStateful bool
 
 	pool      *sched.Pool
 	scratches sync.Pool // *core.Scratch
@@ -209,7 +99,6 @@ type Engine struct {
 	scratchNews atomic.Int64
 
 	nextID atomic.Uint64
-	mem    match.MemReporter
 
 	// met is non-nil iff Options.Metrics was set; see observe.go.
 	met *engineMetrics
@@ -224,52 +113,17 @@ type Engine struct {
 // New builds an Engine.
 func New(opts Options) (*Engine, error) {
 	opts.sanitize()
-	e := &Engine{opts: opts}
-	switch opts.Algorithm {
-	case APCM, PCM:
-		cfg := core.DefaultConfig()
-		if opts.Algorithm == PCM {
-			cfg.Mode = core.ModeCompressed
-		}
-		if opts.ClusterSize > 0 {
-			cfg.Tree.MaxPool = opts.ClusterSize
-		}
-		if opts.MinCompressSize > 0 {
-			cfg.MinCompressSize = opts.MinCompressSize
-		}
-		if opts.ProbeInterval > 0 {
-			cfg.ProbeInterval = opts.ProbeInterval
-		}
-		cfg.DisableMemo = opts.DisableBatchMemo
-		cfg.DisableHybridPostings = opts.DisableHybridPostings
-		cfg.DisableFlatEq = opts.DisableFlatEq
-		cfg.DisableGroupOrder = opts.DisableGroupOrdering
-		e.cm = core.New(cfg)
-		e.mem = e.cm
-		e.scratches.New = func() any {
-			e.scratchNews.Add(1)
-			return e.cm.NewScratch()
-		}
-	case BETree:
-		cfg := betree.DefaultConfig()
-		if opts.ClusterSize > 0 {
-			cfg.MaxPool = opts.ClusterSize
-		}
-		t := betree.New(cfg)
-		e.sm, e.mem = t, t
-	case Counting:
-		m := counting.New()
-		e.sm, e.mem = m, m
-		e.smStateful = true
-	case KIndex:
-		m := kindex.New()
-		e.sm, e.mem = m, m
-		e.smStateful = true // per-match cursor scratch
-	case Scan:
-		m := scan.New()
-		e.sm, e.mem = m, m
-	default:
-		return nil, fmt.Errorf("apcm: unknown algorithm %v", opts.Algorithm)
+	cfg := core.DefaultConfig()
+	if opts.ClusterSize > 0 {
+		cfg.Tree.MaxPool = opts.ClusterSize
+	}
+	if opts.ProbeInterval > 0 {
+		cfg.ProbeInterval = opts.ProbeInterval
+	}
+	e := &Engine{opts: opts, cm: core.New(cfg)}
+	e.scratches.New = func() any {
+		e.scratchNews.Add(1)
+		return e.cm.NewScratch()
 	}
 	if w := opts.Workers; w > 1 || (w <= 0 && runtime.GOMAXPROCS(0) > 1) {
 		e.pool = sched.NewPool(w)
@@ -317,12 +171,7 @@ func (e *Engine) Subscribe(x *expr.Expression) error {
 	if e.closed {
 		return ErrClosed
 	}
-	var err error
-	if e.cm != nil {
-		err = e.cm.Insert(x)
-	} else {
-		err = e.sm.Insert(x)
-	}
+	err := e.cm.Insert(x)
 	if err == nil && e.met != nil {
 		e.met.subscribes.Inc()
 	}
@@ -366,18 +215,7 @@ func (e *Engine) subscribeBulk(xs []*expr.Expression) (int, error) {
 	if e.closed {
 		return 0, ErrClosed
 	}
-	var n int
-	var err error
-	if e.cm != nil {
-		n, err = e.cm.InsertBulk(xs)
-	} else {
-		for n < len(xs) {
-			if err = e.sm.Insert(xs[n]); err != nil {
-				break
-			}
-			n++
-		}
-	}
+	n, err := e.cm.InsertBulk(xs)
 	if n > 0 && e.met != nil {
 		e.met.subscribes.Add(int64(n))
 	}
@@ -409,7 +247,7 @@ func (e *Engine) Unsubscribe(id expr.ID) bool {
 	if wasGroup, ok := e.unsubscribeGroupLocked(id); wasGroup {
 		removed = ok
 	} else {
-		removed = e.deleteLocked(id)
+		removed = e.cm.Delete(id)
 	}
 	if removed && e.met != nil {
 		e.met.unsubscribes.Inc()
@@ -425,13 +263,7 @@ func (e *Engine) Len() int {
 	if e.closed {
 		return 0
 	}
-	n := 0
-	if e.cm != nil {
-		n = e.cm.Size()
-	} else {
-		n = e.sm.Size()
-	}
-	return n - (len(e.alias) - len(e.groups))
+	return e.cm.Size() - (len(e.alias) - len(e.groups))
 }
 
 // Match returns the ids of all subscriptions matching ev (order
@@ -498,13 +330,6 @@ type intraJob struct {
 }
 
 func (e *Engine) matchAppendLocked(dst []expr.ID, ev *expr.Event) []expr.ID {
-	if e.cm == nil {
-		if e.smStateful {
-			e.smMu.Lock()
-			defer e.smMu.Unlock()
-		}
-		return e.sm.MatchAppend(dst, ev)
-	}
 	s := e.getScratch()
 	defer e.putScratch(s)
 	if e.pool == nil {
@@ -566,60 +391,31 @@ func (e *Engine) MatchBatch(events []*expr.Event) [][]expr.ID {
 	return e.matchBatchUninstrumented(events)
 }
 
+// matchBatchUninstrumented runs the batch kernel (locality sort,
+// cross-event memoization, duplicate sharing) and copies the packed
+// segments into caller-owned slices.
 func (e *Engine) matchBatchUninstrumented(events []*expr.Event) [][]expr.ID {
 	out := make([][]expr.ID, len(events))
 	if len(events) == 0 {
 		return out
 	}
-	if e.cm != nil {
-		// Compressed matchers go through the batch kernel (locality sort,
-		// cross-event memoization, duplicate sharing); copy the packed
-		// segments into caller-owned slices.
-		r := batchResults.Get().(*BatchResult)
-		e.matchBatchInto(events, r)
-		for i := range out {
-			if seg := r.For(i); len(seg) > 0 {
-				out[i] = append([]expr.ID(nil), seg...)
-			}
-		}
-		batchResults.Put(r)
-		return out
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return out
-	}
-	if e.smStateful || e.pool == nil {
-		if e.smStateful {
-			e.smMu.Lock()
-			defer e.smMu.Unlock()
-		}
-		for i, ev := range events {
-			out[i] = e.sm.MatchAppend(nil, ev)
-		}
-	} else {
-		// Stateless sequential matchers (Scan, BETree) are read-only
-		// during matching, so inter-event parallelism is safe.
-		e.pool.Run(len(events), func(_ int, i int) {
-			out[i] = e.sm.MatchAppend(nil, events[i])
-		})
-	}
-	if e.hasAliases() {
-		for i := range out {
-			out[i] = e.translate(out[i])
+	r := batchResults.Get().(*BatchResult)
+	e.matchBatchInto(events, r)
+	for i := range out {
+		if seg := r.For(i); len(seg) > 0 {
+			out[i] = append([]expr.ID(nil), seg...)
 		}
 	}
+	batchResults.Put(r)
 	return out
 }
 
 // Prepare eagerly compiles all compressed clusters so that subsequent
-// matches pay no compilation cost. It is a no-op for the sequential
-// baselines.
+// matches pay no compilation cost.
 func (e *Engine) Prepare() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed || e.cm == nil {
+	if e.closed {
 		return
 	}
 	if e.pool != nil {
@@ -634,29 +430,27 @@ func (e *Engine) Prepare() {
 
 // Stats describes the engine's state for tables and diagnostics.
 type Stats struct {
-	Algorithm        Algorithm
 	Subscriptions    int
 	Workers          int
 	MemBytes         int64
 	CompiledClusters int
 	// ArenaBytes is the total backing size of compiled-cluster arenas
-	// (the apcm_arena_bytes gauge; compressed matchers only).
+	// (the apcm_arena_bytes gauge).
 	ArenaBytes int64
 	// CompressionRatio is predicate slots per dictionary entry across
-	// compiled clusters (0 for baselines).
+	// compiled clusters.
 	CompressionRatio float64
 	// CompressedServing counts clusters currently routed to the
 	// compressed kernel (A-PCM adaptivity visibility).
 	CompressedServing int
 	// Probes counts dual-kernel cost probes and KernelFlips the cluster
-	// kernel re-decisions they triggered, both directions, cumulative
-	// (A-PCM only).
+	// kernel re-decisions they triggered, both directions, cumulative.
 	Probes      int64
 	KernelFlips int64
 	// Batch-path cache effectiveness, cumulative over all MatchBatchInto
-	// calls (compressed matchers only): cross-event predicate memo
-	// lookups/hits, per-cluster eligibility-cache lookups/hits, and
-	// events answered from an adjacent equal event's result.
+	// calls: cross-event predicate memo lookups/hits, per-cluster
+	// eligibility-cache lookups/hits, and events answered from an
+	// adjacent equal event's result.
 	MemoHits    int64
 	MemoLookups int64
 	EligHits    int64
@@ -664,7 +458,7 @@ type Stats struct {
 	BatchDedups int64
 	// Density-adaptive layout tallies across compiled clusters: posting
 	// representations chosen at compile time, sparse id volume, and flat
-	// equality tables (compressed matchers only).
+	// equality tables.
 	DensePostings     int
 	SparsePostings    int
 	SparseMemberSlots int
@@ -685,7 +479,7 @@ type Stats struct {
 func (e *Engine) Stats() Stats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	st := Stats{Algorithm: e.opts.Algorithm, Workers: 1}
+	st := Stats{Workers: 1}
 	if e.pool != nil {
 		st.Workers = e.pool.Workers()
 	}
@@ -694,28 +488,23 @@ func (e *Engine) Stats() Stats {
 	}
 	st.ScratchGets = e.scratchGets.Load()
 	st.ScratchNews = e.scratchNews.Load()
-	if e.cm != nil {
-		st.Subscriptions = e.cm.Size()
-		st.MemBytes = e.cm.MemBytes()
-		cs := e.cm.Stats()
-		st.CompiledClusters = cs.CompiledClusters
-		st.ArenaBytes = cs.ArenaBytes
-		st.CompressionRatio = cs.CompressionRatio()
-		st.CompressedServing = cs.CompressedServing
-		st.Probes = cs.Probes
-		st.KernelFlips = cs.FlipsToCompressed + cs.FlipsToUncompressed
-		st.DensePostings = cs.DensePostings
-		st.SparsePostings = cs.SparsePostings
-		st.SparseMemberSlots = cs.SparseMemberSlots
-		st.EqFlatTables = cs.EqFlatTables
-		st.EqFlatSlots = cs.EqFlatSlots
-		st.GroupOrderSorts = cs.GroupOrderSorts
-		st.GroupOrderEarlyExits = cs.GroupOrderEarlyExits
-		st.MemoHits, st.MemoLookups, st.EligHits, st.EligLookups, st.BatchDedups = e.cm.BatchCounters()
-		return st
-	}
-	st.Subscriptions = e.sm.Size()
-	st.MemBytes = e.mem.MemBytes()
+	st.Subscriptions = e.cm.Size()
+	st.MemBytes = e.cm.MemBytes()
+	cs := e.cm.Stats()
+	st.CompiledClusters = cs.CompiledClusters
+	st.ArenaBytes = cs.ArenaBytes
+	st.CompressionRatio = cs.CompressionRatio()
+	st.CompressedServing = cs.CompressedServing
+	st.Probes = cs.Probes
+	st.KernelFlips = cs.FlipsToCompressed + cs.FlipsToUncompressed
+	st.DensePostings = cs.DensePostings
+	st.SparsePostings = cs.SparsePostings
+	st.SparseMemberSlots = cs.SparseMemberSlots
+	st.EqFlatTables = cs.EqFlatTables
+	st.EqFlatSlots = cs.EqFlatSlots
+	st.GroupOrderSorts = cs.GroupOrderSorts
+	st.GroupOrderEarlyExits = cs.GroupOrderEarlyExits
+	st.MemoHits, st.MemoLookups, st.EligHits, st.EligLookups, st.BatchDedups = e.cm.BatchCounters()
 	return st
 }
 
@@ -753,12 +542,11 @@ type ClusterInfo struct {
 	PostingHist [12]int
 }
 
-// Clusters snapshots per-cluster diagnostics. It returns nil for the
-// sequential baselines, which have no compiled clusters.
+// Clusters snapshots per-cluster diagnostics.
 func (e *Engine) Clusters() []ClusterInfo {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.closed || e.cm == nil {
+	if e.closed {
 		return nil
 	}
 	raw := e.cm.Clusters()

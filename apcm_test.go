@@ -27,42 +27,39 @@ func sorted(ids []expr.ID) []expr.ID {
 	return ids
 }
 
+// matchOracle is the reference semantics: every subscription in xs
+// whose MatchesEvent holds for ev, in ascending id order.
+func matchOracle(xs []*expr.Expression, ev *expr.Event) []expr.ID {
+	var want []expr.ID
+	for _, x := range xs {
+		if x.MatchesEvent(ev) {
+			want = append(want, x.ID)
+		}
+	}
+	return sorted(want)
+}
+
+// engineWorkers are the worker counts the differential tests run the
+// Engine at: fully sequential, and a pool wide enough to take the
+// intra-event fan-out and the parallel batch chunks.
+var engineWorkers = []int{1, 4}
+
 func TestAlgorithmsAgree(t *testing.T) {
 	g := testWorkload(1)
 	xs := g.Expressions(1500)
 	events := g.Events(400)
 
-	engines := map[string]*apcm.Engine{}
-	for _, alg := range apcm.Algorithms() {
-		for _, workers := range []int{1, 4} {
-			e := apcm.MustNew(apcm.Options{Algorithm: alg, Workers: workers, IntraEventParallelism: 4})
-			defer e.Close()
-			for _, x := range xs {
-				if err := e.Subscribe(x); err != nil {
-					t.Fatal(err)
-				}
-			}
-			engines[alg.String()+string(rune('0'+workers))] = e
-		}
-	}
-
-	for i, ev := range events {
-		var want []expr.ID
+	for _, workers := range engineWorkers {
+		e := apcm.MustNew(apcm.Options{Workers: workers, IntraEventParallelism: 4})
+		defer e.Close()
 		for _, x := range xs {
-			if x.MatchesEvent(ev) {
-				want = append(want, x.ID)
+			if err := e.Subscribe(x); err != nil {
+				t.Fatal(err)
 			}
 		}
-		want = sorted(want)
-		for name, e := range engines {
-			got := sorted(e.Match(ev))
-			if len(got) != len(want) {
-				t.Fatalf("event %d: %s returned %d matches, oracle %d", i, name, len(got), len(want))
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("event %d: %s diverged from oracle", i, name)
-				}
+		for i, ev := range events {
+			if got, want := sorted(e.Match(ev)), matchOracle(xs, ev); !equalIDs(got, want) {
+				t.Fatalf("workers=%d event %d: got %v, oracle %v", workers, i, got, want)
 			}
 		}
 	}
@@ -72,8 +69,8 @@ func TestMatchBatchAgreesWithMatch(t *testing.T) {
 	g := testWorkload(2)
 	xs := g.Expressions(1000)
 	events := g.Events(200)
-	for _, alg := range apcm.Algorithms() {
-		e := apcm.MustNew(apcm.Options{Algorithm: alg, Workers: 4})
+	for _, workers := range engineWorkers {
+		e := apcm.MustNew(apcm.Options{Workers: workers})
 		for _, x := range xs {
 			if err := e.Subscribe(x); err != nil {
 				t.Fatal(err)
@@ -81,15 +78,12 @@ func TestMatchBatchAgreesWithMatch(t *testing.T) {
 		}
 		batch := e.MatchBatch(events)
 		for i, ev := range events {
-			single := sorted(e.Match(ev))
-			got := sorted(batch[i])
-			if len(single) != len(got) {
-				t.Fatalf("%v: batch[%d] has %d matches, Match has %d", alg, i, len(got), len(single))
+			want := matchOracle(xs, ev)
+			if single := sorted(e.Match(ev)); !equalIDs(single, want) {
+				t.Fatalf("workers=%d: Match(event %d) = %v, oracle %v", workers, i, single, want)
 			}
-			for j := range single {
-				if single[j] != got[j] {
-					t.Fatalf("%v: batch[%d] diverged", alg, i)
-				}
+			if got := sorted(batch[i]); !equalIDs(got, want) {
+				t.Fatalf("workers=%d: batch[%d] = %v, oracle %v", workers, i, got, want)
 			}
 		}
 		e.Close()
@@ -225,7 +219,7 @@ func TestConcurrentSubscribeAndMatch(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	g := testWorkload(4)
-	e := apcm.MustNew(apcm.Options{Algorithm: APCMFor(t), Workers: 2})
+	e := apcm.MustNew(apcm.Options{Workers: 2})
 	defer e.Close()
 	for _, x := range g.Expressions(1000) {
 		if err := e.Subscribe(x); err != nil {
@@ -255,7 +249,9 @@ func TestStats(t *testing.T) {
 // single-event path: group-order sorts and early exits accumulate in
 // per-goroutine scratch and only reach Stats() when the scratch is
 // released, which the batch path does in EndBatch and Match must do on
-// scratch put. A dense small-universe workload makes both counters fire.
+// scratch put. A dense small-universe workload with a redundant
+// predicate pool routes A-PCM's clusters to the compressed kernel and
+// makes both counters fire.
 func TestStatsOrderCountersFlushSingleEvent(t *testing.T) {
 	p := workload.Default()
 	p.Seed = 7
@@ -263,7 +259,7 @@ func TestStatsOrderCountersFlushSingleEvent(t *testing.T) {
 	p.Cardinality = 5
 	p.PredPoolSize = 4
 	g := workload.MustNew(p)
-	e := apcm.MustNew(apcm.Options{Algorithm: apcm.PCM})
+	e := apcm.MustNew(apcm.Options{})
 	defer e.Close()
 	for _, x := range g.Expressions(5000) {
 		if err := e.Subscribe(x); err != nil {
@@ -280,57 +276,6 @@ func TestStatsOrderCountersFlushSingleEvent(t *testing.T) {
 	}
 	if st.GroupOrderEarlyExits == 0 {
 		t.Error("GroupOrderEarlyExits not flushed on the single-event path")
-	}
-}
-
-// APCMFor exists to keep the algorithm symbol usage obvious in tests.
-func APCMFor(t *testing.T) apcm.Algorithm {
-	t.Helper()
-	return apcm.APCM
-}
-
-func TestStatsBaseline(t *testing.T) {
-	e := apcm.MustNew(apcm.Options{Algorithm: apcm.Scan, Workers: 1})
-	defer e.Close()
-	if _, err := e.SubscribePreds(expr.Eq(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	if st.CompiledClusters != 0 || st.CompressionRatio != 0 {
-		t.Fatal("baseline should report no compression")
-	}
-	if st.MemBytes <= 0 || st.Subscriptions != 1 || st.Workers != 1 {
-		t.Fatalf("baseline stats wrong: %+v", st)
-	}
-}
-
-func TestParseAlgorithm(t *testing.T) {
-	cases := map[string]apcm.Algorithm{
-		"apcm": apcm.APCM, "A-PCM": apcm.APCM, "adaptive": apcm.APCM,
-		"PCM": apcm.PCM, "compressed": apcm.PCM,
-		"betree": apcm.BETree, "BE-Tree": apcm.BETree,
-		"counting": apcm.Counting, "scan": apcm.Scan, "naive": apcm.Scan,
-	}
-	for s, want := range cases {
-		got, err := apcm.ParseAlgorithm(s)
-		if err != nil || got != want {
-			t.Errorf("ParseAlgorithm(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := apcm.ParseAlgorithm("quantum"); err == nil {
-		t.Fatal("unknown algorithm should error")
-	}
-}
-
-func TestAlgorithmStrings(t *testing.T) {
-	for _, a := range apcm.Algorithms() {
-		if a.String() == "" {
-			t.Fatalf("algorithm %d has empty name", a)
-		}
-		back, err := apcm.ParseAlgorithm(a.String())
-		if err != nil || back != a {
-			t.Fatalf("round trip failed for %v", a)
-		}
 	}
 }
 
@@ -404,16 +349,4 @@ func TestClustersDiagnostics(t *testing.T) {
 	if probed == 0 {
 		t.Fatal("no cluster was ever probed despite matching")
 	}
-	// Baselines have no clusters.
-	b := apcm.MustNew(apcm.Options{Algorithm: apcm.BETree})
-	defer b.Close()
-	if b.Clusters() != nil {
-		t.Fatal("baseline reported clusters")
-	}
-}
-
-func TestPrepareOnBaselineIsNoop(t *testing.T) {
-	e := apcm.MustNew(apcm.Options{Algorithm: apcm.BETree})
-	defer e.Close()
-	e.Prepare() // must not panic
 }

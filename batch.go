@@ -161,37 +161,19 @@ func (e *Engine) matchBatchInto(events []*expr.Event, r *BatchResult) {
 	if e.closed {
 		return
 	}
-	if e.cm == nil {
-		e.batchIntoBaseline(events, r)
-	} else {
-		e.batchIntoCore(events, r)
-	}
+	e.batchInto(events, r)
 	if e.hasAliases() {
 		r.translateSegments(e)
 	}
 }
 
-// batchIntoBaseline serves the sequential baseline algorithms: per-event
-// matching in arrival order, packed into r's segments.
-func (e *Engine) batchIntoBaseline(events []*expr.Event, r *BatchResult) {
-	if e.smStateful {
-		e.smMu.Lock()
-		defer e.smMu.Unlock()
-	}
-	for i, ev := range events {
-		start := int32(len(r.ids))
-		r.ids = e.sm.MatchAppend(r.ids, ev)
-		r.offs[2*i], r.offs[2*i+1] = start, int32(len(r.ids))
-	}
-}
-
-// batchIntoCore runs the compressed matcher's batch kernel over the
-// batch, then maps the kernel's segments back to original indexes. The
-// batch is locality-sorted first only while the matcher's sort-arming
-// policy (core.SortUseful) measures the sorted order as actually buying
+// batchInto runs the matcher's batch kernel over the batch, then maps
+// the kernel's segments back to original indexes. The batch is
+// locality-sorted first only while the matcher's sort-arming policy
+// (core.SortUseful) measures the sorted order as actually buying
 // cross-event reuse; on workloads without repeats the events are fed in
 // arrival order and the sort and permutation remap are skipped.
-func (e *Engine) batchIntoCore(events []*expr.Event, r *BatchResult) {
+func (e *Engine) batchInto(events []*expr.Event, r *BatchResult) {
 	n := len(events)
 	if cap(r.perm) < n {
 		r.perm = make([]int32, n)

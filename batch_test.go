@@ -50,8 +50,8 @@ func TestMatchBatchDifferential(t *testing.T) {
 	xs := g.Expressions(2500)
 	base := g.Events(160)
 
-	for _, memo := range []bool{false, true} {
-		e := apcm.MustNew(apcm.Options{Workers: 2, DisableBatchMemo: !memo})
+	for _, workers := range []int{1, 2} {
+		e := apcm.MustNew(apcm.Options{Workers: workers})
 		for _, x := range xs {
 			if err := e.Subscribe(x); err != nil {
 				t.Fatal(err)
@@ -78,13 +78,10 @@ func TestMatchBatchDifferential(t *testing.T) {
 			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
-			t.Errorf("memo=%v: %v", memo, err)
+			t.Errorf("workers=%d: %v", workers, err)
 		}
-		if memo {
-			st := e.Stats()
-			if st.MemoLookups == 0 {
-				t.Error("memo enabled but Stats reports no memo lookups")
-			}
+		if st := e.Stats(); st.MemoLookups == 0 {
+			t.Errorf("workers=%d: Stats reports no memo lookups", workers)
 		}
 		e.Close()
 	}

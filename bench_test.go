@@ -1,8 +1,9 @@
-// Go benchmarks, one per evaluation table/figure (E1–E19; DESIGN.md §4).
-// Each benchmark is the testing.B twin of the corresponding experiment
-// in cmd/apcm-bench: identical workloads at CI-friendly sizes, with
-// events/s reported as a custom metric. Run the binary for the full
-// tables; run these for quick regression tracking:
+// Go benchmarks of the Engine itself: the testing.B twins of the
+// experiments whose subject is the Engine (E6, E8, E10–E12, E14, E15,
+// E19 and the cold-start restore; DESIGN.md §4), at CI-friendly sizes
+// with events/s reported as a custom metric. The comparison tables
+// (A-PCM against its baselines and ablation variants) run only through
+// cmd/apcm-bench. Quick regression tracking:
 //
 //	go test -bench=. -benchmem
 package apcm_test
@@ -70,57 +71,6 @@ func matchLoop(b *testing.B, e *apcm.Engine, events []*expr.Event) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// ---- E1: headline throughput, all algorithms --------------------------
-
-func BenchmarkE1HeadlineThroughput(b *testing.B) {
-	xs, events := benchWorkload(b, benchParams(), 10000, 1000)
-	for _, alg := range apcm.Algorithms() {
-		b.Run(alg.String(), func(b *testing.B) {
-			matchLoop(b, benchEngine(b, apcm.Options{Algorithm: alg}, xs), events)
-		})
-	}
-}
-
-// ---- E1 A/B: PR3 layout vs legacy dense layout ------------------------
-
-// BenchmarkE1AB interleaves the headline A-PCM workload under the PR3
-// density-adaptive layout ("pr3": hybrid postings + flat equality
-// tables + kill-ordered groups, the defaults) and with every lever
-// switched off ("legacy"), which reproduces the pre-PR dense layout.
-// The benchmark runner alternates sub-benchmarks, so -count=N yields an
-// interleaved A/B sequence on one binary.
-func BenchmarkE1AB(b *testing.B) {
-	xs, events := benchWorkload(b, benchParams(), 10000, 1000)
-	for _, v := range []struct {
-		name string
-		opts apcm.Options
-	}{
-		{"legacy", apcm.Options{
-			DisableHybridPostings: true,
-			DisableFlatEq:         true,
-			DisableGroupOrdering:  true,
-		}},
-		{"pr3", apcm.Options{}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			matchLoop(b, benchEngine(b, v.opts, xs), events)
-		})
-	}
-}
-
-// ---- E2: subscription scaling ------------------------------------------
-
-func BenchmarkE2SubscriptionScaling(b *testing.B) {
-	for _, n := range []int{1000, 5000, 20000} {
-		xs, events := benchWorkload(b, benchParams(), n, 1000)
-		for _, alg := range []apcm.Algorithm{apcm.BETree, apcm.APCM} {
-			b.Run(alg.String()+"/n="+itoa(n), func(b *testing.B) {
-				matchLoop(b, benchEngine(b, apcm.Options{Algorithm: alg}, xs), events)
-			})
-		}
-	}
-}
-
 func itoa(n int) string {
 	if n == 0 {
 		return "0"
@@ -133,48 +83,6 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
-}
-
-// ---- E3: predicates per expression --------------------------------------
-
-func BenchmarkE3PredicateCount(b *testing.B) {
-	for _, k := range []int{3, 7, 12} {
-		p := benchParams()
-		p.PredsMin, p.PredsMax = k, k
-		if p.EventAttrs < k+3 {
-			p.EventAttrs = k + 3
-		}
-		xs, events := benchWorkload(b, p, 5000, 1000)
-		b.Run("preds="+itoa(k), func(b *testing.B) {
-			matchLoop(b, benchEngine(b, apcm.Options{}, xs), events)
-		})
-	}
-}
-
-// ---- E4: dimensionality --------------------------------------------------
-
-func BenchmarkE4Dimensionality(b *testing.B) {
-	for _, d := range []int{50, 200, 800} {
-		p := benchParams()
-		p.NumAttrs = d
-		xs, events := benchWorkload(b, p, 5000, 1000)
-		b.Run("attrs="+itoa(d), func(b *testing.B) {
-			matchLoop(b, benchEngine(b, apcm.Options{}, xs), events)
-		})
-	}
-}
-
-// ---- E5: match probability ----------------------------------------------
-
-func BenchmarkE5MatchProbability(b *testing.B) {
-	for _, mf := range []int{0, 5, 25} { // percent
-		p := benchParams()
-		p.MatchFraction = float64(mf) / 100
-		xs, events := benchWorkload(b, p, 5000, 1000)
-		b.Run("match="+itoa(mf)+"pct", func(b *testing.B) {
-			matchLoop(b, benchEngine(b, apcm.Options{}, xs), events)
-		})
-	}
 }
 
 // ---- E6: parallel scaling -------------------------------------------------
@@ -202,29 +110,6 @@ func BenchmarkE6ParallelScaling(b *testing.B) {
 	}
 }
 
-// ---- E7: adaptivity across redundancy --------------------------------------
-
-func BenchmarkE7Adaptivity(b *testing.B) {
-	for _, v := range []struct {
-		name string
-		pool int
-		card int
-	}{
-		{"redundant", 4, 1000},
-		{"heterogeneous", 0, 100000},
-	} {
-		p := benchParams()
-		p.PredPoolSize = v.pool
-		p.Cardinality = v.card
-		xs, events := benchWorkload(b, p, 8000, 1000)
-		for _, alg := range []apcm.Algorithm{apcm.PCM, apcm.APCM} {
-			b.Run(v.name+"/"+alg.String(), func(b *testing.B) {
-				matchLoop(b, benchEngine(b, apcm.Options{Algorithm: alg}, xs), events)
-			})
-		}
-	}
-}
-
 // ---- E8: OSR window ----------------------------------------------------------
 
 func BenchmarkE8OSRWindow(b *testing.B) {
@@ -245,33 +130,6 @@ func BenchmarkE8OSRWindow(b *testing.B) {
 		}
 		b.Run("window="+itoa(w), func(b *testing.B) {
 			matchLoop(b, benchEngine(b, apcm.Options{}, xs), ordered)
-		})
-	}
-}
-
-// ---- E9: index build and footprint ---------------------------------------------
-
-func BenchmarkE9IndexBuild(b *testing.B) {
-	xs, _ := benchWorkload(b, benchParams(), 10000, 10)
-	for _, alg := range apcm.Algorithms() {
-		b.Run(alg.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			var mem int64
-			for i := 0; i < b.N; i++ {
-				e, err := apcm.New(apcm.Options{Algorithm: alg})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, x := range xs {
-					if err := e.Subscribe(x); err != nil {
-						b.Fatal(err)
-					}
-				}
-				e.Prepare()
-				mem = e.Stats().MemBytes
-				e.Close()
-			}
-			b.ReportMetric(float64(mem)/float64(len(xs)), "bytes/sub")
 		})
 	}
 }
@@ -302,118 +160,29 @@ func BenchmarkE10BatchSize(b *testing.B) {
 	}
 }
 
-// ---- E17 (ablation): cross-event memoization -------------------------------------------
-
-func BenchmarkE17BatchMemo(b *testing.B) {
-	p := benchParams()
-	p.AttrZipf = 1.2
-	p.ValueZipf = 1.2
-	xs, events := benchWorkload(b, p, 10000, 2048)
-	osr.Reorder(events) // locality order, as the OSR window would deliver
-	const batch = 256
-	for _, memo := range []bool{true, false} {
-		name := "memo=on"
-		if !memo {
-			name = "memo=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			e := benchEngine(b, apcm.Options{DisableBatchMemo: !memo}, xs)
-			var r apcm.BatchResult
-			b.ReportAllocs()
-			b.ResetTimer()
-			processed := 0
-			for i := 0; i < b.N; i++ {
-				off := (i * batch) % len(events)
-				end := off + batch
-				if end > len(events) {
-					end = len(events)
-				}
-				e.MatchBatchInto(events[off:end], &r)
-				processed += end - off
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(processed)/b.Elapsed().Seconds(), "events/s")
-			if memo {
-				st := e.Stats()
-				if st.MemoLookups > 0 {
-					b.ReportMetric(float64(st.MemoHits)/float64(st.MemoLookups)*100, "memo-hit-%")
-				}
-			}
-		})
-	}
-}
-
-// ---- E18 (ablation): posting density × group ordering ----------------------------------
-
-func BenchmarkE18DensityOrdering(b *testing.B) {
-	xs, events := benchWorkload(b, benchParams(), 10000, 1000)
-	for _, v := range []struct {
-		name string
-		opts apcm.Options
-	}{
-		{"full", apcm.Options{}},
-		{"no-hybrid", apcm.Options{DisableHybridPostings: true}},
-		{"no-flateq", apcm.Options{DisableFlatEq: true}},
-		{"no-ordering", apcm.Options{DisableGroupOrdering: true}},
-		{"all-off", apcm.Options{
-			DisableHybridPostings: true,
-			DisableFlatEq:         true,
-			DisableGroupOrdering:  true,
-		}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			matchLoop(b, benchEngine(b, v.opts, xs), events)
-		})
-	}
-}
-
 // ---- E11: single-event latency -------------------------------------------------------
 
+// ns/op here IS the Engine's per-event match latency.
 func BenchmarkE11MatchLatency(b *testing.B) {
 	xs, events := benchWorkload(b, benchParams(), 10000, 1000)
-	for _, alg := range []apcm.Algorithm{apcm.Scan, apcm.BETree, apcm.APCM} {
-		b.Run(alg.String(), func(b *testing.B) {
-			// ns/op here IS the per-event match latency.
-			matchLoop(b, benchEngine(b, apcm.Options{Algorithm: alg}, xs), events)
-		})
-	}
+	matchLoop(b, benchEngine(b, apcm.Options{}, xs), events)
 }
 
 // ---- E12: updates ---------------------------------------------------------------------
 
 func BenchmarkE12Updates(b *testing.B) {
-	for _, alg := range []apcm.Algorithm{apcm.BETree, apcm.Counting, apcm.APCM} {
-		b.Run(alg.String(), func(b *testing.B) {
-			xs, _ := benchWorkload(b, benchParams(), 10000, 10)
-			e := benchEngine(b, apcm.Options{Algorithm: alg}, xs)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				x := xs[i%len(xs)]
-				if !e.Unsubscribe(x.ID) {
-					b.Fatal("unsubscribe failed")
-				}
-				if err := e.Subscribe(x); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---- E13: operator mix -------------------------------------------------------------------
-
-func BenchmarkE13OperatorMix(b *testing.B) {
-	for _, eq := range []int{100, 60, 30} { // percent equality
-		p := benchParams()
-		rest := 1 - float64(eq)/100
-		p.WEquality = float64(eq) / 100
-		p.WRange = rest * 0.7
-		p.WMembership = rest * 0.3
-		xs, events := benchWorkload(b, p, 8000, 1000)
-		b.Run("eq="+itoa(eq)+"pct", func(b *testing.B) {
-			matchLoop(b, benchEngine(b, apcm.Options{}, xs), events)
-		})
+	xs, _ := benchWorkload(b, benchParams(), 10000, 10)
+	e := benchEngine(b, apcm.Options{}, xs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x := xs[i%len(xs)]
+		if !e.Unsubscribe(x.ID) {
+			b.Fatal("unsubscribe failed")
+		}
+		if err := e.Subscribe(x); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -424,17 +193,6 @@ func BenchmarkE15ProbeInterval(b *testing.B) {
 	for _, pi := range []int{4, 64, 1024} {
 		b.Run("probe="+itoa(pi), func(b *testing.B) {
 			matchLoop(b, benchEngine(b, apcm.Options{ProbeInterval: pi}, xs), events)
-		})
-	}
-}
-
-// ---- E16 (ablation): cluster size ------------------------------------------------------------
-
-func BenchmarkE16ClusterSize(b *testing.B) {
-	xs, events := benchWorkload(b, benchParams(), 10000, 1000)
-	for _, size := range []int{32, 256, 1024} {
-		b.Run("cluster="+itoa(size), func(b *testing.B) {
-			matchLoop(b, benchEngine(b, apcm.Options{ClusterSize: size}, xs), events)
 		})
 	}
 }
@@ -549,8 +307,8 @@ func benchGroup(b *testing.B, shards, nsubs, nev int) (*shard.Group, []*expr.Eve
 // BenchmarkE19ShardSweep is the testing.B twin of experiment E19: batch
 // match throughput through a shard.Group at each shard count, with the
 // single-event p99 reported alongside. APCM_E19_SUBS overrides the
-// subscription count (default 20000; the committed BENCH_pr7.json runs
-// the full 100k–5M sweep through cmd/apcm-bench).
+// subscription count (default 20000; EXPERIMENTS.md E19 records the
+// full 100k–5M sweep through cmd/apcm-bench).
 func BenchmarkE19ShardSweep(b *testing.B) {
 	nsubs := envInt("APCM_E19_SUBS", 20000)
 	const batch = 256
@@ -627,24 +385,6 @@ func BenchmarkLoadSubscriptions(b *testing.B) {
 				b.Fatal(err)
 			}
 			n, err := e.LoadSubscriptions(bytes.NewReader(data))
-			if err != nil || n != nsubs {
-				b.Fatalf("loaded %d, err %v", n, err)
-			}
-			e.Close()
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.N*nsubs)/b.Elapsed().Seconds(), "subs/s")
-	})
-	// The plain one-Subscribe-per-record loop, kept as the cold-start
-	// baseline the optimized restore is measured against (E20).
-	b.Run("subs="+strconv.Itoa(nsubs)+"/engine-sequential", func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e, err := apcm.New(apcm.Options{Workers: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			n, err := e.LoadSubscriptionsSequential(bytes.NewReader(data))
 			if err != nil || n != nsubs {
 				b.Fatalf("loaded %d, err %v", n, err)
 			}

@@ -1,6 +1,7 @@
 package apcm_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -8,12 +9,13 @@ import (
 	"github.com/streammatch/apcm/expr"
 )
 
-// TestAlgorithmsAgreeUnderChurn is the differential churn test: all six
-// algorithms must stay equivalent to each other and to the brute-force
-// oracle on a stable subscription set while background goroutines
-// subscribe and unsubscribe a disjoint churn set concurrently with
-// Match and MatchBatch. Run under -race this also hammers the engine's
-// RWMutex discipline (Subscribe/Unsubscribe write vs. Match read).
+// TestAlgorithmsAgreeUnderChurn is the differential churn test: the
+// Engine, sequential and with a worker pool, must stay equivalent to the
+// brute-force oracle on a stable subscription set while background
+// goroutines subscribe and unsubscribe a disjoint churn set
+// concurrently with Match and MatchBatch. Run under -race this also
+// hammers the engine's RWMutex discipline (Subscribe/Unsubscribe write
+// vs. Match read).
 func TestAlgorithmsAgreeUnderChurn(t *testing.T) {
 	g := testWorkload(7)
 	const (
@@ -39,15 +41,15 @@ func TestAlgorithmsAgreeUnderChurn(t *testing.T) {
 		e    *apcm.Engine
 	}
 	var engines []eng
-	for _, alg := range apcm.Algorithms() {
-		e := apcm.MustNew(apcm.Options{Algorithm: alg, Workers: 2})
+	for _, workers := range engineWorkers {
+		e := apcm.MustNew(apcm.Options{Workers: workers})
 		defer e.Close()
 		for _, x := range stable {
 			if err := e.Subscribe(x); err != nil {
 				t.Fatal(err)
 			}
 		}
-		engines = append(engines, eng{alg.String(), e})
+		engines = append(engines, eng{fmt.Sprintf("workers=%d", workers), e})
 	}
 
 	// Background churners: each engine gets a goroutine cycling the

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	apcm-broker -addr :7070 -algorithm apcm -workers 0
+//	apcm-broker -addr :7070 -workers 0
 //
 // Optionally pre-load a subscription trace produced by apcm-gen and
 // expose an HTTP monitoring endpoint:
@@ -85,7 +85,6 @@ type matcher interface {
 func main() {
 	var (
 		addr       = flag.String("addr", ":7070", "listen address")
-		algName    = flag.String("algorithm", "apcm", "matching algorithm (apcm, pcm, kindex, betree, counting, scan)")
 		workers    = flag.Int("workers", 0, "engine or fan-out workers (0 = GOMAXPROCS)")
 		shards     = flag.Int("shards", 1, "engine shards: >1 partitions subscriptions across a shard.Group")
 		subs       = flag.String("subs", "", "optional subscription trace to pre-load")
@@ -112,10 +111,6 @@ func main() {
 	)
 	flag.Parse()
 
-	alg, err := apcm.ParseAlgorithm(*algName)
-	if err != nil {
-		fatal("%v", err)
-	}
 	// The registry exists only when asked for; a nil registry keeps the
 	// engine's fast paths on their unmetered branch.
 	var reg *metrics.Registry
@@ -129,7 +124,6 @@ func main() {
 		g, err := shard.New(shard.Options{
 			Shards:  *shards,
 			Workers: *workers,
-			Engine:  apcm.Options{Algorithm: alg},
 			Metrics: reg,
 		})
 		if err != nil {
@@ -137,7 +131,7 @@ func main() {
 		}
 		eng = g
 	} else {
-		e, err := apcm.New(apcm.Options{Algorithm: alg, Workers: *workers, Metrics: reg})
+		e, err := apcm.New(apcm.Options{Workers: *workers, Metrics: reg})
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -212,9 +206,9 @@ func main() {
 	}
 	start := time.Now()
 	if *shards > 1 {
-		fmt.Printf("apcm-broker: %s engine × %d shards, listening on %s\n", alg, *shards, ln.Addr())
+		fmt.Printf("apcm-broker: %d engine shards, listening on %s\n", *shards, ln.Addr())
 	} else {
-		fmt.Printf("apcm-broker: %s engine, listening on %s\n", alg, ln.Addr())
+		fmt.Printf("apcm-broker: listening on %s\n", ln.Addr())
 	}
 
 	if reg != nil {
@@ -305,7 +299,6 @@ func engineStats(eng matcher) map[string]any {
 	case *apcm.Engine:
 		st := e.Stats()
 		return map[string]any{
-			"algorithm":          st.Algorithm.String(),
 			"subscriptions":      st.Subscriptions,
 			"workers":            st.Workers,
 			"mem_bytes":          st.MemBytes,

@@ -60,8 +60,8 @@ func main() {
 	}
 
 	st := eng.Stats()
-	fmt.Printf("apcm-inspect: %d subscriptions, %d events driven, %s engine, %d workers\n",
-		st.Subscriptions, len(events), st.Algorithm, st.Workers)
+	fmt.Printf("apcm-inspect: %d subscriptions, %d events driven, %d workers\n",
+		st.Subscriptions, len(events), st.Workers)
 	fmt.Printf("memory: %.2f MiB total, compression %.2f preds/entry\n\n",
 		float64(st.MemBytes)/(1<<20), st.CompressionRatio)
 

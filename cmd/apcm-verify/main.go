@@ -1,8 +1,10 @@
-// Command apcm-verify cross-validates every matching algorithm on a
-// workload: all five engines index the same subscriptions, every event
-// is matched by each, and any divergence from the reference semantics is
-// reported with a reproducer. Use it after modifying matcher internals,
-// or to validate a workload trace before a long benchmark run.
+// Command apcm-verify cross-validates the Engine and every reference
+// matcher of the experiment harness (the paper's baselines and A-PCM's
+// ablation variants) on a workload: each indexes the same
+// subscriptions, every event is matched by each, and any divergence from
+// the reference semantics is reported with a reproducer. Use it after
+// modifying matcher internals, or to validate a workload trace before a
+// long benchmark run.
 //
 //	apcm-verify -n 20000 -events 5000 -seed 3
 //	apcm-verify -subs w1.subs -eventsfile w1.events
@@ -21,6 +23,8 @@ import (
 
 	"github.com/streammatch/apcm"
 	"github.com/streammatch/apcm/expr"
+	"github.com/streammatch/apcm/internal/bench"
+	"github.com/streammatch/apcm/internal/match"
 	"github.com/streammatch/apcm/metrics"
 	"github.com/streammatch/apcm/trace"
 	"github.com/streammatch/apcm/workload"
@@ -59,48 +63,60 @@ func main() {
 	}
 	fmt.Printf("apcm-verify: %d subscriptions, %d events\n", len(xs), len(events))
 
-	engines := make(map[apcm.Algorithm]*apcm.Engine)
-	for _, alg := range apcm.Algorithms() {
-		e, err := apcm.New(apcm.Options{Algorithm: alg, Metrics: reg})
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer e.Close()
+	// The Engine matches through its public surface; every reference
+	// matcher through match.Matcher. Scan is the in-suite reference:
+	// simple enough to trust, and -oracle re-derives it from first
+	// principles for belt and braces.
+	type candidate struct {
+		name  string
+		match func(*expr.Event) []expr.ID
+	}
+	build := func(name string, insert func(*expr.Expression) error) {
 		start := time.Now()
 		for _, x := range xs {
-			if err := e.Subscribe(x); err != nil {
-				fatal("%v: subscribe: %v", alg, err)
+			if err := insert(x); err != nil {
+				fatal("%s: subscribe: %v", name, err)
 			}
 		}
-		e.Prepare()
-		fmt.Printf("  built %-8s in %v\n", alg, time.Since(start).Round(time.Millisecond))
-		engines[alg] = e
+		fmt.Printf("  built %-18s in %v\n", name, time.Since(start).Round(time.Millisecond))
+	}
+	eng, err := apcm.New(apcm.Options{Metrics: reg})
+	if err != nil {
+		fatal("%v", err)
+	}
+	defer eng.Close()
+	build("Engine", eng.Subscribe)
+	eng.Prepare()
+	candidates := []candidate{{"Engine", eng.Match}}
+	var reference match.Matcher
+	for _, ref := range bench.References() {
+		m := ref.New(0)
+		build(ref.Name, m.Insert)
+		if ref.Name == "Scan" {
+			reference = m
+			continue
+		}
+		candidates = append(candidates, candidate{ref.Name, func(ev *expr.Event) []expr.ID { return m.MatchAppend(nil, ev) }})
 	}
 
-	// Scan is the in-suite reference: simple enough to trust, and -oracle
-	// re-derives it from first principles for belt and braces.
-	reference := apcm.Scan
 	mismatches := 0
 	start := time.Now()
 	for i, ev := range events {
-		want := canon(engines[reference].Match(ev))
+		want := canon(reference.MatchAppend(nil, ev))
 		if *oracle {
 			direct := oracleMatch(xs, ev)
 			if !equal(want, direct) {
 				mismatches++
-				fmt.Printf("MISMATCH event %d: %s itself diverges from reference semantics\n  event: %s\n", i, reference, ev)
+				fmt.Printf("MISMATCH event %d: Scan itself diverges from reference semantics\n  event: %s\n", i, ev)
 				continue
 			}
 		}
-		for _, alg := range apcm.Algorithms() {
-			if alg == reference {
-				continue
-			}
-			got := canon(engines[alg].Match(ev))
+		for _, c := range candidates {
+			got := canon(c.match(ev))
 			if !equal(got, want) {
 				mismatches++
-				fmt.Printf("MISMATCH event %d: %s disagrees with %s\n  event: %s\n  %s: %v\n  %s: %v\n",
-					i, alg, reference, ev, alg, got, reference, want)
+				fmt.Printf("MISMATCH event %d: %s disagrees with Scan\n  event: %s\n  %s: %v\n  Scan: %v\n",
+					i, c.name, ev, c.name, got, want)
 				if mismatches >= 10 {
 					fatal("too many mismatches; aborting")
 				}
@@ -111,8 +127,8 @@ func main() {
 	if mismatches > 0 {
 		fatal("%d mismatches found", mismatches)
 	}
-	fmt.Printf("apcm-verify: OK — %d algorithms agree on all %d events (%v)\n",
-		len(engines), len(events), elapsed.Round(time.Millisecond))
+	fmt.Printf("apcm-verify: OK — the Engine and %d reference matchers agree with Scan on all %d events (%v)\n",
+		len(candidates)-1, len(events), elapsed.Round(time.Millisecond))
 }
 
 func loadWorkload(subsPath, eventsPath string, n, nev int, seed int64, negated float64) ([]*expr.Expression, []*expr.Event, error) {

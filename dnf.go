@@ -51,16 +51,10 @@ func (e *Engine) SubscribeAny(conjunctions ...[]expr.Predicate) (expr.ID, error)
 	}
 	inserted := make([]expr.ID, 0, len(exprs))
 	for _, x := range exprs {
-		var err error
-		if e.cm != nil {
-			err = e.cm.Insert(x)
-		} else {
-			err = e.sm.Insert(x)
-		}
-		if err != nil {
+		if err := e.cm.Insert(x); err != nil {
 			// Roll back the partial group.
 			for _, id := range inserted {
-				e.deleteLocked(id)
+				e.cm.Delete(id)
 			}
 			return 0, err
 		}
@@ -77,13 +71,6 @@ func (e *Engine) SubscribeAny(conjunctions ...[]expr.Predicate) (expr.ID, error)
 	return groupID, nil
 }
 
-func (e *Engine) deleteLocked(id expr.ID) bool {
-	if e.cm != nil {
-		return e.cm.Delete(id)
-	}
-	return e.sm.Delete(id)
-}
-
 // unsubscribeGroupLocked removes a whole DNF group; the caller holds the
 // write lock. It reports whether id named a group.
 func (e *Engine) unsubscribeGroupLocked(id expr.ID) (bool, bool) {
@@ -93,7 +80,7 @@ func (e *Engine) unsubscribeGroupLocked(id expr.ID) (bool, bool) {
 	}
 	all := true
 	for _, m := range members {
-		if !e.deleteLocked(m) {
+		if !e.cm.Delete(m) {
 			all = false
 		}
 		delete(e.alias, m)

@@ -9,14 +9,14 @@ import (
 )
 
 func TestSubscribeAnyMatchesAnyDisjunct(t *testing.T) {
-	for _, alg := range apcm.Algorithms() {
-		e := apcm.MustNew(apcm.Options{Algorithm: alg, Workers: 1})
+	for _, workers := range engineWorkers {
+		e := apcm.MustNew(apcm.Options{Workers: workers})
 		gid, err := e.SubscribeAny(
 			[]expr.Predicate{expr.Eq(1, 5)},
 			[]expr.Predicate{expr.Ge(2, 100), expr.Lt(3, 10)},
 		)
 		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		cases := []struct {
 			ev   *expr.Event
@@ -30,10 +30,10 @@ func TestSubscribeAnyMatchesAnyDisjunct(t *testing.T) {
 		for i, c := range cases {
 			got := e.Match(c.ev)
 			if c.want && (len(got) != 1 || got[0] != gid) {
-				t.Fatalf("%v case %d: got %v, want [%d]", alg, i, got, gid)
+				t.Fatalf("workers=%d case %d: got %v, want [%d]", workers, i, got, gid)
 			}
 			if !c.want && len(got) != 0 {
-				t.Fatalf("%v case %d: got %v, want none", alg, i, got)
+				t.Fatalf("workers=%d case %d: got %v, want none", workers, i, got)
 			}
 		}
 		e.Close()
@@ -215,30 +215,25 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, alg := range []apcm.Algorithm{apcm.APCM, apcm.BETree} {
-		dst := apcm.MustNew(apcm.Options{Algorithm: alg, Workers: 1})
+	for _, workers := range engineWorkers {
+		dst := apcm.MustNew(apcm.Options{Workers: workers})
 		n, err := dst.LoadSubscriptions(bytes.NewReader(buf.Bytes()))
 		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if n != len(xs) || dst.Len() != len(xs) {
-			t.Fatalf("%v: loaded %d, Len %d, want %d", alg, n, dst.Len(), len(xs))
+			t.Fatalf("workers=%d: loaded %d, Len %d, want %d", workers, n, dst.Len(), len(xs))
 		}
 		for _, ev := range events {
 			a := sorted(src.Match(ev))
 			b := sorted(dst.Match(ev))
-			if len(a) != len(b) {
-				t.Fatalf("%v: snapshot changed matching: %d vs %d", alg, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("%v: snapshot changed matching", alg)
-				}
+			if !equalIDs(a, b) {
+				t.Fatalf("workers=%d: snapshot changed matching: %v vs %v", workers, b, a)
 			}
 		}
 		// NewID must not collide with restored ids.
 		if id := dst.NewID(); id <= 500 {
-			t.Fatalf("%v: NewID after load = %d, may collide", alg, id)
+			t.Fatalf("workers=%d: NewID after load = %d, may collide", workers, id)
 		}
 		dst.Close()
 	}

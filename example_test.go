@@ -2,7 +2,6 @@ package apcm_test
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/streammatch/apcm"
@@ -83,21 +82,4 @@ func ExampleEngine_NewStream() {
 	// non-matching event comes last.
 	fmt.Println(got)
 	// Output: [1 1 0]
-}
-
-// Every algorithm answers identically; they differ only in speed.
-func ExampleParseAlgorithm() {
-	ev := expr.MustEvent(expr.P(0, 7))
-	var results []int
-	for _, name := range []string{"scan", "counting", "kindex", "betree", "pcm", "apcm"} {
-		alg, _ := apcm.ParseAlgorithm(name)
-		eng, _ := apcm.New(apcm.Options{Algorithm: alg, Workers: 1})
-		eng.SubscribePreds(expr.Ge(0, 5))
-		eng.SubscribePreds(expr.Lt(0, 3))
-		results = append(results, len(eng.Match(ev)))
-		eng.Close()
-	}
-	sort.Ints(results)
-	fmt.Println(results)
-	// Output: [1 1 1 1 1 1]
 }

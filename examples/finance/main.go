@@ -123,6 +123,6 @@ func main() {
 	fmt.Printf("fired %d alerts (max %d strategies on one tick)\n",
 		alerts.Load(), maxAlertsPerTick.Load())
 	st := eng.Stats()
-	fmt.Printf("engine: %s, %d compiled clusters, %d serving compressed, %.1f preds/entry\n",
-		st.Algorithm, st.CompiledClusters, st.CompressedServing, st.CompressionRatio)
+	fmt.Printf("engine: %d compiled clusters, %d serving compressed, %.1f preds/entry\n",
+		st.CompiledClusters, st.CompressedServing, st.CompressionRatio)
 }

@@ -142,6 +142,6 @@ func main() {
 			name, alertCounts[name])
 	}
 	st := eng.Stats()
-	fmt.Printf("\nengine: %s, %d rules, %d KiB, compression %.1f preds/entry\n",
-		st.Algorithm, st.Subscriptions, st.MemBytes/1024, st.CompressionRatio)
+	fmt.Printf("\nengine: %d rules, %d KiB, compression %.1f preds/entry\n",
+		st.Subscriptions, st.MemBytes/1024, st.CompressionRatio)
 }

@@ -70,6 +70,6 @@ func main() {
 	}
 
 	st := eng.Stats()
-	fmt.Printf("\nengine: %s, %d subscriptions, %d workers\n",
-		st.Algorithm, st.Subscriptions, st.Workers)
+	fmt.Printf("\nengine: %d subscriptions, %d workers\n",
+		st.Subscriptions, st.Workers)
 }

@@ -39,7 +39,7 @@ func e15() Experiment {
 					}
 				}
 				e.Prepare()
-				r := throughput(e, events, cfg.MinMeasure)
+				r := engineThroughput(e, events, cfg.MinMeasure)
 				e.Close()
 				t.AddRow(fmt.Sprintf("%d", pi), FormatRate(r))
 			}
@@ -64,19 +64,12 @@ func e16() Experiment {
 				"cluster size", "BE-Tree ev/s", "PCM ev/s", "A-PCM ev/s")
 			for _, size := range []int{32, 64, 128, 256, 512, 1024} {
 				row := []string{fmt.Sprintf("%d", size)}
-				for _, alg := range []apcm.Algorithm{apcm.BETree, apcm.PCM, apcm.APCM} {
-					e, err := apcm.New(apcm.Options{Algorithm: alg, Workers: cfg.Workers, ClusterSize: size})
+				for _, ref := range refs("BE-Tree", "PCM", "A-PCM") {
+					_, r, err := measureRow(ref, size, xs, events, cfg.MinMeasure)
 					if err != nil {
 						return err
 					}
-					for _, x := range xs {
-						if err := e.Subscribe(x); err != nil {
-							return err
-						}
-					}
-					e.Prepare()
-					row = append(row, FormatRate(throughput(e, events, cfg.MinMeasure)))
-					e.Close()
+					row = append(row, FormatRate(r))
 				}
 				t.AddRow(row...)
 			}

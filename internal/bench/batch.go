@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"github.com/streammatch/apcm"
+	"github.com/streammatch/apcm/internal/core"
 	"github.com/streammatch/apcm/internal/osr"
 )
 
@@ -41,37 +41,19 @@ func e17() Experiment {
 			for _, batch := range []int{1, 16, 64, 256, 1024} {
 				var rates [2]float64
 				var memoPct, eligPct, dedupPct float64
-				for i, memo := range []bool{true, false} {
-					e, err := apcm.New(apcm.Options{
-						Workers:          cfg.Workers,
-						Metrics:          cfg.Metrics,
-						DisableBatchMemo: !memo,
-					})
+				for i, ref := range refs("A-PCM", "A-PCM no-memo") {
+					m, err := build(ref, 0, xs)
 					if err != nil {
 						return err
 					}
-					for _, x := range xs {
-						if err := e.Subscribe(x); err != nil {
-							e.Close()
-							return err
-						}
-					}
-					e.Prepare()
-					rate, n := batchThroughputN(e, events, batch, cfg.MinMeasure)
+					rate, n := replay(events, batch, cfg.MinMeasure, newLoop(m).run)
 					rates[i] = rate
-					if memo {
-						st := e.Stats()
-						if st.MemoLookups > 0 {
-							memoPct = float64(st.MemoHits) / float64(st.MemoLookups) * 100
-						}
-						if st.EligLookups > 0 {
-							eligPct = float64(st.EligHits) / float64(st.EligLookups) * 100
-						}
-						if n > 0 {
-							dedupPct = float64(st.BatchDedups) / float64(n) * 100
-						}
+					if i == 0 {
+						memoHits, memoLookups, eligHits, eligLookups, dedups := m.(*core.Matcher).BatchCounters()
+						memoPct = 100 * safeDiv(float64(memoHits), float64(memoLookups))
+						eligPct = 100 * safeDiv(float64(eligHits), float64(eligLookups))
+						dedupPct = 100 * safeDiv(float64(dedups), float64(n))
 					}
-					e.Close()
 				}
 				t.AddRow(fmt.Sprintf("%d", batch),
 					FormatRate(rates[0]), FormatRate(rates[1]),

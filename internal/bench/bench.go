@@ -1,9 +1,14 @@
 // Package bench is the experiment harness: every table and figure of
 // the evaluation (E1–E14, see DESIGN.md §4) plus the beyond-paper
-// ablations (E15–E18) is a named, runnable experiment that regenerates
-// the corresponding rows/series. The
-// cmd/apcm-bench binary and the repository-level Go benchmarks are thin
-// wrappers over this package.
+// ablations and scaling runs (E15–E20) is a named, runnable experiment
+// that regenerates the corresponding rows/series. cmd/apcm-bench is a
+// thin wrapper over this package.
+//
+// Comparison tables (A-PCM against its baselines and ablation variants)
+// are built from References and measured by one sequential loop;
+// experiments whose subject is the Engine itself (its worker scaling,
+// batching, OSR window, probe interval, broker, sharding and restore)
+// drive apcm.Engine.
 //
 // Sizes are expressed at Scale=1 (seconds-per-experiment on a laptop)
 // and multiply with Config.Scale; the paper's absolute sizes (millions
@@ -12,7 +17,6 @@
 package bench
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"time"
@@ -131,8 +135,8 @@ func baseParams(seed int64) workload.Params {
 
 // buildEngine subscribes xs into a fresh engine (instrumented with
 // cfg.Metrics when set) and precompiles it.
-func buildEngine(cfg Config, alg apcm.Algorithm, workers int, xs []*expr.Expression) (*apcm.Engine, error) {
-	e, err := apcm.New(apcm.Options{Algorithm: alg, Workers: workers, Metrics: cfg.Metrics})
+func buildEngine(cfg Config, workers int, xs []*expr.Expression) (*apcm.Engine, error) {
+	e, err := apcm.New(apcm.Options{Workers: workers, Metrics: cfg.Metrics})
 	if err != nil {
 		return nil, err
 	}
@@ -146,40 +150,18 @@ func buildEngine(cfg Config, alg apcm.Algorithm, workers int, xs []*expr.Express
 	return e, nil
 }
 
-// throughput measures sustained matching throughput (events/second) by
-// replaying events in batches until at least minDur has elapsed.
-func throughput(e *apcm.Engine, events []*expr.Event, minDur time.Duration) float64 {
-	return batchThroughput(e, events, 64, minDur)
-}
-
-// batchThroughput is throughput with an explicit batch size, driving the
-// zero-copy MatchBatchInto path with a reused result so the measurement
-// reflects the kernel, not result-slice churn.
-func batchThroughput(e *apcm.Engine, events []*expr.Event, batch int, minDur time.Duration) float64 {
-	rate, _ := batchThroughputN(e, events, batch, minDur)
-	return rate
-}
-
-// batchThroughputN additionally returns the number of events processed
-// during the measured window, for ratio metrics (dedup per event).
-func batchThroughputN(e *apcm.Engine, events []*expr.Event, batch int, minDur time.Duration) (float64, int) {
-	var r apcm.BatchResult
-	// Warm up: compile clusters, settle adaptive estimates.
-	warm := len(events)
-	if warm > 2*batch {
-		warm = 2 * batch
-	}
-	e.MatchBatchInto(events[:warm], &r)
-
+// replay feeds events to match in batches of the given size, cycling
+// through them after one warm-up pass (compile clusters, settle adaptive
+// estimates) until at least minDur has elapsed. It returns the sustained
+// events/second and the number of events matched in the timed window.
+func replay(events []*expr.Event, batch int, minDur time.Duration, match func([]*expr.Event)) (float64, int) {
+	match(events[:min(len(events), 2*batch)])
 	start := time.Now()
 	n := 0
 	for time.Since(start) < minDur {
 		for off := 0; off < len(events); off += batch {
-			end := off + batch
-			if end > len(events) {
-				end = len(events)
-			}
-			e.MatchBatchInto(events[off:end], &r)
+			end := min(off+batch, len(events))
+			match(events[off:end])
 			n += end - off
 			if n >= batch && time.Since(start) >= minDur {
 				break
@@ -193,25 +175,11 @@ func batchThroughputN(e *apcm.Engine, events []*expr.Event, batch int, minDur ti
 	return float64(n) / sec, n
 }
 
-// measureAlgorithms builds one engine per algorithm over xs and returns
-// each algorithm's throughput on events.
-func measureAlgorithms(cfg Config, algs []apcm.Algorithm, xs []*expr.Expression, events []*expr.Event) (map[apcm.Algorithm]float64, error) {
-	out := make(map[apcm.Algorithm]float64, len(algs))
-	for _, alg := range algs {
-		e, err := buildEngine(cfg, alg, cfg.Workers, xs)
-		if err != nil {
-			return nil, fmt.Errorf("%v: %w", alg, err)
-		}
-		out[alg] = throughput(e, events, cfg.MinMeasure)
-		e.Close()
-	}
-	return out, nil
-}
-
-func algHeaders(algs []apcm.Algorithm) []string {
-	h := make([]string, len(algs))
-	for i, a := range algs {
-		h[i] = a.String() + " ev/s"
-	}
-	return h
+// engineThroughput measures an Engine's sustained events/second in
+// batches of 64 through the zero-copy MatchBatchInto path with a reused
+// result, so the number reflects the kernel, not result-slice churn.
+func engineThroughput(e *apcm.Engine, events []*expr.Event, minDur time.Duration) float64 {
+	var r apcm.BatchResult
+	rate, _ := replay(events, 64, minDur, func(b []*expr.Event) { e.MatchBatchInto(b, &r) })
+	return rate
 }

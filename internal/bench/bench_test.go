@@ -2,9 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/streammatch/apcm/expr"
 )
 
 // tinyConfig runs experiments at minimum size: the tests verify the
@@ -185,4 +188,47 @@ func TestReorderWindows(t *testing.T) {
 		}
 	}
 	_ = out
+}
+
+// TestReferencesAgreeWithOracle runs every row of the reference list
+// through the bench loop, in batches with adjacent duplicates so the
+// compressed rows take the batch kernel's shared segments, and checks
+// every event's result against MatchesEvent.
+func TestReferencesAgreeWithOracle(t *testing.T) {
+	p := baseParams(3)
+	p.NumAttrs, p.Cardinality, p.EventAttrs = 25, 50, 8
+	p.PredsMin, p.PredsMax = 1, 4
+	p.MatchFraction, p.WNegated = 0.3, 0.05
+	xs, events := gen(p, 1500, 200)
+	for i := 0; i < len(events); i += 10 {
+		events = slices.Insert(events, i, events[i])
+	}
+	for _, ref := range References() {
+		m, err := build(ref, 0, xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := newLoop(m)
+		matched := 0
+		for off := 0; off < len(events); off += 64 {
+			l.run(events[off:min(off+64, len(events))])
+			for i, ev := range l.order {
+				got := slices.Clone(l.ids[l.offs[2*i]:l.offs[2*i+1]])
+				slices.Sort(got)
+				var want []expr.ID
+				for _, x := range xs {
+					if x.MatchesEvent(ev) {
+						want = append(want, x.ID)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: event %s: got %v, oracle %v", ref.Name, ev, got, want)
+				}
+				matched += len(got)
+			}
+		}
+		if matched == 0 {
+			t.Fatalf("%s: workload matched nothing", ref.Name)
+		}
+	}
 }

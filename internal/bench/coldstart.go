@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"time"
 
 	"github.com/streammatch/apcm"
@@ -16,11 +17,10 @@ import (
 // (DESIGN §11.3), so this experiment measures restore wall-clock and
 // throughput for one snapshot replayed through the three restore
 // paths: the plain one-Subscribe-per-record loop kept as the baseline
-// (LoadSubscriptionsSequential), the optimized engine restore (slab
-// decode + bulk insert, pipelined across decode workers when cores
-// allow), and a 4-shard group restoring shards in parallel into
-// quarter-size trees. BENCH_pr8.json holds a committed pass through
-// the go-test twin (BenchmarkLoadSubscriptions).
+// (loadSequential), the optimized engine restore (slab decode + bulk
+// insert, pipelined across decode workers when cores allow), and a
+// 4-shard group restoring shards in parallel into quarter-size trees.
+// The go-test twin BenchmarkLoadSubscriptions runs the last two.
 
 func init() {
 	register(e20())
@@ -88,7 +88,7 @@ func e20() Experiment {
 							return 0, err
 						}
 						defer e.Close()
-						return e.LoadSubscriptionsSequential(bytes.NewReader(data))
+						return loadSequential(e, bytes.NewReader(data))
 					}},
 					{"engine", func(data []byte) (int, error) {
 						e, err := apcm.New(apcm.Options{Workers: cfg.Workers, Metrics: cfg.Metrics})
@@ -128,5 +128,28 @@ func e20() Experiment {
 			emit(cfg, t)
 			return nil
 		},
+	}
+}
+
+// loadSequential is E20's baseline restore: one ReadExpression and one
+// Subscribe per record, with no chunking, slab decoding or pipelining.
+func loadSequential(e *apcm.Engine, r io.Reader) (int, error) {
+	tr, err := trace.NewReader(r)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for {
+		x, err := tr.ReadExpression()
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+		if err := e.Subscribe(x); err != nil {
+			return n, err
+		}
+		n++
 	}
 }

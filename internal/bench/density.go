@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"github.com/streammatch/apcm"
+	"github.com/streammatch/apcm/internal/core"
 )
 
 // E18: density-adaptive layout ablation. The canonical workload compiles
@@ -26,21 +26,7 @@ func e18() Experiment {
 		Expect: "on the sparse canonical workload each lever contributes and all-off is slowest; on the dense redundant regime the variants tie within noise (ours: beyond-paper ablation)",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
-			type variant struct {
-				label string
-				opts  apcm.Options
-			}
-			variants := []variant{
-				{"full", apcm.Options{}},
-				{"no-hybrid", apcm.Options{DisableHybridPostings: true}},
-				{"no-flateq", apcm.Options{DisableFlatEq: true}},
-				{"no-ordering", apcm.Options{DisableGroupOrdering: true}},
-				{"all-off", apcm.Options{
-					DisableHybridPostings: true,
-					DisableFlatEq:         true,
-					DisableGroupOrdering:  true,
-				}},
-			}
+			variants := refs("A-PCM", "A-PCM no-hybrid", "A-PCM no-flateq", "A-PCM no-ordering", "A-PCM all-off")
 			type regime struct {
 				label string
 				pool  int
@@ -58,30 +44,19 @@ func e18() Experiment {
 				rates := make([]float64, len(variants))
 				layouts := make([]string, len(variants))
 				tables := make([]int, len(variants))
-				for i, v := range variants {
-					opts := v.opts
-					opts.Workers = cfg.Workers
-					opts.Metrics = cfg.Metrics
-					e, err := apcm.New(opts)
+				for i, ref := range variants {
+					m, r, err := measureRow(ref, 0, xs, events, cfg.MinMeasure)
 					if err != nil {
 						return err
 					}
-					for _, x := range xs {
-						if err := e.Subscribe(x); err != nil {
-							e.Close()
-							return err
-						}
-					}
-					e.Prepare()
-					rates[i] = batchThroughput(e, events, 64, cfg.MinMeasure)
-					st := e.Stats()
+					rates[i] = r
+					st := m.(*core.Matcher).Stats()
 					layouts[i] = fmt.Sprintf("%d/%d", st.SparsePostings, st.DensePostings)
 					tables[i] = st.EqFlatTables
-					e.Close()
 				}
 				base := rates[len(rates)-1] // all-off
-				for i, v := range variants {
-					t.AddRow(rg.label, v.label, FormatRate(rates[i]),
+				for i, ref := range variants {
+					t.AddRow(rg.label, ref.Name, FormatRate(rates[i]),
 						fmt.Sprintf("%.2fx", safeDiv(rates[i], base)),
 						layouts[i], fmt.Sprintf("%d", tables[i]))
 				}

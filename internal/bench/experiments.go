@@ -8,6 +8,8 @@ import (
 	"github.com/streammatch/apcm"
 	"github.com/streammatch/apcm/broker"
 	"github.com/streammatch/apcm/expr"
+	"github.com/streammatch/apcm/internal/core"
+	"github.com/streammatch/apcm/internal/match"
 	"github.com/streammatch/apcm/internal/osr"
 	"github.com/streammatch/apcm/internal/stats"
 	"github.com/streammatch/apcm/workload"
@@ -49,20 +51,20 @@ func e1() Experiment {
 			cfg.sanitize()
 			n := cfg.n(20000, 200)
 			xs, events := gen(baseParams(cfg.Seed), n, cfg.n(2000, 100))
-			algs := apcm.Algorithms()
-			rates, err := measureAlgorithms(cfg, algs, xs, events)
+			rows := refs(paperRows...)
+			rates, err := measureRows(rows, xs, events, cfg.MinMeasure)
 			if err != nil {
 				return err
 			}
 			t := NewTable(fmt.Sprintf("E1: throughput at %d subscriptions", n),
 				"algorithm", "events/s", "speedup vs Scan")
-			base := rates[apcm.Scan]
-			for _, a := range algs {
+			base := rates[0] // Scan
+			for i, ref := range rows {
 				speed := "1.0x"
 				if base > 0 {
-					speed = fmt.Sprintf("%.1fx", rates[a]/base)
+					speed = fmt.Sprintf("%.1fx", rates[i]/base)
 				}
-				t.AddRow(a.String(), FormatRate(rates[a]), speed)
+				t.AddRow(ref.Name, FormatRate(rates[i]), speed)
 			}
 			emit(cfg, t)
 			return nil
@@ -79,21 +81,17 @@ func e2() Experiment {
 		Expect: "every algorithm degrades as the database grows; the compressed matchers degrade slowest, so the gap widens with size",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
-			algs := apcm.Algorithms()
+			rows := refs(paperRows...)
 			t := NewTable("E2: throughput vs subscription count",
-				append([]string{"subscriptions"}, algHeaders(algs)...)...)
+				append([]string{"subscriptions"}, rowHeaders(rows)...)...)
 			for _, base := range []int{1000, 2000, 5000, 10000, 20000} {
 				n := cfg.n(base, 100)
 				xs, events := gen(baseParams(cfg.Seed), n, cfg.n(1500, 100))
-				rates, err := measureAlgorithms(cfg, algs, xs, events)
+				rates, err := measureRows(rows, xs, events, cfg.MinMeasure)
 				if err != nil {
 					return err
 				}
-				row := []string{fmt.Sprintf("%d", n)}
-				for _, a := range algs {
-					row = append(row, FormatRate(rates[a]))
-				}
-				t.AddRow(row...)
+				t.AddRow(append([]string{fmt.Sprintf("%d", n)}, formatRates(rates)...)...)
 			}
 			emit(cfg, t)
 			return nil
@@ -110,9 +108,9 @@ func e3() Experiment {
 		Expect: "per-predicate algorithms (Scan, Counting) degrade linearly; compression amortises shared predicates so the compressed matchers flatten",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
-			algs := apcm.Algorithms()
+			rows := refs(paperRows...)
 			t := NewTable("E3: throughput vs predicates/expression",
-				append([]string{"preds/expr"}, algHeaders(algs)...)...)
+				append([]string{"preds/expr"}, rowHeaders(rows)...)...)
 			for _, k := range []int{3, 5, 7, 9, 12} {
 				p := baseParams(cfg.Seed)
 				p.PredsMin, p.PredsMax = k, k
@@ -120,15 +118,11 @@ func e3() Experiment {
 					p.EventAttrs = k + 3
 				}
 				xs, events := gen(p, cfg.n(8000, 100), cfg.n(1500, 100))
-				rates, err := measureAlgorithms(cfg, algs, xs, events)
+				rates, err := measureRows(rows, xs, events, cfg.MinMeasure)
 				if err != nil {
 					return err
 				}
-				row := []string{fmt.Sprintf("%d", k)}
-				for _, a := range algs {
-					row = append(row, FormatRate(rates[a]))
-				}
-				t.AddRow(row...)
+				t.AddRow(append([]string{fmt.Sprintf("%d", k)}, formatRates(rates)...)...)
 			}
 			emit(cfg, t)
 			return nil
@@ -145,22 +139,18 @@ func e4() Experiment {
 		Expect: "low dimensionality concentrates predicates on few attributes (hard to partition); higher dimensionality improves pruning for the tree-based matchers",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
-			algs := apcm.Algorithms()
+			rows := refs(paperRows...)
 			t := NewTable("E4: throughput vs number of attributes",
-				append([]string{"attributes"}, algHeaders(algs)...)...)
+				append([]string{"attributes"}, rowHeaders(rows)...)...)
 			for _, d := range []int{50, 100, 200, 400, 800} {
 				p := baseParams(cfg.Seed)
 				p.NumAttrs = d
 				xs, events := gen(p, cfg.n(8000, 100), cfg.n(1500, 100))
-				rates, err := measureAlgorithms(cfg, algs, xs, events)
+				rates, err := measureRows(rows, xs, events, cfg.MinMeasure)
 				if err != nil {
 					return err
 				}
-				row := []string{fmt.Sprintf("%d", d)}
-				for _, a := range algs {
-					row = append(row, FormatRate(rates[a]))
-				}
-				t.AddRow(row...)
+				t.AddRow(append([]string{fmt.Sprintf("%d", d)}, formatRates(rates)...)...)
 			}
 			emit(cfg, t)
 			return nil
@@ -177,22 +167,18 @@ func e5() Experiment {
 		Expect: "higher match rates cost every algorithm (more candidates survive); the compressed kernels keep their advantage across the range",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
-			algs := apcm.Algorithms()
+			rows := refs(paperRows...)
 			t := NewTable("E5: throughput vs planted match fraction",
-				append([]string{"match frac"}, algHeaders(algs)...)...)
+				append([]string{"match frac"}, rowHeaders(rows)...)...)
 			for _, mf := range []float64{0, 0.01, 0.05, 0.10, 0.25} {
 				p := baseParams(cfg.Seed)
 				p.MatchFraction = mf
 				xs, events := gen(p, cfg.n(8000, 100), cfg.n(1500, 100))
-				rates, err := measureAlgorithms(cfg, algs, xs, events)
+				rates, err := measureRows(rows, xs, events, cfg.MinMeasure)
 				if err != nil {
 					return err
 				}
-				row := []string{fmt.Sprintf("%.2f", mf)}
-				for _, a := range algs {
-					row = append(row, FormatRate(rates[a]))
-				}
-				t.AddRow(row...)
+				t.AddRow(append([]string{fmt.Sprintf("%.2f", mf)}, formatRates(rates)...)...)
 			}
 			emit(cfg, t)
 			return nil
@@ -205,27 +191,24 @@ func e5() Experiment {
 func e6() Experiment {
 	return Experiment{
 		ID:     "E6",
-		Title:  "Parallel scaling: throughput vs worker count (A-PCM, PCM)",
+		Title:  "Parallel scaling: Engine throughput vs worker count (A-PCM)",
 		Expect: "near-linear speedup with cores on multi-core hosts (flat on this container when it has a single vCPU; the code path is identical)",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
 			xs, events := gen(baseParams(cfg.Seed), cfg.n(15000, 200), cfg.n(2000, 100))
-			t := NewTable("E6: throughput vs workers",
-				"workers", "PCM ev/s", "PCM speedup", "A-PCM ev/s", "A-PCM speedup")
-			var basePCM, baseAPCM float64
+			t := NewTable("E6: throughput vs workers", "workers", "A-PCM ev/s", "A-PCM speedup")
+			var base float64
 			for _, w := range []int{1, 2, 4, 8} {
-				c := cfg
-				c.Workers = w
-				rates, err := measureAlgorithms(c, []apcm.Algorithm{apcm.PCM, apcm.APCM}, xs, events)
+				e, err := buildEngine(cfg, w, xs)
 				if err != nil {
 					return err
 				}
+				r := engineThroughput(e, events, cfg.MinMeasure)
+				e.Close()
 				if w == 1 {
-					basePCM, baseAPCM = rates[apcm.PCM], rates[apcm.APCM]
+					base = r
 				}
-				t.AddRow(fmt.Sprintf("%d", w),
-					FormatRate(rates[apcm.PCM]), fmt.Sprintf("%.2fx", safeDiv(rates[apcm.PCM], basePCM)),
-					FormatRate(rates[apcm.APCM]), fmt.Sprintf("%.2fx", safeDiv(rates[apcm.APCM], baseAPCM)))
+				t.AddRow(fmt.Sprintf("%d", w), FormatRate(r), fmt.Sprintf("%.2fx", safeDiv(r, base)))
 			}
 			emit(cfg, t)
 			return nil
@@ -238,6 +221,15 @@ func safeDiv(a, b float64) float64 {
 		return 0
 	}
 	return a / b
+}
+
+// formatRates renders one events/s cell per rate.
+func formatRates(rates []float64) []string {
+	out := make([]string, len(rates))
+	for i, r := range rates {
+		out[i] = FormatRate(r)
+	}
+	return out
 }
 
 // ---------------------------------------------------------------- E7
@@ -268,35 +260,19 @@ func e7() Experiment {
 				p.Cardinality = v.card
 				xs, events := gen(p, cfg.n(10000, 100), cfg.n(1500, 100))
 
-				rates := map[string]float64{}
-				for _, spec := range []struct {
-					key  string
-					opts apcm.Options
-				}{
-					{"tree", apcm.Options{Algorithm: apcm.BETree, Workers: cfg.Workers, ClusterSize: 256}},
-					{"pcm", apcm.Options{Algorithm: apcm.PCM, Workers: cfg.Workers}},
-					{"apcm", apcm.Options{Algorithm: apcm.APCM, Workers: cfg.Workers}},
-				} {
-					e, err := apcm.New(spec.opts)
-					if err != nil {
+				// Every row at the compressed default pool bound, so the
+				// tree column is the uncompressed baseline of the same
+				// clustering.
+				var rates [3]float64
+				for i, ref := range refs("BE-Tree", "PCM", "A-PCM") {
+					var err error
+					if _, rates[i], err = measureRow(ref, 256, xs, events, cfg.MinMeasure); err != nil {
 						return err
 					}
-					for _, x := range xs {
-						if err := e.Subscribe(x); err != nil {
-							return err
-						}
-					}
-					e.Prepare()
-					rates[spec.key] = throughput(e, events, cfg.MinMeasure)
-					e.Close()
 				}
-				best := rates["tree"]
-				if rates["pcm"] > best {
-					best = rates["pcm"]
-				}
-				t.AddRow(v.label,
-					FormatRate(rates["tree"]), FormatRate(rates["pcm"]), FormatRate(rates["apcm"]),
-					fmt.Sprintf("%.2fx", safeDiv(rates["apcm"], best)))
+				best := max(rates[0], rates[1])
+				t.AddRow(v.label, FormatRate(rates[0]), FormatRate(rates[1]), FormatRate(rates[2]),
+					fmt.Sprintf("%.2fx", safeDiv(rates[2], best)))
 			}
 			emit(cfg, t)
 			return nil
@@ -316,7 +292,7 @@ func e8() Experiment {
 			p := baseParams(cfg.Seed)
 			p.AttrZipf = 1.5 // skewed streams benefit most from re-ordering
 			xs, events := gen(p, cfg.n(15000, 200), cfg.n(4000, 200))
-			e, err := buildEngine(cfg, apcm.APCM, cfg.Workers, xs)
+			e, err := buildEngine(cfg, cfg.Workers, xs)
 			if err != nil {
 				return err
 			}
@@ -325,7 +301,7 @@ func e8() Experiment {
 			var base float64
 			for _, w := range []int{1, 16, 64, 256, 1024} {
 				ordered := reorderWindows(events, w)
-				r := throughput(e, ordered, cfg.MinMeasure)
+				r := engineThroughput(e, ordered, cfg.MinMeasure)
 				if w == 1 {
 					base = r
 				}
@@ -363,10 +339,10 @@ func e9() Experiment {
 		Expect: "the compressed index stays within a small constant of the tree baseline while replacing several predicate evaluations per dictionary entry",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
-			algs := apcm.Algorithms()
+			rows := refs(paperRows...)
 			headers := []string{"subscriptions"}
-			for _, a := range algs {
-				headers = append(headers, a.String()+" mem")
+			for _, ref := range rows {
+				headers = append(headers, ref.Name+" mem")
 			}
 			headers = append(headers, "A-PCM compression")
 			t := NewTable("E9: memory footprint", headers...)
@@ -375,19 +351,17 @@ func e9() Experiment {
 				xs, events := gen(baseParams(cfg.Seed), n, 200)
 				row := []string{fmt.Sprintf("%d", n)}
 				var ratio float64
-				for _, a := range algs {
-					e, err := buildEngine(cfg, a, 1, xs)
+				for _, ref := range rows {
+					m, err := build(ref, 0, xs)
 					if err != nil {
 						return err
 					}
 					// Touch clusters so lazily compiled state is counted.
-					e.MatchBatch(events)
-					st := e.Stats()
-					row = append(row, FormatBytes(st.MemBytes))
-					if a == apcm.APCM {
-						ratio = st.CompressionRatio
+					newLoop(m).run(events)
+					row = append(row, FormatBytes(m.(match.MemReporter).MemBytes()))
+					if ref.Name == "A-PCM" {
+						ratio = m.(*core.Matcher).Stats().CompressionRatio()
 					}
-					e.Close()
 				}
 				row = append(row, fmt.Sprintf("%.1f preds/entry", ratio))
 				t.AddRow(row...)
@@ -408,7 +382,7 @@ func e10() Experiment {
 		Run: func(cfg Config) error {
 			cfg.sanitize()
 			xs, events := gen(baseParams(cfg.Seed), cfg.n(15000, 200), cfg.n(2000, 100))
-			e, err := buildEngine(cfg, apcm.APCM, cfg.Workers, xs)
+			e, err := buildEngine(cfg, cfg.Workers, xs)
 			if err != nil {
 				return err
 			}
@@ -416,7 +390,7 @@ func e10() Experiment {
 			t := NewTable("E10: throughput vs batch size", "batch", "A-PCM ev/s", "vs batch 1")
 			var base float64
 			for _, b := range []int{1, 8, 64, 256, 1024} {
-				r := throughputBatch(e, events, cfg.MinMeasure, b)
+				r, _ := replay(events, b, cfg.MinMeasure, func(batch []*expr.Event) { e.MatchBatch(batch) })
 				if b == 1 {
 					base = r
 				}
@@ -426,34 +400,6 @@ func e10() Experiment {
 			return nil
 		},
 	}
-}
-
-// throughputBatch is throughput with an explicit MatchBatch chunk size.
-func throughputBatch(e *apcm.Engine, events []*expr.Event, minDur time.Duration, batch int) float64 {
-	if batch < 1 {
-		batch = 1
-	}
-	e.MatchBatch(events[:min(len(events), batch)])
-	start := time.Now()
-	n := 0
-	for time.Since(start) < minDur {
-		for off := 0; off < len(events); off += batch {
-			end := off + batch
-			if end > len(events) {
-				end = len(events)
-			}
-			e.MatchBatch(events[off:end])
-			n += end - off
-			if time.Since(start) >= minDur {
-				break
-			}
-		}
-	}
-	sec := time.Since(start).Seconds()
-	if sec <= 0 {
-		return 0
-	}
-	return float64(n) / sec
 }
 
 // ---------------------------------------------------------------- E11
@@ -468,17 +414,18 @@ func e11() Experiment {
 			xs, events := gen(baseParams(cfg.Seed), cfg.n(15000, 200), cfg.n(1000, 100))
 			t := NewTable("E11: per-event match latency",
 				"algorithm", "p50", "p95", "p99", "max")
-			for _, a := range apcm.Algorithms() {
-				e, err := buildEngine(cfg, a, cfg.Workers, xs)
+			for _, ref := range refs(paperRows...) {
+				m, err := build(ref, 0, xs)
 				if err != nil {
 					return err
 				}
+				l := newLoop(m)
 				h := stats.NewLatencyHistogram()
 				deadline := time.Now().Add(cfg.MinMeasure)
 				for i := 0; ; i++ {
-					ev := events[i%len(events)]
+					k := i % len(events)
 					start := time.Now()
-					e.Match(ev)
+					l.run(events[k : k+1])
 					h.AddDuration(time.Since(start))
 					// Collect at least 30 samples even if one pass already
 					// exceeds the deadline (slow baselines at large sizes).
@@ -486,12 +433,11 @@ func e11() Experiment {
 						break
 					}
 				}
-				t.AddRow(a.String(),
+				t.AddRow(ref.Name,
 					time.Duration(h.Quantile(0.50)).String(),
 					time.Duration(h.Quantile(0.95)).String(),
 					time.Duration(h.Quantile(0.99)).String(),
 					time.Duration(h.Max()).String())
-				e.Close()
 			}
 			emit(cfg, t)
 			return nil
@@ -512,19 +458,19 @@ func e12() Experiment {
 			churn := n / 5
 			t := NewTable("E12: update throughput",
 				"algorithm", "inserts/s", "deletes/s", "match ev/s during churn")
-			for _, a := range apcm.Algorithms() {
+			for _, ref := range refs(paperRows...) {
 				p := baseParams(cfg.Seed)
 				g := workload.MustNew(p)
 				xs := g.Expressions(n + churn)
 				events := g.Events(500)
-				e, err := buildEngine(cfg, a, cfg.Workers, xs[:n])
+				m, err := build(ref, 0, xs[:n])
 				if err != nil {
 					return err
 				}
 
 				start := time.Now()
 				for _, x := range xs[n:] {
-					if err := e.Subscribe(x); err != nil {
+					if err := m.Insert(x); err != nil {
 						return err
 					}
 				}
@@ -532,13 +478,15 @@ func e12() Experiment {
 
 				// Matching interleaved with churn: alternate one event with
 				// one delete+reinsert pair.
+				l := newLoop(m)
 				me := stats.NewMeter()
 				for i := 0; i < 200; i++ {
-					e.Match(events[i%len(events)])
+					k := i % len(events)
+					l.run(events[k : k+1])
 					me.Add(1)
 					x := xs[n+i%churn]
-					e.Unsubscribe(x.ID)
-					if err := e.Subscribe(x); err != nil {
+					m.Delete(x.ID)
+					if err := m.Insert(x); err != nil {
 						return err
 					}
 				}
@@ -546,13 +494,12 @@ func e12() Experiment {
 
 				start = time.Now()
 				for _, x := range xs[n:] {
-					if !e.Unsubscribe(x.ID) {
-						return fmt.Errorf("%v: unsubscribe failed", a)
+					if !m.Delete(x.ID) {
+						return fmt.Errorf("%s: delete failed", ref.Name)
 					}
 				}
 				delRate := float64(churn) / time.Since(start).Seconds()
-				t.AddRow(a.String(), FormatRate(insRate), FormatRate(delRate), FormatRate(matchRate))
-				e.Close()
+				t.AddRow(ref.Name, FormatRate(insRate), FormatRate(delRate), FormatRate(matchRate))
 			}
 			emit(cfg, t)
 			return nil
@@ -569,9 +516,9 @@ func e13() Experiment {
 		Expect: "equality-heavy subscriptions cluster and compress best; range-heavy mixes narrow the compressed advantage",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
-			algs := []apcm.Algorithm{apcm.BETree, apcm.PCM, apcm.APCM}
+			rows := refs("BE-Tree", "PCM", "A-PCM")
 			t := NewTable("E13: throughput vs % equality predicates",
-				append([]string{"% equality"}, algHeaders(algs)...)...)
+				append([]string{"% equality"}, rowHeaders(rows)...)...)
 			for _, eq := range []float64{1.0, 0.85, 0.6, 0.3} {
 				p := baseParams(cfg.Seed)
 				rest := 1 - eq
@@ -579,15 +526,11 @@ func e13() Experiment {
 				p.WRange = rest * 0.7
 				p.WMembership = rest * 0.3
 				xs, events := gen(p, cfg.n(10000, 100), cfg.n(1500, 100))
-				rates, err := measureAlgorithms(cfg, algs, xs, events)
+				rates, err := measureRows(rows, xs, events, cfg.MinMeasure)
 				if err != nil {
 					return err
 				}
-				row := []string{fmt.Sprintf("%.0f%%", eq*100)}
-				for _, a := range algs {
-					row = append(row, FormatRate(rates[a]))
-				}
-				t.AddRow(row...)
+				t.AddRow(append([]string{fmt.Sprintf("%.0f%%", eq*100)}, formatRates(rates)...)...)
 			}
 			emit(cfg, t)
 			return nil

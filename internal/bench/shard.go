@@ -13,8 +13,8 @@ import (
 
 // E19: the sharded matching tier (shard.Group) swept over subscription
 // count × shard count. This is the scaling experiment behind DESIGN.md
-// §10 and the README's scaling section; BENCH_pr7.json holds a
-// committed run.
+// §10 and the README's scaling section; EXPERIMENTS.md E19 records a
+// run.
 
 func init() {
 	register(e19())
@@ -24,52 +24,11 @@ func init() {
 // unset.
 var defaultShardCounts = []int{1, 2, 4, 8, 16}
 
-// batchMatcher is the batch surface E19 measures through — satisfied by
-// both *apcm.Engine and *shard.Group, though E19 always builds groups
-// (a 1-shard group delegates directly, so the facade itself is on the
-// baseline too and the sweep isolates sharding, not wrapper overhead).
-type batchMatcher interface {
-	MatchAppend([]expr.ID, *expr.Event) []expr.ID
-	MatchBatchInto([]*expr.Event, *apcm.BatchResult)
-}
-
-// groupThroughputN mirrors batchThroughputN over the group surface:
-// sustained MatchBatchInto replay with a reused result until minDur.
-func groupThroughputN(m batchMatcher, events []*expr.Event, batch int, minDur time.Duration) (float64, int) {
-	var r apcm.BatchResult
-	warm := len(events)
-	if warm > 2*batch {
-		warm = 2 * batch
-	}
-	m.MatchBatchInto(events[:warm], &r)
-
-	start := time.Now()
-	n := 0
-	for time.Since(start) < minDur {
-		for off := 0; off < len(events); off += batch {
-			end := off + batch
-			if end > len(events) {
-				end = len(events)
-			}
-			m.MatchBatchInto(events[off:end], &r)
-			n += end - off
-			if n >= batch && time.Since(start) >= minDur {
-				break
-			}
-		}
-	}
-	sec := time.Since(start).Seconds()
-	if sec <= 0 {
-		return 0, n
-	}
-	return float64(n) / sec, n
-}
-
 // groupP99 measures single-event match latency over the group surface
 // and returns the p99 in nanoseconds. Latency is measured on the
 // single-event path — the one a broker publish takes — not the batch
 // kernel the throughput numbers drive.
-func groupP99(m batchMatcher, events []*expr.Event, minDur time.Duration) float64 {
+func groupP99(m *shard.Group, events []*expr.Event, minDur time.Duration) float64 {
 	h := stats.NewLatencyHistogram()
 	var dst []expr.ID
 	for _, ev := range events[:min(64, len(events))] { // warm
@@ -152,7 +111,8 @@ func e19() Experiment {
 						return fmt.Errorf("E19 %d subs × %d shards: %w", nsubs, sc, err)
 					}
 					events := g.Events(nev)
-					rate, _ := groupThroughputN(grp, events, 256, cfg.MinMeasure)
+					var r apcm.BatchResult
+					rate, _ := replay(events, 256, cfg.MinMeasure, func(b []*expr.Event) { grp.MatchBatchInto(b, &r) })
 					p99 := groupP99(grp, events, cfg.MinMeasure/4)
 					imb := grp.Stats().Imbalance
 					grp.Close()

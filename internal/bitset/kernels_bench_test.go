@@ -1,10 +1,10 @@
 package bitset
 
 // Kernel micro-benchmarks. The impl=dispatch / impl=generic pairs are
-// shaped for `apcm-benchjson -ab dispatch=generic`: in an apcm_avx2
-// build the ratio is the assembly's win over the unrolled pure-Go twin
-// on this machine; in a default build the two sides are the same code
-// and the ratio pins the harness overhead at ~1.0.
+// read as a ratio: in an apcm_avx2 build it is the assembly's win over
+// the unrolled pure-Go twin on this machine; in a default build the two
+// sides are the same code and the ratio pins the harness overhead at
+// ~1.0.
 //
 // BenchmarkAppendSet / BenchmarkNextSet cover satellite task 1: the
 // shared trailing-zeros scan must not regress at either density

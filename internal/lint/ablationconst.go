@@ -9,8 +9,9 @@ import (
 	"golang.org/x/tools/go/ast/inspector"
 )
 
-// ablationSwitches are the Config ablation fields. The compiler copies
-// them into the compiled layout exactly once (core.layout / arming);
+// ablationSwitches are the core.Config ablation fields, set only by the
+// experiment harness (internal/bench). The compiler copies them into the
+// compiled layout exactly once (core.layout / arming);
 // per-event code must read the compiled copy, never the live Config —
 // a mid-stream Config read would let a concurrently mutated switch
 // change kernel behaviour between events of one batch, which is both a
@@ -19,10 +20,8 @@ import (
 var ablationSwitches = map[string]bool{
 	"DisableHybridPostings": true,
 	"DisableFlatEq":         true,
-	"DisableGroupOrdering":  true,
 	"DisableGroupOrder":     true,
 	"DisableMemo":           true,
-	"DisableBatchMemo":      true,
 }
 
 // AblationConst enforces that reading a Disable* ablation switch is a

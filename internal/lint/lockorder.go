@@ -16,10 +16,9 @@ import (
 // held, directly or through same-package calls — and rejects:
 //
 //   - rank inversions: fields annotated //apcm:lockrank=N declare the
-//     intended partial order (Engine.mu=1 before Engine.smMu=2,
-//     broker Server.mu before conn.mu before consumerState.mu); an
-//     edge from an equal or higher rank to a lower one is a report at
-//     the acquisition site;
+//     intended partial order (broker Server.mu=1 before conn.mu=2
+//     before consumerState.mu=3); an edge from an equal or higher rank
+//     to a lower one is a report at the acquisition site;
 //   - cycles among unranked locks: h → a with a path a ⇝ h means two
 //     call stacks can interleave into deadlock;
 //   - re-acquisition: h → h on a plain Mutex is a self-deadlock (Go

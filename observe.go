@@ -67,81 +67,77 @@ func (e *Engine) attachMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("apcm_mem_bytes", "estimated index heap footprint", func() float64 {
 		return float64(e.Stats().MemBytes)
 	})
-	if e.cm != nil {
-		reg.GaugeFunc("apcm_compiled_clusters", "compiled compressed clusters", func() float64 {
-			return float64(e.Stats().CompiledClusters)
-		})
-		reg.GaugeFunc("apcm_compressed_serving", "clusters currently routed to the compressed kernel", func() float64 {
-			return float64(e.Stats().CompressedServing)
-		})
-		reg.GaugeFunc("apcm_arena_bytes", "total backing size of compiled-cluster arenas", func() float64 {
-			return float64(e.Stats().ArenaBytes)
-		})
-		reg.CounterFunc("apcm_adaptive_probes_total", "dual-kernel cost probes", func() float64 {
-			p, _, _ := e.cm.AdaptiveCounters()
-			return float64(p)
-		})
-		reg.CounterFunc("apcm_kernel_flips_compressed_total", "cluster flips to the compressed kernel", func() float64 {
-			_, c, _ := e.cm.AdaptiveCounters()
-			return float64(c)
-		})
-		reg.CounterFunc("apcm_kernel_flips_uncompressed_total", "cluster flips to the scan kernel", func() float64 {
-			_, _, u := e.cm.AdaptiveCounters()
-			return float64(u)
-		})
-		reg.GaugeFunc("apcm_posting_dense", "cluster postings compiled dense", func() float64 {
-			return float64(e.Stats().DensePostings)
-		})
-		reg.GaugeFunc("apcm_posting_sparse", "cluster postings compiled sparse (sorted id list)", func() float64 {
-			return float64(e.Stats().SparsePostings)
-		})
-		reg.GaugeFunc("apcm_posting_sparse_member_slots", "total member ids held by sparse postings", func() float64 {
-			return float64(e.Stats().SparseMemberSlots)
-		})
-		reg.GaugeFunc("apcm_posting_eq_flat_tables", "equality groups served by value-indexed flat tables", func() float64 {
-			return float64(e.Stats().EqFlatTables)
-		})
-		reg.GaugeFunc("apcm_posting_eq_flat_slots", "total value slots across flat equality tables", func() float64 {
-			return float64(e.Stats().EqFlatSlots)
-		})
-		reg.CounterFunc("apcm_group_order_sorts_total", "group loops evaluated in kill-rate order (flushed at batch end)", func() float64 {
-			s, _ := e.cm.OrderCounters()
-			return float64(s)
-		})
-		reg.CounterFunc("apcm_group_order_early_exit_total", "group loops exited early on an emptied survivor set (flushed at batch end)", func() float64 {
-			_, x := e.cm.OrderCounters()
-			return float64(x)
-		})
-	}
-	if e.cm != nil {
-		reg.CounterFunc("apcm_batch_memo_lookups_total", "cross-event predicate memo lookups", func() float64 {
-			_, l, _, _, _ := e.cm.BatchCounters()
-			return float64(l)
-		})
-		reg.CounterFunc("apcm_batch_memo_hits_total", "cross-event predicate memo hits", func() float64 {
-			h, _, _, _, _ := e.cm.BatchCounters()
-			return float64(h)
-		})
-		reg.GaugeFunc("apcm_batch_memo_hit_ratio", "memo hits per lookup over the batch path", func() float64 {
-			h, l, _, _, _ := e.cm.BatchCounters()
-			if l == 0 {
-				return 0
-			}
-			return float64(h) / float64(l)
-		})
-		reg.CounterFunc("apcm_batch_elig_lookups_total", "per-cluster eligibility cache lookups", func() float64 {
-			_, _, _, l, _ := e.cm.BatchCounters()
-			return float64(l)
-		})
-		reg.CounterFunc("apcm_batch_elig_hits_total", "per-cluster eligibility cache hits", func() float64 {
-			_, _, h, _, _ := e.cm.BatchCounters()
-			return float64(h)
-		})
-		reg.CounterFunc("apcm_batch_dedup_total", "batch events answered from an adjacent equal event's result", func() float64 {
-			_, _, _, _, d := e.cm.BatchCounters()
-			return float64(d)
-		})
-	}
+	reg.GaugeFunc("apcm_compiled_clusters", "compiled compressed clusters", func() float64 {
+		return float64(e.Stats().CompiledClusters)
+	})
+	reg.GaugeFunc("apcm_compressed_serving", "clusters currently routed to the compressed kernel", func() float64 {
+		return float64(e.Stats().CompressedServing)
+	})
+	reg.GaugeFunc("apcm_arena_bytes", "total backing size of compiled-cluster arenas", func() float64 {
+		return float64(e.Stats().ArenaBytes)
+	})
+	reg.CounterFunc("apcm_adaptive_probes_total", "dual-kernel cost probes", func() float64 {
+		p, _, _ := e.cm.AdaptiveCounters()
+		return float64(p)
+	})
+	reg.CounterFunc("apcm_kernel_flips_compressed_total", "cluster flips to the compressed kernel", func() float64 {
+		_, c, _ := e.cm.AdaptiveCounters()
+		return float64(c)
+	})
+	reg.CounterFunc("apcm_kernel_flips_uncompressed_total", "cluster flips to the scan kernel", func() float64 {
+		_, _, u := e.cm.AdaptiveCounters()
+		return float64(u)
+	})
+	reg.GaugeFunc("apcm_posting_dense", "cluster postings compiled dense", func() float64 {
+		return float64(e.Stats().DensePostings)
+	})
+	reg.GaugeFunc("apcm_posting_sparse", "cluster postings compiled sparse (sorted id list)", func() float64 {
+		return float64(e.Stats().SparsePostings)
+	})
+	reg.GaugeFunc("apcm_posting_sparse_member_slots", "total member ids held by sparse postings", func() float64 {
+		return float64(e.Stats().SparseMemberSlots)
+	})
+	reg.GaugeFunc("apcm_posting_eq_flat_tables", "equality groups served by value-indexed flat tables", func() float64 {
+		return float64(e.Stats().EqFlatTables)
+	})
+	reg.GaugeFunc("apcm_posting_eq_flat_slots", "total value slots across flat equality tables", func() float64 {
+		return float64(e.Stats().EqFlatSlots)
+	})
+	reg.CounterFunc("apcm_group_order_sorts_total", "group loops evaluated in kill-rate order (flushed at batch end)", func() float64 {
+		s, _ := e.cm.OrderCounters()
+		return float64(s)
+	})
+	reg.CounterFunc("apcm_group_order_early_exit_total", "group loops exited early on an emptied survivor set (flushed at batch end)", func() float64 {
+		_, x := e.cm.OrderCounters()
+		return float64(x)
+	})
+	reg.CounterFunc("apcm_batch_memo_lookups_total", "cross-event predicate memo lookups", func() float64 {
+		_, l, _, _, _ := e.cm.BatchCounters()
+		return float64(l)
+	})
+	reg.CounterFunc("apcm_batch_memo_hits_total", "cross-event predicate memo hits", func() float64 {
+		h, _, _, _, _ := e.cm.BatchCounters()
+		return float64(h)
+	})
+	reg.GaugeFunc("apcm_batch_memo_hit_ratio", "memo hits per lookup over the batch path", func() float64 {
+		h, l, _, _, _ := e.cm.BatchCounters()
+		if l == 0 {
+			return 0
+		}
+		return float64(h) / float64(l)
+	})
+	reg.CounterFunc("apcm_batch_elig_lookups_total", "per-cluster eligibility cache lookups", func() float64 {
+		_, _, _, l, _ := e.cm.BatchCounters()
+		return float64(l)
+	})
+	reg.CounterFunc("apcm_batch_elig_hits_total", "per-cluster eligibility cache hits", func() float64 {
+		_, _, h, _, _ := e.cm.BatchCounters()
+		return float64(h)
+	})
+	reg.CounterFunc("apcm_batch_dedup_total", "batch events answered from an adjacent equal event's result", func() float64 {
+		_, _, _, _, d := e.cm.BatchCounters()
+		return float64(d)
+	})
 	reg.CounterFunc("apcm_scratch_gets_total", "match scratch pool fetches", func() float64 {
 		return float64(e.scratchGets.Load())
 	})

@@ -29,21 +29,12 @@ func (e *Engine) SaveSubscriptions(w io.Writer) error {
 	if len(e.groups) > 0 {
 		return fmt.Errorf("apcm: cannot snapshot an engine with DNF subscriptions")
 	}
-	var m interface {
-		Size() int
-		ForEach(func(*expr.Expression) bool)
-	}
-	if e.cm != nil {
-		m = e.cm
-	} else {
-		m = e.sm
-	}
-	tw, err := trace.NewWriter(w, trace.KindExpressions, m.Size())
+	tw, err := trace.NewWriter(w, trace.KindExpressions, e.cm.Size())
 	if err != nil {
 		return err
 	}
 	var werr error
-	m.ForEach(func(x *expr.Expression) bool {
+	e.cm.ForEach(func(x *expr.Expression) bool {
 		werr = tw.WriteExpression(x)
 		return werr == nil
 	})
@@ -64,11 +55,7 @@ func (e *Engine) ForEachSubscription(fn func(*expr.Expression) bool) {
 	if e.closed {
 		return
 	}
-	if e.cm != nil {
-		e.cm.ForEach(fn)
-		return
-	}
-	e.sm.ForEach(fn)
+	e.cm.ForEach(fn)
 }
 
 // CheckpointSubscriptions persists the live subscription set to path,
@@ -163,9 +150,9 @@ const (
 // subscribe in chunks under one write lock each, and on multi-core
 // hosts reading, decoding and index insertion run as a pipeline —
 // a reader goroutine streams raw records to parallel decode workers
-// while the caller inserts decoded chunks in trace order.
-// LoadSubscriptionsSequential is the plain one-record-at-a-time loop,
-// kept as the A/B baseline (see EXPERIMENTS.md E20).
+// while the caller inserts decoded chunks in trace order. The plain
+// one-record-at-a-time loop it is measured against is E20's baseline in
+// internal/bench (see EXPERIMENTS.md E20).
 func (e *Engine) LoadSubscriptions(r io.Reader) (int, error) {
 	done := e.coldstartBegin()
 	n, err := e.loadSubscriptions(r)
@@ -415,38 +402,4 @@ func (e *Engine) loadPipelined(tr *trace.Reader, workers int) (int, error) {
 		lerr = rerr
 	}
 	return n, lerr
-}
-
-// LoadSubscriptionsSequential is LoadSubscriptions without chunking,
-// slab decoding or pipelining: one ReadExpression and one Subscribe per
-// record. It exists as the measured baseline for the optimized restore
-// (EXPERIMENTS.md E20) and as a semantics oracle in tests.
-func (e *Engine) LoadSubscriptionsSequential(r io.Reader) (int, error) {
-	tr, err := trace.NewReader(r)
-	if err != nil {
-		return 0, err
-	}
-	if tr.Kind() != trace.KindExpressions {
-		return 0, fmt.Errorf("apcm: trace holds %q records, want expressions", tr.Kind())
-	}
-	n := 0
-	var maxID expr.ID
-	defer e.idAdvancer(&maxID)()
-	for {
-		x, err := tr.ReadExpression()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := e.Subscribe(x); err != nil {
-			return n, err
-		}
-		if x.ID > maxID {
-			maxID = x.ID
-		}
-		n++
-	}
-	return n, nil
 }

@@ -2,6 +2,7 @@ package apcm_test
 
 import (
 	"bytes"
+	"io"
 	"runtime"
 	"sort"
 	"testing"
@@ -34,15 +35,47 @@ func sortedIDs(ids []expr.ID) []expr.ID {
 	return ids
 }
 
+// loadSequential is the restore oracle: one ReadExpression and one
+// Subscribe per record, no chunking, slab decoding or pipelining. Like
+// LoadSubscriptions it keeps the prefix before a failure and advances
+// the id allocator past it (by drawing ids until NewID clears the
+// largest one loaded).
+func loadSequential(e *apcm.Engine, data []byte) (int, error) {
+	tr, err := trace.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	var maxID expr.ID
+	defer func() {
+		for e.NewID() < maxID {
+		}
+	}()
+	for {
+		x, err := tr.ReadExpression()
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, err
+		}
+		if err := e.Subscribe(x); err != nil {
+			return n, err
+		}
+		maxID = max(maxID, x.ID)
+		n++
+	}
+}
+
 // checkLoadEquivalence loads data into a fresh engine through load and
 // verifies count, Len, id-allocator advance and match results against
-// an engine filled by LoadSubscriptionsSequential.
+// an engine filled by the sequential oracle.
 func checkLoadEquivalence(t *testing.T, data []byte, events []*expr.Event,
 	load func(e *apcm.Engine, data []byte) (int, error)) {
 	t.Helper()
 	ref := apcm.MustNew(apcm.Options{Workers: 1})
 	defer ref.Close()
-	want, err := ref.LoadSubscriptionsSequential(bytes.NewReader(data))
+	want, err := loadSequential(ref, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +190,10 @@ func TestLoadSubscriptionsPipelinedPartial(t *testing.T) {
 	})
 }
 
+// TestLoadSubscriptionsSequentialPartial holds the oracle to the same
+// partial-failure contract as the loaders it checks.
 func TestLoadSubscriptionsSequentialPartial(t *testing.T) {
-	loadPartialCases(t, func(e *apcm.Engine, data []byte) (int, error) {
-		return e.LoadSubscriptionsSequential(bytes.NewReader(data))
-	})
+	loadPartialCases(t, loadSequential)
 }
 
 // TestSubscribeBulk: bulk subscription is Subscribe in a loop with
@@ -241,7 +274,7 @@ func TestSubscribeBulkNormalize(t *testing.T) {
 // compiled cluster must be absorbed (batch append or recompile) and
 // stay matchable.
 func TestSubscribeBulkThenAppendCompiled(t *testing.T) {
-	eng := apcm.MustNew(apcm.Options{Workers: 1, MinCompressSize: 8})
+	eng := apcm.MustNew(apcm.Options{Workers: 1})
 	defer eng.Close()
 	var xs []*expr.Expression
 	for i := expr.ID(1); i <= 64; i++ {
