@@ -16,8 +16,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The same package list as CI's race job. The second pass races the
+# restore loop at one core and with its insert lanes on their own cores.
 race:
-	$(GO) test -race -timeout 20m . ./shard/ ./broker/ ./metrics/ ./internal/sched/ ./internal/osr/ ./internal/core/
+	$(GO) test -race -timeout 20m . ./shard/ ./broker/ ./metrics/ ./internal/sched/ ./internal/osr/ ./internal/core/ ./internal/bitset/ ./internal/coldstart/
+	$(GO) test -race -cpu 1,2,4 -run 'Load|Restore|Checkpoint' . ./shard/
 
 # The fault-injection suite (broker restart/partition/slow-link/reset
 # scenarios over internal/faultnet, plus the commit-log crash-recovery

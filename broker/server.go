@@ -349,11 +349,14 @@ func (s *Server) attachMetrics() {
 }
 
 // Serve accepts connections on ln until Close or Shutdown. It returns
-// nil after either, or the listener error otherwise.
+// nil after either, or the listener error otherwise. On a server already
+// closed it closes ln, resetting any connection queued on it, and
+// returns an error.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		ln.Close()
 		return errors.New("broker: server closed")
 	}
 	s.ln = ln

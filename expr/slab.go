@@ -22,8 +22,9 @@ import (
 // expressions are therefore valid forever, exactly as if they had been
 // built by New.
 //
-// A SlabDecoder is not safe for concurrent use; pipelined loaders give
-// each decode worker its own.
+// A SlabDecoder is not safe for concurrent use. Expressions it has
+// returned are never written again, so one decoding goroutine may hand
+// them to others while it keeps decoding — the cold-start restore does.
 type SlabDecoder struct {
 	exprs []Expression
 	preds []Predicate

@@ -7,12 +7,16 @@ import (
 
 	"github.com/streammatch/apcm"
 	"github.com/streammatch/apcm/expr"
+	"github.com/streammatch/apcm/shard"
 )
 
 // FuzzLoadSubscriptions feeds arbitrary bytes to Engine.LoadSubscriptions:
 // corrupt snapshots must return an error (keeping whatever prefix loaded
 // cleanly), never panic, and never corrupt the engine — after any load
-// attempt the engine must still subscribe and match correctly.
+// attempt the engine must still subscribe and match correctly. The same
+// bytes go through a 3-shard shard.Group, the restore loop's other
+// caller: it must report exactly what it holds, and a clean load must
+// hold what the engine's clean load holds.
 func FuzzLoadSubscriptions(f *testing.F) {
 	// Seed: a valid snapshot produced by SaveSubscriptions.
 	seed := apcm.MustNew(apcm.Options{Workers: 1})
@@ -59,6 +63,16 @@ func FuzzLoadSubscriptions(f *testing.F) {
 		}
 		if !e.Unsubscribe(id) {
 			t.Fatal("unsubscribe after load failed")
+		}
+
+		g := shard.MustNew(shard.Options{Shards: 3, Workers: 1})
+		defer g.Close()
+		gn, gerr := g.LoadSubscriptions(bytes.NewReader(data))
+		if gn != g.Len() {
+			t.Fatalf("group loaded %d subscriptions but holds %d (err %v)", gn, g.Len(), gerr)
+		}
+		if err == nil && gerr == nil && gn != n {
+			t.Fatalf("clean loads disagree: group %d, engine %d", gn, n)
 		}
 	})
 }

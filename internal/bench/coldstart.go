@@ -17,10 +17,12 @@ import (
 // (DESIGN §11.3), so this experiment measures restore wall-clock and
 // throughput for one snapshot replayed through the three restore
 // paths: the plain one-Subscribe-per-record loop kept as the baseline
-// (loadSequential), the optimized engine restore (slab decode + bulk
-// insert, pipelined across decode workers when cores allow), and a
-// 4-shard group restoring shards in parallel into quarter-size trees.
-// The go-test twin BenchmarkLoadSubscriptions runs the last two.
+// (loadSequential), the engine restore, and a 4-shard group restoring
+// into quarter-size trees. The last two run one loop, in package
+// coldstart: slab decode on the calling goroutine, chunked bulk insert
+// on one goroutine per lane — one lane for the engine, one per shard
+// for the group. The go-test twin BenchmarkLoadSubscriptions runs the
+// last two.
 
 func init() {
 	register(e20())
@@ -132,7 +134,8 @@ func e20() Experiment {
 }
 
 // loadSequential is E20's baseline restore: one ReadExpression and one
-// Subscribe per record, with no chunking, slab decoding or pipelining.
+// Subscribe per record, with no chunking, slab decoding or insert
+// goroutine.
 func loadSequential(e *apcm.Engine, r io.Reader) (int, error) {
 	tr, err := trace.NewReader(r)
 	if err != nil {

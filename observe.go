@@ -3,6 +3,7 @@ package apcm
 import (
 	"fmt"
 
+	"github.com/streammatch/apcm/internal/coldstart"
 	"github.com/streammatch/apcm/metrics"
 )
 
@@ -18,11 +19,9 @@ type engineMetrics struct {
 	subscribes      *metrics.Counter
 	unsubscribes    *metrics.Counter
 
-	// Cold-start restore instruments (LoadSubscriptions and the paths
-	// over it: RestoreSubscriptions, shard group loads).
-	coldstartRestores *metrics.Counter
-	coldstartSubs     *metrics.Counter
-	coldstartLatency  *metrics.Histogram
+	// Cold-start restore instruments (LoadSubscriptions and
+	// RestoreSubscriptions over it), recorded by the restore loop.
+	coldstart *coldstart.Metrics
 
 	// Stream instruments, shared by every Stream over this engine.
 	streamEvents        *metrics.Counter
@@ -46,9 +45,7 @@ func (e *Engine) attachMetrics(reg *metrics.Registry) {
 		subscribes:      reg.Counter("apcm_subscribe_total", "successful Subscribe calls"),
 		unsubscribes:    reg.Counter("apcm_unsubscribe_total", "successful Unsubscribe calls"),
 
-		coldstartRestores: reg.Counter("apcm_coldstart_restores_total", "LoadSubscriptions restores completed"),
-		coldstartSubs:     reg.Counter("apcm_coldstart_subscriptions_total", "subscriptions loaded by restores"),
-		coldstartLatency:  reg.Histogram("apcm_coldstart_latency_ns", "wall-clock time per LoadSubscriptions restore"),
+		coldstart: coldstart.NewMetrics(reg),
 
 		streamEvents:        reg.Counter("apcm_stream_events_total", "events published through streams"),
 		streamFlushFull:     reg.Counter("apcm_stream_flush_full_total", "window flushes triggered by a full window"),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"github.com/streammatch/apcm/internal/coldstart"
 	"github.com/streammatch/apcm/metrics"
 )
 
@@ -22,6 +23,7 @@ type groupMetrics struct {
 	fanLatency   *metrics.Histogram // per fan-out: all shards matched
 	mergeLatency *metrics.Histogram // per fan-out: per-shard results merged
 	events       []shardCounter     // events fanned out, per shard
+	coldstart    *coldstart.Metrics // LoadSubscriptions restores
 }
 
 // countEvents records n events fanned out to every shard.
@@ -35,12 +37,14 @@ func (m *groupMetrics) countEvents(n int) {
 // on reg. Called once from New, after the shards and pool exist. Shard
 // engines themselves are not instrumented (N shards would register
 // colliding names); the group exposes the per-shard view under
-// apcm_shard_* with a shard label.
+// apcm_shard_* with a shard label, and records its restores under the
+// engine's apcm_coldstart_* names.
 func (g *Group) attachMetrics(reg *metrics.Registry) {
 	m := &groupMetrics{
 		fanLatency:   reg.Histogram("apcm_shard_fanout_latency_ns", "per-call latency of fanning one event or batch out to every shard"),
 		mergeLatency: reg.Histogram("apcm_shard_merge_latency_ns", "per-call latency of merging per-shard results into the caller's buffer"),
 		events:       make([]shardCounter, len(g.shards)),
+		coldstart:    coldstart.NewMetrics(reg),
 	}
 	g.met = m
 

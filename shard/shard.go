@@ -98,9 +98,10 @@ type Options struct {
 
 	// Metrics, when non-nil, receives the group's instrumentation:
 	// per-shard event counters, fan-out and merge latency histograms,
-	// per-shard subscription/cost gauges and the imbalance ratio. Nil —
-	// the default — keeps the fan-out path free of timestamps and
-	// atomics, mirroring the engine's discipline.
+	// per-shard subscription/cost gauges, the imbalance ratio and the
+	// apcm_coldstart_* restore instruments. Nil — the default — keeps
+	// the fan-out path free of timestamps and atomics, mirroring the
+	// engine's discipline.
 	Metrics *metrics.Registry
 }
 

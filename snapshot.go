@@ -7,11 +7,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sync"
-	"time"
 
 	"github.com/streammatch/apcm/expr"
+	"github.com/streammatch/apcm/internal/coldstart"
 	"github.com/streammatch/apcm/trace"
 )
 
@@ -130,276 +128,36 @@ func (e *Engine) RestoreSubscriptions(path string) (int, error) {
 	return e.LoadSubscriptions(f)
 }
 
-// Cold-start load tuning. Records are subscribed in chunks — one write
-// lock and one compiled-cluster batch append per chunk — and the
-// pipelined path ships raw byte chunks of the same grain from the
-// reader goroutine to the decode workers.
-const (
-	loadChunkRecords = 512
-	loadChunkBytes   = 64 << 10
-)
-
 // LoadSubscriptions reads a trace written by SaveSubscriptions (or by
 // cmd/apcm-gen) and subscribes every expression. The id allocator is
-// advanced past the largest loaded id so NewID never collides with a
-// restored subscription. It returns the number of subscriptions loaded;
-// on error, subscriptions read before the failure remain subscribed.
+// advanced past the largest id read, also on a partial load, so NewID
+// never collides with a restored subscription. It returns the number of
+// subscriptions loaded; on error, the subscriptions before the failing
+// record remain subscribed.
 //
-// The restore is the engine's cold-start path and is built for volume:
-// expressions decode through slab allocation (see expr.SlabDecoder) and
-// subscribe in chunks under one write lock each, and on multi-core
-// hosts reading, decoding and index insertion run as a pipeline —
-// a reader goroutine streams raw records to parallel decode workers
-// while the caller inserts decoded chunks in trace order. The plain
+// The restore is the engine's cold-start path and is built for volume
+// (see internal/coldstart): the calling goroutine reads and slab-decodes
+// records (see expr.SlabDecoder) while one insert goroutine subscribes
+// them in trace order, in chunks under one write lock each. The plain
 // one-record-at-a-time loop it is measured against is E20's baseline in
 // internal/bench (see EXPERIMENTS.md E20).
 func (e *Engine) LoadSubscriptions(r io.Reader) (int, error) {
-	done := e.coldstartBegin()
-	n, err := e.loadSubscriptions(r)
-	done(n)
+	var m *coldstart.Metrics
+	if e.met != nil {
+		m = e.met.coldstart
+	}
+	n, maxID, err := coldstart.Load(r, m, []coldstart.Insert{e.SubscribeBulk}, nil)
+	e.advanceID(maxID)
 	return n, err
 }
 
-// coldstartBegin starts cold-start instrumentation and returns the
-// completion hook. A nil metrics registry costs one nil check.
-func (e *Engine) coldstartBegin() func(n int) {
-	m := e.met
-	if m == nil {
-		return func(int) {}
-	}
-	start := time.Now()
-	return func(n int) {
-		m.coldstartRestores.Inc()
-		m.coldstartSubs.Add(int64(n))
-		m.coldstartLatency.ObserveDuration(time.Since(start))
-	}
-}
-
-// idAdvancer returns a deferred allocator bump: advance past every
-// restored id — also on a partial load, so NewID never collides with a
-// subscription that survived a failed restore.
-func (e *Engine) idAdvancer(maxID *expr.ID) func() {
-	return func() {
-		for {
-			cur := e.nextID.Load()
-			if cur >= uint64(*maxID) || e.nextID.CompareAndSwap(cur, uint64(*maxID)) {
-				return
-			}
-		}
-	}
-}
-
-func (e *Engine) loadSubscriptions(r io.Reader) (int, error) {
-	tr, err := trace.NewReader(r)
-	if err != nil {
-		return 0, err
-	}
-	if tr.Kind() != trace.KindExpressions {
-		return 0, fmt.Errorf("apcm: trace holds %q records, want expressions", tr.Kind())
-	}
-	workers := loadDecodeWorkers()
-	if workers <= 1 {
-		return e.loadChunked(tr)
-	}
-	return e.loadPipelined(tr, workers)
-}
-
-// loadDecodeWorkers sizes the pipelined restore: the reader and the
-// inserter occupy one core between them, decode workers take the rest,
-// and past a handful of decoders the single inserter is the bottleneck
-// anyway. On a single-core host the pipeline would only add scheduling
-// overhead, so the chunked inline path runs instead.
-func loadDecodeWorkers() int {
-	n := runtime.GOMAXPROCS(0) - 1
-	if n > 4 {
-		n = 4
-	}
-	return n
-}
-
-// loadChunked is the single-goroutine restore: slab-decoded records
-// accumulate into chunks subscribed under one write lock each.
-func (e *Engine) loadChunked(tr *trace.Reader) (int, error) {
-	n := 0
-	var maxID expr.ID
-	defer e.idAdvancer(&maxID)()
-	var dec expr.SlabDecoder
-	chunk := make([]*expr.Expression, 0, loadChunkRecords)
-	flush := func() error {
-		k, err := e.SubscribeBulk(chunk)
-		for _, x := range chunk[:k] {
-			if x.ID > maxID {
-				maxID = x.ID
-			}
-		}
-		n += k
-		chunk = chunk[:0]
-		return err
-	}
+// advanceID lifts the id allocator to at least id, so NewID never
+// collides with a restored subscription id.
+func (e *Engine) advanceID(id expr.ID) {
 	for {
-		x, err := tr.ReadExpressionSlab(&dec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			if ferr := flush(); ferr != nil {
-				return n, ferr
-			}
-			return n, err
-		}
-		chunk = append(chunk, x)
-		if len(chunk) == loadChunkRecords {
-			if err := flush(); err != nil {
-				return n, err
-			}
+		cur := e.nextID.Load()
+		if cur >= uint64(id) || e.nextID.CompareAndSwap(cur, uint64(id)) {
+			return
 		}
 	}
-	return n, flush()
-}
-
-// rawChunk is a batch of undecoded records on the reader→decoder hop:
-// buf holds the concatenated payloads, ends the cumulative end offset
-// of each record. seq is the chunk's position in trace order.
-type rawChunk struct {
-	seq  int
-	buf  []byte
-	ends []int
-}
-
-// decChunk is a batch of decoded expressions on the decoder→inserter
-// hop. err, when non-nil, is the decode failure on the record after
-// xs — the records before it decoded cleanly and are still loaded,
-// matching the sequential path's stop-at-first-bad-record semantics.
-type decChunk struct {
-	seq int
-	xs  []*expr.Expression
-	err error
-}
-
-// loadPipelined is the multi-core restore: a reader goroutine streams
-// raw record chunks, workers decode them in parallel (each with its own
-// slab decoder), and the calling goroutine re-orders completed chunks
-// by sequence number and subscribes them in trace order — so error
-// positions, partial-load counts and id-allocator behaviour are
-// identical to the sequential path.
-func (e *Engine) loadPipelined(tr *trace.Reader, workers int) (int, error) {
-	n := 0
-	var maxID expr.ID
-	defer e.idAdvancer(&maxID)()
-
-	raw := make(chan rawChunk, workers)
-	dec := make(chan decChunk, workers)
-
-	// Reader: batch raw records. rerr is safely published to the caller
-	// through the close(raw) → wg.Wait → close(dec) chain.
-	var rerr error
-	go func() {
-		defer close(raw)
-		seq := 0
-		buf := make([]byte, 0, loadChunkBytes)
-		var ends []int
-		flush := func() {
-			if len(ends) == 0 {
-				return
-			}
-			raw <- rawChunk{seq: seq, buf: buf, ends: ends}
-			seq++
-			buf = make([]byte, 0, loadChunkBytes)
-			ends = nil
-		}
-		for {
-			nbuf, err := tr.ReadRawRecord(buf)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				rerr = err
-				break
-			}
-			buf = nbuf
-			ends = append(ends, len(buf))
-			if len(ends) >= loadChunkRecords || len(buf) >= loadChunkBytes {
-				flush()
-			}
-		}
-		flush()
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sd expr.SlabDecoder
-			for c := range raw {
-				out := decChunk{seq: c.seq, xs: make([]*expr.Expression, 0, len(c.ends))}
-				prev := 0
-				for _, end := range c.ends {
-					rec := c.buf[prev:end]
-					x, k, err := sd.Decode(rec)
-					if err != nil {
-						out.err = fmt.Errorf("trace: corrupt record: %w", err)
-						break
-					}
-					if k != len(rec) {
-						out.err = fmt.Errorf("trace: record decoded %d of %d bytes", k, len(rec))
-						break
-					}
-					out.xs = append(out.xs, x)
-					prev = end
-				}
-				dec <- out
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(dec)
-	}()
-
-	// Inserter: re-order chunks by seq and subscribe in trace order. The
-	// first error freezes insertion but the channels drain fully so the
-	// reader and workers always terminate.
-	var lerr error
-	next := 0
-	pending := make(map[int]decChunk)
-	insert := func(c decChunk) {
-		if lerr == nil {
-			k, err := e.SubscribeBulk(c.xs)
-			for _, x := range c.xs[:k] {
-				if x.ID > maxID {
-					maxID = x.ID
-				}
-			}
-			n += k
-			if err != nil {
-				lerr = err
-			} else if c.err != nil {
-				lerr = c.err
-			}
-		}
-	}
-	for c := range dec {
-		if c.seq != next {
-			pending[c.seq] = c
-			continue
-		}
-		insert(c)
-		next++
-		for {
-			c, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			insert(c)
-			next++
-		}
-	}
-	if lerr == nil && rerr != nil {
-		// The reader fails strictly after the records it already chunked,
-		// so a reader error is positionally last.
-		lerr = rerr
-	}
-	return n, lerr
 }

@@ -2,10 +2,12 @@ package apcm_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"runtime"
 	"sort"
 	"testing"
+	"testing/iotest"
 
 	"github.com/streammatch/apcm"
 	"github.com/streammatch/apcm/expr"
@@ -36,7 +38,7 @@ func sortedIDs(ids []expr.ID) []expr.ID {
 }
 
 // loadSequential is the restore oracle: one ReadExpression and one
-// Subscribe per record, no chunking, slab decoding or pipelining. Like
+// Subscribe per record, no chunking, slab decoding or insert goroutine. Like
 // LoadSubscriptions it keeps the prefix before a failure and advances
 // the id allocator past it (by drawing ids until NewID clears the
 // largest one loaded).
@@ -108,31 +110,48 @@ func checkLoadEquivalence(t *testing.T, data []byte, events []*expr.Event,
 	}
 }
 
-// TestLoadSubscriptionsChunked: the chunked slab-decoding restore (the
-// single-core path) is observationally identical to the sequential
-// loop.
+// atProcs runs fn as one subtest per GOMAXPROCS setting. The restore
+// takes the same code path at every setting, but the interleaving of
+// its reader and insert goroutines differs.
+func atProcs(t *testing.T, fn func(t *testing.T)) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			fn(t)
+		})
+	}
+}
+
+// TestLoadSubscriptionsChunked: the restore — slab decode on the reader,
+// 512-record SubscribeBulk chunks on the insert goroutine — is
+// observationally identical to the sequential loop.
 func TestLoadSubscriptionsChunked(t *testing.T) {
 	data, events := loadTestTrace(t, 3000, 200)
-	checkLoadEquivalence(t, data, events, func(e *apcm.Engine, data []byte) (int, error) {
-		return e.LoadSubscriptions(bytes.NewReader(data))
+	atProcs(t, func(t *testing.T) {
+		checkLoadEquivalence(t, data, events, func(e *apcm.Engine, data []byte) (int, error) {
+			return e.LoadSubscriptions(bytes.NewReader(data))
+		})
 	})
 }
 
-// TestLoadSubscriptionsPipelined: the reader/decoder/inserter pipeline
-// (the multi-core path, forced here by raising GOMAXPROCS) is
-// observationally identical to the sequential loop.
+// TestLoadSubscriptionsPipelined: the same equivalence when the source
+// yields one byte per Read, so the reader stalls mid-record while the
+// insert goroutine drains the chunks queued ahead of it.
 func TestLoadSubscriptionsPipelined(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	data, events := loadTestTrace(t, 3000, 200)
-	checkLoadEquivalence(t, data, events, func(e *apcm.Engine, data []byte) (int, error) {
-		return e.LoadSubscriptions(bytes.NewReader(data))
+	atProcs(t, func(t *testing.T) {
+		checkLoadEquivalence(t, data, events, func(e *apcm.Engine, data []byte) (int, error) {
+			return e.LoadSubscriptions(iotest.OneByteReader(bytes.NewReader(data)))
+		})
 	})
 }
 
-// loadPartialCases exercises every loader flavour against the two
-// partial-failure shapes: a duplicate id mid-trace (insert failure) and
-// a truncated tail (read failure). All flavours must keep the prefix,
-// report its exact size, and advance the id allocator past it.
+// loadPartialCases holds a loader to the partial-failure contract under
+// three shapes: a duplicate id mid-trace (insert failure), a truncated
+// tail (read failure), and a duplicate id in the fourth 512-record chunk
+// of a 3 000-record trace. Every shape must keep exactly the prefix
+// before the failing record, report its size, and advance the id
+// allocator past it.
 func loadPartialCases(t *testing.T, load func(e *apcm.Engine, data []byte) (int, error)) {
 	t.Helper()
 	xs := []*expr.Expression{
@@ -175,23 +194,65 @@ func loadPartialCases(t *testing.T, load func(e *apcm.Engine, data []byte) (int,
 	if id := trunc.NewID(); id <= 800 {
 		t.Fatalf("NewID = %d after a truncated load of ids 700, 800, want > 800", id)
 	}
+
+	// Record 1 700 repeats record 6's id: chunks 1–3 load whole, chunk 4
+	// up to the duplicate, and nothing after it.
+	p := workload.Default()
+	p.Seed = 19
+	long := workload.MustNew(p).Expressions(3000)
+	dup := *long[1699]
+	dup.ID = long[5].ID
+	long[1699] = &dup
+	var lbuf bytes.Buffer
+	if err := writeExpressionTrace(&lbuf, long); err != nil {
+		t.Fatal(err)
+	}
+	multi := apcm.MustNew(apcm.Options{Workers: 1})
+	defer multi.Close()
+	n, err = load(multi, lbuf.Bytes())
+	if err == nil {
+		t.Fatal("multi-chunk duplicate-id trace loaded without error")
+	}
+	if n != 1699 || multi.Len() != 1699 {
+		t.Fatalf("loaded %d (Len %d) before record 1700's duplicate, want 1699", n, multi.Len())
+	}
+	var maxID expr.ID
+	for _, x := range long[:1699] {
+		maxID = max(maxID, x.ID)
+	}
+	if id := multi.NewID(); id <= maxID {
+		t.Fatalf("NewID = %d after loading ids up to %d", id, maxID)
+	}
+	for i, x := range long {
+		if i == 1699 {
+			continue
+		}
+		if got, want := multi.Unsubscribe(x.ID), i < 1699; got != want {
+			t.Fatalf("record %d (id %d): loaded = %v, want %v", i+1, x.ID, got, want)
+		}
+	}
 }
 
 func TestLoadSubscriptionsChunkedPartial(t *testing.T) {
-	loadPartialCases(t, func(e *apcm.Engine, data []byte) (int, error) {
-		return e.LoadSubscriptions(bytes.NewReader(data))
+	atProcs(t, func(t *testing.T) {
+		loadPartialCases(t, func(e *apcm.Engine, data []byte) (int, error) {
+			return e.LoadSubscriptions(bytes.NewReader(data))
+		})
 	})
 }
 
+// TestLoadSubscriptionsPipelinedPartial holds the one-byte-read source
+// of TestLoadSubscriptionsPipelined to the partial-failure contract.
 func TestLoadSubscriptionsPipelinedPartial(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	loadPartialCases(t, func(e *apcm.Engine, data []byte) (int, error) {
-		return e.LoadSubscriptions(bytes.NewReader(data))
+	atProcs(t, func(t *testing.T) {
+		loadPartialCases(t, func(e *apcm.Engine, data []byte) (int, error) {
+			return e.LoadSubscriptions(iotest.OneByteReader(bytes.NewReader(data)))
+		})
 	})
 }
 
 // TestLoadSubscriptionsSequentialPartial holds the oracle to the same
-// partial-failure contract as the loaders it checks.
+// partial-failure contract as the loader it checks.
 func TestLoadSubscriptionsSequentialPartial(t *testing.T) {
 	loadPartialCases(t, loadSequential)
 }

@@ -199,40 +199,6 @@ func (t *Reader) fill(decode func([]byte) (int, error)) error {
 	return nil
 }
 
-// ReadRawRecord appends the next record's undecoded payload to dst and
-// returns the extended slice, or io.EOF when the trace is exhausted.
-// The caller takes over decoding and validation; pipelined loaders use
-// it to move decode work off the reader goroutine. Expression payloads
-// are routable without decoding: the expression id, the predicate
-// count, and the first predicate's attribute are the leading uvarints
-// (predicates are stored attribute-sorted, so the first is the
-// minimum).
-func (t *Reader) ReadRawRecord(dst []byte) ([]byte, error) {
-	if t.left == 0 {
-		return dst, io.EOF
-	}
-	size, err := binary.ReadUvarint(t.r)
-	if err != nil {
-		return dst, fmt.Errorf("trace: truncated record length (%d records remaining): %w", t.left, err)
-	}
-	if size > maxRecord {
-		return dst, fmt.Errorf("trace: record of %d bytes exceeds %d; corrupt stream", size, maxRecord)
-	}
-	head := len(dst)
-	need := head + int(size)
-	if cap(dst) < need {
-		grown := make([]byte, head, need+need/2)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:need]
-	if _, err := io.ReadFull(t.r, dst[head:]); err != nil {
-		return dst[:head], fmt.Errorf("trace: truncated record body: %w", err)
-	}
-	t.left--
-	return dst, nil
-}
-
 // ReadExpression returns the next expression record, or io.EOF when the
 // trace is exhausted.
 func (t *Reader) ReadExpression() (*expr.Expression, error) {
@@ -251,7 +217,7 @@ func (t *Reader) ReadExpression() (*expr.Expression, error) {
 }
 
 // ReadExpressionSlab is ReadExpression decoding through dec's shared
-// slabs (see expr.SlabDecoder): the sequential restore path uses it to
+// slabs (see expr.SlabDecoder): the cold-start restore uses it to
 // amortize the per-record decode allocations that dominate cold start.
 func (t *Reader) ReadExpressionSlab(dec *expr.SlabDecoder) (*expr.Expression, error) {
 	if t.kind != KindExpressions {
