@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fault fault-repl fuzz lint lint-json lint-smoke lint-baseline bench-smoke clean
+.PHONY: all build test race fault fault-repl fuzz lint lint-json lint-smoke lint-baseline bench-smoke loc clean
 
 all: build lint test
 
@@ -42,7 +42,7 @@ fault-repl:
 
 # Short smoke runs of every fuzz target: decoder hardening for the wire
 # formats (expression/event frames, trace files, checkpoint files,
-# commit-log batches). CI runs the same; longer local sessions:
+# commit-log batches, server frames as the client reads them). CI runs the same; longer local sessions:
 #   go test -fuzz FuzzScanner -fuzztime 5m ./internal/commitlog/
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeExpression -fuzztime 10s ./expr/
@@ -50,6 +50,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadTrace -fuzztime 10s ./trace/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSubscriptions -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzScanner -fuzztime 30s ./internal/commitlog/
+	$(GO) test -run '^$$' -fuzz FuzzClientFrame -fuzztime 10s ./broker/
 
 # The apcm analyzer suite (internal/lint) over the whole module.
 # Findings listed in .apcm-lint-baseline are reported but tolerated;
@@ -80,6 +81,11 @@ lint-smoke:
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/commitlog/
+
+# Non-test Go lines: tracked .go files minus vendor/, _test.go files and
+# testdata/. Informational; code-diet changes quote this number.
+loc:
+	@git ls-files '*.go' | grep -v -e '^vendor/' -e '_test\.go$$' -e 'testdata/' | xargs cat | wc -l
 
 clean:
 	rm -f apcm-lint apcm-lint.json

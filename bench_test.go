@@ -20,7 +20,6 @@ import (
 	"github.com/streammatch/apcm/broker"
 	"github.com/streammatch/apcm/expr"
 	"github.com/streammatch/apcm/internal/osr"
-	"github.com/streammatch/apcm/internal/stats"
 	"github.com/streammatch/apcm/metrics"
 	"github.com/streammatch/apcm/shard"
 	"github.com/streammatch/apcm/trace"
@@ -319,13 +318,13 @@ func BenchmarkE19ShardSweep(b *testing.B) {
 			grp.MatchBatchInto(events[:batch], &r) // warm
 			// p99 of the single-event path, sampled before the timed
 			// batch loop so it never perturbs the throughput number.
-			h := stats.NewLatencyHistogram()
+			h := metrics.NewLatencyHistogram()
 			var dst []expr.ID
 			for i := 0; i < 2000; i++ {
 				ev := events[i%len(events)]
 				t0 := time.Now()
 				dst = grp.MatchAppend(dst[:0], ev)
-				h.AddDuration(time.Since(t0))
+				h.ObserveDuration(time.Since(t0))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

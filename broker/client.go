@@ -240,36 +240,8 @@ func (c *Client) deliverAck(r ackResult) {
 }
 
 func (c *Client) handleMatch(body []byte) error {
-	n, rest, err := readUvarint(body)
-	if err != nil {
-		return err
-	}
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i], rest, err = readUvarint(rest)
-		if err != nil {
-			return err
-		}
-	}
-	ev, used, err := expr.DecodeEvent(rest)
-	if err != nil {
-		return err
-	}
-	if used != len(rest) {
-		return fmt.Errorf("broker: trailing bytes in match frame")
-	}
-	c.mu.Lock()
-	hs := make([]Handler, 0, len(ids))
-	for _, id := range ids {
-		if h, ok := c.handlers[id]; ok {
-			hs = append(hs, h)
-		}
-	}
-	c.mu.Unlock()
-	for _, h := range hs {
-		h(ev)
-	}
-	return nil
+	_, err := c.dispatch(body)
+	return err
 }
 
 // handleDurable dispatches one durable delivery: subscription handlers,
@@ -282,23 +254,43 @@ func (c *Client) handleDurable(body []byte) error {
 	if err != nil {
 		return err
 	}
-	n, rest, err := readUvarint(rest)
+	ev, err := c.dispatch(rest)
 	if err != nil {
 		return err
+	}
+	if f := c.opts.OnDurable; f != nil {
+		f(off, ev)
+	}
+	if !c.opts.DisableAutoAck {
+		return c.AckOffset(off)
+	}
+	return nil
+}
+
+// dispatch decodes the delivery body shared by 'M' and 'D' frames — the
+// matched subscription ids, then the event, with no trailing bytes —
+// and runs the handler of every id this client still holds.
+func (c *Client) dispatch(body []byte) (*expr.Event, error) {
+	n, rest, err := readUvarint(body)
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(len(rest)) {
+		return nil, fmt.Errorf("broker: delivery names %d ids in %d bytes", n, len(rest))
 	}
 	ids := make([]uint64, n)
 	for i := range ids {
 		ids[i], rest, err = readUvarint(rest)
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 	ev, used, err := expr.DecodeEvent(rest)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if used != len(rest) {
-		return fmt.Errorf("broker: trailing bytes in durable frame")
+		return nil, fmt.Errorf("broker: trailing bytes in delivery frame")
 	}
 	c.mu.Lock()
 	hs := make([]Handler, 0, len(ids))
@@ -311,13 +303,7 @@ func (c *Client) handleDurable(body []byte) error {
 	for _, h := range hs {
 		h(ev)
 	}
-	if f := c.opts.OnDurable; f != nil {
-		f(off, ev)
-	}
-	if !c.opts.DisableAutoAck {
-		return c.AckOffset(off)
-	}
-	return nil
+	return ev, nil
 }
 
 // waitHello blocks until the version handshake completes (or the
@@ -344,13 +330,10 @@ func (c *Client) ServerVersion() int { return int(c.version.Load()) }
 // max(from, last acknowledged offset, retention floor) — returned as
 // the effective start offset — and then streams live matches durably:
 // each is committed to the broker's log before delivery and carries its
-// offset. Requires a version-2 broker with durability enabled.
+// offset. Requires a broker with durability enabled.
 func (c *Client) Resume(consumer string, from uint64) (uint64, error) {
 	if err := c.waitHello(); err != nil {
 		return 0, err
-	}
-	if v := c.ServerVersion(); v < 2 {
-		return 0, fmt.Errorf("broker: server speaks protocol %d; durable resume needs 2", v)
 	}
 	frame := appendUvarint([]byte{msgResume}, 0)
 	frame = appendUvarint(frame, from)

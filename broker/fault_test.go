@@ -575,29 +575,32 @@ func TestHeartbeatReapsSilentConnection(t *testing.T) {
 }
 
 // TestVersionMismatchRejected: a hello below MinProtocolVersion gets an
-// explanatory error frame, then the connection is closed. (Versions
+// explanatory error frame, then the connection is closed. Every version
+// under the floor is refused, including the retired 1 and 2. (Versions
 // above ProtocolVersion negotiate down instead; see
 // TestVersionNegotiatesDown.)
 func TestVersionMismatchRejected(t *testing.T) {
 	_, addr := startServer(t)
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	if err := writeFrame(nc, []byte{msgHello, 0}); err != nil {
-		t.Fatal(err)
-	}
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	reply, err := readFrame(nc, nil)
-	if err != nil {
-		t.Fatalf("no error frame before close: %v", err)
-	}
-	if reply[0] != msgErr {
-		t.Fatalf("reply type %q, want error frame", reply[0])
-	}
-	if _, err := readFrame(nc, nil); err == nil {
-		t.Fatal("connection survived version mismatch")
+	for v := byte(0); v < MinProtocolVersion; v++ {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(nc, []byte{msgHello, v}); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		reply, err := readFrame(nc, nil)
+		if err != nil {
+			t.Fatalf("version %d: no error frame before close: %v", v, err)
+		}
+		if reply[0] != msgErr {
+			t.Fatalf("version %d: reply type %q, want error frame", v, reply[0])
+		}
+		if _, err := readFrame(nc, nil); err == nil {
+			t.Fatalf("version %d: connection survived version mismatch", v)
+		}
+		nc.Close()
 	}
 }
 

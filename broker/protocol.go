@@ -110,8 +110,9 @@ const ProtocolVersion = 3
 
 // MinProtocolVersion is the oldest revision the server still accepts;
 // clients announcing anything in [MinProtocolVersion, ∞) negotiate
-// down to min(theirs, ProtocolVersion).
-const MinProtocolVersion = 1
+// down to min(theirs, ProtocolVersion). It equals ProtocolVersion: every
+// connection speaks the full frame set, so no frame is gated by version.
+const MinProtocolVersion = 3
 
 // Message type bytes.
 const (

@@ -149,9 +149,6 @@ func (c *conn) sendChunked(typ byte, data []byte) bool {
 // offset-journal goroutines. The read loop keeps running to consume
 // the follower's acks and pings.
 func (c *conn) handleReplHello(body []byte) error {
-	if c.version < 3 {
-		return fmt.Errorf("repl-hello frame on protocol %d connection", c.version)
-	}
 	s := c.s
 	peerEpoch, rest, err := readUvarint(body)
 	if err != nil {

@@ -176,10 +176,9 @@ type conn struct {
 	outbox chan outFrame
 	done   chan struct{}
 	closeO sync.Once
-	// hello flips after a valid version handshake; version is the
-	// negotiated protocol revision. Only the read loop touches them.
-	hello   bool
-	version byte
+	// hello flips after a valid version handshake. Only the read loop
+	// touches it.
+	hello bool
 	// enqueued/written frame counts, a frame dropped after a failed
 	// commit counting as written; their equality is the drain condition
 	// in Shutdown (an empty outbox alone would miss the frame the writer
@@ -690,14 +689,8 @@ func (c *conn) handle(frame []byte) error {
 		c.send([]byte{msgPong})
 		return nil
 	case msgResume:
-		if c.version < 2 {
-			return fmt.Errorf("resume frame on protocol %d connection", c.version)
-		}
 		return c.handleResume(frame[1:])
 	case msgOffsetAck:
-		if c.version < 2 {
-			return fmt.Errorf("offset-ack frame on protocol %d connection", c.version)
-		}
 		return c.handleOffsetAck(frame[1:])
 	case msgReplHello:
 		return c.handleReplHello(frame[1:])
@@ -727,13 +720,10 @@ func (c *conn) handleHello(body []byte) error {
 		writeFrame(c.nc, frame)
 		return fmt.Errorf("client speaks protocol %d, want at least %d", body[0], MinProtocolVersion)
 	}
-	// Negotiate down to the highest revision both sides speak.
-	c.version = body[0]
-	if c.version > ProtocolVersion {
-		c.version = ProtocolVersion
-	}
+	// Negotiate down to the highest revision both sides speak, which the
+	// floor makes ProtocolVersion.
 	c.hello = true
-	c.send([]byte{msgHello, c.version})
+	c.send(helloFrame())
 	return nil
 }
 

@@ -93,7 +93,7 @@ type SessionConfig struct {
 	// connection the session establishes resumes it, so deliveries
 	// committed to the broker's log while the session was disconnected
 	// are replayed on reconnect and acknowledged offsets carry across
-	// both session and broker restarts. Requires a version-2 broker with
+	// both session and broker restarts. Requires a broker with
 	// durability enabled; the session tracks the highest acknowledged
 	// offset and resumes past it, with Client.OnDurable still observing
 	// every delivery.

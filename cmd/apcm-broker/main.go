@@ -20,7 +20,7 @@
 // every published event fans out to all of them in parallel, scaling
 // the matching tier across cores at large subscription counts. -workers
 // then sizes the fan-out pool rather than the engine's internal one,
-// and /stats gains a per-shard breakdown plus the imbalance ratio.
+// and /stats gains a per-shard breakdown.
 //
 // -metrics-addr turns on the full observability layer on a second
 // listener: /metrics (Prometheus text), /metrics.json, /healthz and
@@ -293,7 +293,7 @@ func main() {
 
 // engineStats flattens either engine flavour's Stats into the /stats
 // JSON body. A sharded broker additionally reports the per-shard
-// breakdown and the fan-out imbalance ratio.
+// breakdown.
 func engineStats(eng matcher) map[string]any {
 	switch e := eng.(type) {
 	case *apcm.Engine:
@@ -313,17 +313,14 @@ func engineStats(eng matcher) map[string]any {
 			per[s] = map[string]any{
 				"subscriptions": ss.Subscriptions,
 				"mem_bytes":     ss.MemBytes,
-				"cost_ns":       ss.CostNs,
 				"events":        ss.Events,
 			}
 		}
 		return map[string]any{
 			"shards":        st.Shards,
-			"strategy":      st.Strategy.String(),
 			"workers":       st.Workers,
 			"subscriptions": st.Subscriptions,
 			"mem_bytes":     st.MemBytes,
-			"imbalance":     st.Imbalance,
 			"per_shard":     per,
 		}
 	}

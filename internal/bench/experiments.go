@@ -11,7 +11,7 @@ import (
 	"github.com/streammatch/apcm/internal/core"
 	"github.com/streammatch/apcm/internal/match"
 	"github.com/streammatch/apcm/internal/osr"
-	"github.com/streammatch/apcm/internal/stats"
+	"github.com/streammatch/apcm/metrics"
 	"github.com/streammatch/apcm/workload"
 )
 
@@ -420,13 +420,13 @@ func e11() Experiment {
 					return err
 				}
 				l := newLoop(m)
-				h := stats.NewLatencyHistogram()
+				h := metrics.NewLatencyHistogram()
 				deadline := time.Now().Add(cfg.MinMeasure)
 				for i := 0; ; i++ {
 					k := i % len(events)
 					start := time.Now()
 					l.run(events[k : k+1])
-					h.AddDuration(time.Since(start))
+					h.ObserveDuration(time.Since(start))
 					// Collect at least 30 samples even if one pass already
 					// exceeds the deadline (slow baselines at large sizes).
 					if time.Now().After(deadline) && i >= 30 {
@@ -479,18 +479,18 @@ func e12() Experiment {
 				// Matching interleaved with churn: alternate one event with
 				// one delete+reinsert pair.
 				l := newLoop(m)
-				me := stats.NewMeter()
-				for i := 0; i < 200; i++ {
+				const churnEvents = 200
+				start = time.Now()
+				for i := 0; i < churnEvents; i++ {
 					k := i % len(events)
 					l.run(events[k : k+1])
-					me.Add(1)
 					x := xs[n+i%churn]
 					m.Delete(x.ID)
 					if err := m.Insert(x); err != nil {
 						return err
 					}
 				}
-				matchRate := me.Rate()
+				matchRate := churnEvents / time.Since(start).Seconds()
 
 				start = time.Now()
 				for _, x := range xs[n:] {

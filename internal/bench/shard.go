@@ -6,7 +6,7 @@ import (
 
 	"github.com/streammatch/apcm"
 	"github.com/streammatch/apcm/expr"
-	"github.com/streammatch/apcm/internal/stats"
+	"github.com/streammatch/apcm/metrics"
 	"github.com/streammatch/apcm/shard"
 	"github.com/streammatch/apcm/workload"
 )
@@ -29,7 +29,7 @@ var defaultShardCounts = []int{1, 2, 4, 8, 16}
 // single-event path — the one a broker publish takes — not the batch
 // kernel the throughput numbers drive.
 func groupP99(m *shard.Group, events []*expr.Event, minDur time.Duration) float64 {
-	h := stats.NewLatencyHistogram()
+	h := metrics.NewLatencyHistogram()
 	var dst []expr.ID
 	for _, ev := range events[:min(64, len(events))] { // warm
 		dst = m.MatchAppend(dst[:0], ev)
@@ -39,12 +39,25 @@ func groupP99(m *shard.Group, events []*expr.Event, minDur time.Duration) float6
 		ev := events[i%len(events)]
 		t0 := time.Now()
 		dst = m.MatchAppend(dst[:0], ev)
-		h.AddDuration(time.Since(t0))
+		h.ObserveDuration(time.Since(t0))
 		if h.Count() >= 1<<20 {
 			break
 		}
 	}
 	return h.Quantile(0.99)
+}
+
+// occupancyImbalance is the max/avg per-shard subscription count of a
+// group: 1.0 means hash routing spread the subscriptions evenly.
+func occupancyImbalance(st shard.Stats) float64 {
+	if st.Subscriptions == 0 {
+		return 0
+	}
+	most := 0
+	for _, ss := range st.PerShard {
+		most = max(most, ss.Subscriptions)
+	}
+	return float64(most) * float64(len(st.PerShard)) / float64(st.Subscriptions)
 }
 
 // buildGroup streams nsubs workload expressions into a fresh group and
@@ -98,7 +111,7 @@ func e19() Experiment {
 			p.PlantPoolSize = 65536
 
 			t := NewTable("E19: shard.Group match throughput, subscriptions × shards",
-				"subs", "shards", "events/s", "p99 µs", "vs 1 shard", "imbalance")
+				"subs", "shards", "events/s", "p99 µs", "vs 1 shard", "occupancy max/avg")
 			for _, nsubs := range sizes {
 				nev := cfg.n(2000, 200)
 				if nev > nsubs {
@@ -114,7 +127,7 @@ func e19() Experiment {
 					var r apcm.BatchResult
 					rate, _ := replay(events, 256, cfg.MinMeasure, func(b []*expr.Event) { grp.MatchBatchInto(b, &r) })
 					p99 := groupP99(grp, events, cfg.MinMeasure/4)
-					imb := grp.Stats().Imbalance
+					occ := occupancyImbalance(grp.Stats())
 					grp.Close()
 					if sc == shardCounts[0] {
 						base = rate
@@ -125,7 +138,7 @@ func e19() Experiment {
 					}
 					t.AddRow(fmt.Sprintf("%d", nsubs), fmt.Sprintf("%d", sc),
 						FormatRate(rate), fmt.Sprintf("%.1f", p99/1e3),
-						speedup, fmt.Sprintf("%.2f", imb))
+						speedup, fmt.Sprintf("%.2f", occ))
 				}
 			}
 			emit(cfg, t)

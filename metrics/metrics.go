@@ -15,9 +15,9 @@
 //	hits.Inc()
 //	lat.ObserveDuration(time.Since(start))
 //
-// Histograms use the same exponential bucketing as internal/stats
-// (bucket i covers [base·growth^i, base·growth^(i+1))), trading ~9%
-// quantile resolution for a fixed footprint and wait-free recording.
+// Histograms use exponential bucketing (bucket i covers
+// [base·growth^i, base·growth^(i+1))), trading ~9% quantile resolution
+// for a fixed footprint and wait-free recording.
 package metrics
 
 import (
@@ -117,8 +117,7 @@ func NewHistogram(base, growth float64, n int) *Histogram {
 }
 
 // NewLatencyHistogram returns the standard latency histogram: nanosecond
-// samples, 100ns to ~100s, ~9% resolution (the same shape as
-// internal/stats.NewLatencyHistogram, with atomic buckets).
+// samples, 100ns to ~100s, ~9% resolution.
 func NewLatencyHistogram() *Histogram {
 	return NewHistogram(100, 1.09, 240)
 }

@@ -2,14 +2,14 @@ package metrics
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/streammatch/apcm/internal/stats"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -53,37 +53,68 @@ func TestNilSafety(t *testing.T) {
 	r.StartLogger(time.Millisecond, nil)()
 }
 
-// TestHistogramMatchesStats cross-checks the atomic histogram against
-// the internal/stats reference implementation on identical samples: the
-// bucketing is shared, so counts, means and quantiles must agree.
+// TestHistogramMatchesStats checks the histogram against exact order
+// statistics of the same samples. Every sample is at or above the base,
+// so each quantile estimate is the upper edge of the bucket holding the
+// exact quantile: never below it, and at most one growth factor (1.09)
+// above it. Count, mean and max are exact.
 func TestHistogramMatchesStats(t *testing.T) {
 	h := NewLatencyHistogram()
-	ref := stats.NewLatencyHistogram()
 	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 20000; i++ {
+	samples := make([]float64, 20000)
+	var sum float64
+	for i := range samples {
 		// Log-uniform over ~6 decades, the shape of real latency data.
-		x := float64(int64(50 * (1 + rng.ExpFloat64()*2000)))
+		x := math.Floor(100 * math.Exp(rng.Float64()*math.Log(1e6)))
+		samples[i] = x
+		sum += x
 		h.Observe(x)
-		ref.Add(x)
 	}
-	if h.Count() != ref.Count() {
-		t.Fatalf("count %d vs %d", h.Count(), ref.Count())
+	sort.Float64s(samples)
+	if h.Count() != int64(len(samples)) {
+		t.Fatalf("count %d, want %d", h.Count(), len(samples))
 	}
-	if h.Mean() != ref.Mean() {
-		t.Fatalf("mean %v vs %v", h.Mean(), ref.Mean())
+	if want := sum / float64(len(samples)); h.Mean() != want {
+		t.Fatalf("mean %v, want %v", h.Mean(), want)
 	}
-	if h.Max() != ref.Max() {
-		t.Fatalf("max %v vs %v", h.Max(), ref.Max())
+	if want := samples[len(samples)-1]; h.Max() != want {
+		t.Fatalf("max %v, want %v", h.Max(), want)
 	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.95, 0.99, 1} {
-		got, want := h.Quantile(q), ref.Quantile(q)
-		// Identical bucket boundaries: tolerate only float evaluation
-		// differences (the two implementations compute the upper edge
-		// with different expressions).
-		if got < want*0.999 || got > want*1.001 {
-			t.Fatalf("q%.2f: %v vs reference %v", q, got, want)
+	for _, q := range []float64{0.001, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
+		rank := int(math.Ceil(q * float64(len(samples))))
+		exact := samples[rank-1]
+		if got := h.Quantile(q); got < exact || got > 1.09*exact {
+			t.Fatalf("q%v: %v, want within [%v, %v]", q, got, exact, 1.09*exact)
 		}
 	}
+}
+
+func TestHistogramEdges(t *testing.T) {
+	h := NewLatencyHistogram()
+	if h.Quantile(0.5) != 0 {
+		t.Fatal("empty quantile should be 0")
+	}
+	h.Observe(1) // below base
+	if q := h.Quantile(0.5); q != 100 {
+		t.Fatalf("under-base quantile = %f, want base", q)
+	}
+	h.Observe(1e18) // beyond last bucket: clamps
+	if h.Quantile(1.0) <= 0 {
+		t.Fatal("clamped quantile should be positive")
+	}
+	if h.Quantile(-1) != h.Quantile(0) {
+		t.Fatal("q<0 should clamp to 0")
+	}
+	_ = h.Quantile(2) // must not panic
+}
+
+func TestHistogramInvalidShapePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	NewHistogram(0, 2, 10)
 }
 
 func TestHistogramConcurrent(t *testing.T) {

@@ -47,7 +47,7 @@ func TestPrometheusExposition(t *testing.T) {
 	// and merge histograms carry observations.
 	grp := shard.MustNew(shard.Options{Shards: 3, Workers: 2, Metrics: reg})
 	defer grp.Close()
-	if _, err := grp.SubscribePreds(expr.Ge(1, 10)); err != nil {
+	if err := grp.Subscribe(expr.MustNew(grp.NewID(), expr.Ge(1, 10))); err != nil {
 		t.Fatal(err)
 	}
 	grp.Match(ev)
@@ -125,13 +125,11 @@ func TestPrometheusExposition(t *testing.T) {
 		"apcm_broker_log_flush_records",
 		"apcm_broker_log_fsync_latency_ns",
 		"apcm_shard_count",
-		"apcm_shard_imbalance",
 		"apcm_shard_group_subscriptions",
 		"apcm_shard_fanout_latency_ns",
 		"apcm_shard_merge_latency_ns",
 		"apcm_shard_subscriptions",
 		"apcm_shard_mem_bytes",
-		"apcm_shard_cost_ns",
 		"apcm_shard_events_total",
 	} {
 		if !seenType[want] {

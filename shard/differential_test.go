@@ -19,21 +19,19 @@ import (
 
 // diffConfig is one randomly drawn differential scenario.
 type diffConfig struct {
-	seed     int64
-	shards   int
-	workers  int
-	strategy shard.Strategy
-	nexprs   int
-	nevents  int
+	seed    int64
+	shards  int
+	workers int
+	nexprs  int
+	nevents int
 }
 
 func (c diffConfig) normalize() diffConfig {
 	if c.seed < 0 {
 		c.seed = -c.seed
 	}
-	c.shards = 2 + int(uint(c.shards)%7)   // 2..8
-	c.workers = 1 + int(uint(c.workers)%4) // 1..4
-	c.strategy = shard.Strategy(uint(c.strategy) % 2)
+	c.shards = 2 + int(uint(c.shards)%7)     // 2..8
+	c.workers = 1 + int(uint(c.workers)%4)   // 1..4
 	c.nexprs = 200 + int(uint(c.nexprs)%600) // 200..799
 	c.nevents = 40 + int(uint(c.nevents)%60) // 40..99
 	return c
@@ -52,7 +50,7 @@ func runDifferential(t *testing.T, c diffConfig) bool {
 
 	ref := apcm.MustNew(apcm.Options{Workers: 1})
 	defer ref.Close()
-	g := shard.MustNew(shard.Options{Shards: c.shards, Workers: c.workers, Strategy: c.strategy})
+	g := shard.MustNew(shard.Options{Shards: c.shards, Workers: c.workers})
 	defer g.Close()
 	for _, x := range xs {
 		if err := ref.Subscribe(x); err != nil {
@@ -120,14 +118,13 @@ func TestGroupMatchesEngineQuick(t *testing.T) {
 	if testing.Short() {
 		cfg.MaxCount = 3
 	}
-	f := func(seed int64, shards, workers, strat, nexprs, nevents int) bool {
+	f := func(seed int64, shards, workers, nexprs, nevents int) bool {
 		return runDifferential(t, diffConfig{
-			seed:     seed,
-			shards:   shards,
-			workers:  workers,
-			strategy: shard.Strategy(strat),
-			nexprs:   nexprs,
-			nevents:  nevents,
+			seed:    seed,
+			shards:  shards,
+			workers: workers,
+			nexprs:  nexprs,
+			nevents: nevents,
 		})
 	}
 	if err := quick.Check(f, cfg); err != nil {
@@ -136,12 +133,12 @@ func TestGroupMatchesEngineQuick(t *testing.T) {
 }
 
 // TestGroupMatchesEngineFixed pins the corner shapes the quick draw may
-// miss: 1 shard (pure delegation), shards > GOMAXPROCS, both strategies.
+// miss: 1 shard (pure delegation) and shards > GOMAXPROCS.
 func TestGroupMatchesEngineFixed(t *testing.T) {
 	for _, c := range []diffConfig{
-		{seed: 1, shards: -1, workers: 0, strategy: shard.HashID, nexprs: 100, nevents: 10},
-		{seed: 2, shards: 14, workers: 2, strategy: shard.AttrRange, nexprs: 300, nevents: 20},
-		{seed: 3, shards: 6, workers: 3, strategy: shard.HashID, nexprs: 500, nevents: 30},
+		{seed: 1, shards: -1, workers: 0, nexprs: 100, nevents: 10},
+		{seed: 2, shards: 14, workers: 2, nexprs: 300, nevents: 20},
+		{seed: 3, shards: 6, workers: 3, nexprs: 500, nevents: 30},
 	} {
 		if !runDifferential(t, c) {
 			t.Fatalf("fixed config %+v diverged", c)

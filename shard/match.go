@@ -10,46 +10,31 @@ import (
 
 // The fan-out hot path. Every event visits every shard (a match can
 // live anywhere), so one Match on the group is N engine matches plus a
-// merge. The per-call state — per-shard destination slices, the weight
-// snapshot RunWeighted slices lanes by, probe timings — lives in pooled
-// job values whose run callback is a method value bound once at
-// construction, so a steady-state fan-out allocates nothing: no
-// closures, no fresh slices, no timestamps off the probe path.
+// merge. The per-call state — per-shard destination slices or batch
+// results — lives in pooled job values whose run callback is a method
+// value bound once at construction, so a steady-state fan-out allocates
+// nothing: no closures, no fresh slices, and no timestamps unless
+// metrics are attached.
 
 // fanJob is the pooled per-call state of the single-event fan-out.
 type fanJob struct {
-	g       *Group
-	ev      *expr.Event
-	parts   [][]expr.ID // per-shard results, capacity retained across calls
-	weights []int64     // cost-EWMA snapshot handed to RunWeighted
-	durs    []int64     // per-shard timings, probe fan-outs only
-	probe   bool
-	run     func(worker, s int) // bound to matchShard once; reused
+	g     *Group
+	ev    *expr.Event
+	parts [][]expr.ID         // per-shard results, capacity retained across calls
+	run   func(worker, s int) // bound to matchShard once; reused
 }
 
 func newFanJob(g *Group) *fanJob {
-	n := len(g.shards)
-	j := &fanJob{
-		g:       g,
-		parts:   make([][]expr.ID, n),
-		weights: make([]int64, n),
-		durs:    make([]int64, n),
-	}
+	j := &fanJob{g: g, parts: make([][]expr.ID, len(g.shards))}
 	j.run = j.matchShard
 	return j
 }
 
 // matchShard matches the job's event on shard s into the shard's part
-// slice. On probe fan-outs the call is timed to feed the cost EWMA.
+// slice.
 //
 //apcm:hotpath
 func (j *fanJob) matchShard(_, s int) {
-	if j.probe {
-		start := time.Now()
-		j.parts[s] = j.g.shards[s].MatchAppend(j.parts[s][:0], j.ev)
-		j.durs[s] = int64(time.Since(start))
-		return
-	}
 	j.parts[s] = j.g.shards[s].MatchAppend(j.parts[s][:0], j.ev)
 }
 
@@ -65,32 +50,20 @@ func (j *fanJob) mergeInto(dst []expr.ID) []expr.ID {
 	return dst
 }
 
-// snapshotWeights copies the per-shard cost EWMAs into w for
-// RunWeighted. Unprobed shards weigh 1 (RunWeighted's floor), so a
-// fresh group starts evenly sliced.
-//
-//apcm:hotpath
-func (g *Group) snapshotWeights(w []int64) {
-	for s := range w {
-		w[s] = int64(g.costNs(s))
-	}
-}
-
-// runFan executes fn for every shard: across the worker pool with
-// cost-weighted lane slicing normally, inline on the calling goroutine
-// when the host has a single schedulable core. With GOMAXPROCS=1 the
-// pool's lanes just time-slice one core, so the fan-out would pay
-// goroutine handoff and wakeup latency per event for zero parallelism —
-// measurably slower than the plain loop (see EXPERIMENTS.md E19, the
-// subs=100k/shards=2 anomaly).
-func (g *Group) runFan(weights []int64, fn func(worker, s int)) {
+// runFan executes fn for every shard: across the worker pool normally,
+// inline on the calling goroutine when the host has a single
+// schedulable core. With GOMAXPROCS=1 the pool's lanes just time-slice
+// one core, so the fan-out would pay goroutine handoff and wakeup
+// latency per event for zero parallelism — measurably slower than the
+// plain loop (see EXPERIMENTS.md E19, the subs=100k/shards=2 anomaly).
+func (g *Group) runFan(fn func(worker, s int)) {
 	if runtime.GOMAXPROCS(0) == 1 {
-		for s := range weights {
+		for s := range g.shards {
 			fn(0, s)
 		}
 		return
 	}
-	g.pool.RunWeighted(weights, fn)
+	g.pool.Run(len(g.shards), fn)
 }
 
 // Match returns the ids of all subscriptions matching ev across every
@@ -101,9 +74,9 @@ func (g *Group) Match(ev *expr.Event) []expr.ID {
 
 // MatchAppend appends the ids of all subscriptions matching ev — on any
 // shard — to dst and returns it. The event is fanned out to every shard
-// over the group's worker pool, shards sliced across lanes by their
-// cost EWMAs, and the per-shard results merged in shard order. A
-// steady-state call with presized dst performs no heap allocation.
+// over the group's worker pool and the per-shard results merged in
+// shard order. A steady-state call with presized dst performs no heap
+// allocation.
 func (g *Group) MatchAppend(dst []expr.ID, ev *expr.Event) []expr.ID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -115,24 +88,17 @@ func (g *Group) MatchAppend(dst []expr.ID, ev *expr.Event) []expr.ID {
 	}
 	j := g.fanJobs.Get().(*fanJob)
 	j.ev = ev
-	j.probe = g.fanSeq.Add(1)&(probeEvery-1) == 0
-	g.snapshotWeights(j.weights)
 	if m := g.met; m != nil {
 		start := time.Now()
-		g.runFan(j.weights, j.run)
+		g.runFan(j.run)
 		fanned := time.Now()
 		dst = j.mergeInto(dst)
 		m.fanLatency.ObserveDuration(fanned.Sub(start))
 		m.mergeLatency.ObserveDuration(time.Since(fanned))
 		m.countEvents(1)
 	} else {
-		g.runFan(j.weights, j.run)
+		g.runFan(j.run)
 		dst = j.mergeInto(dst)
-	}
-	if j.probe {
-		for s, ns := range j.durs {
-			g.observeCost(s, ns)
-		}
 	}
 	j.ev = nil
 	g.fanJobs.Put(j)
@@ -143,23 +109,14 @@ func (g *Group) MatchAppend(dst []expr.ID, ev *expr.Event) []expr.ID {
 // reused BatchResult per shard, filled by that shard's batch kernel
 // over the whole event batch.
 type batchJob struct {
-	g       *Group
-	events  []*expr.Event
-	parts   []*apcm.BatchResult
-	weights []int64
-	durs    []int64
-	probe   bool
-	run     func(worker, s int)
+	g      *Group
+	events []*expr.Event
+	parts  []*apcm.BatchResult
+	run    func(worker, s int)
 }
 
 func newBatchJob(g *Group) *batchJob {
-	n := len(g.shards)
-	j := &batchJob{
-		g:       g,
-		parts:   make([]*apcm.BatchResult, n),
-		weights: make([]int64, n),
-		durs:    make([]int64, n),
-	}
+	j := &batchJob{g: g, parts: make([]*apcm.BatchResult, len(g.shards))}
 	for s := range j.parts {
 		j.parts[s] = new(apcm.BatchResult)
 	}
@@ -168,12 +125,6 @@ func newBatchJob(g *Group) *batchJob {
 }
 
 func (j *batchJob) matchShard(_, s int) {
-	if j.probe {
-		start := time.Now()
-		j.g.shards[s].MatchBatchInto(j.events, j.parts[s])
-		j.durs[s] = int64(time.Since(start))
-		return
-	}
 	j.g.shards[s].MatchBatchInto(j.events, j.parts[s])
 }
 
@@ -198,45 +149,18 @@ func (g *Group) MatchBatchInto(events []*expr.Event, r *apcm.BatchResult) {
 	}
 	j := g.batchJobs.Get().(*batchJob)
 	j.events = events
-	j.probe = g.fanSeq.Add(1)&(probeEvery-1) == 0
-	// The EWMA tracks per-event cost; every shard sees the same batch,
-	// so the same relative weights slice lanes correctly for batches.
-	g.snapshotWeights(j.weights)
 	if m := g.met; m != nil {
 		start := time.Now()
-		g.runFan(j.weights, j.run)
+		g.runFan(j.run)
 		fanned := time.Now()
 		apcm.MergeBatchResults(r, j.parts)
 		m.fanLatency.ObserveDuration(fanned.Sub(start))
 		m.mergeLatency.ObserveDuration(time.Since(fanned))
 		m.countEvents(len(events))
 	} else {
-		g.runFan(j.weights, j.run)
+		g.runFan(j.run)
 		apcm.MergeBatchResults(r, j.parts)
-	}
-	if j.probe && len(events) > 0 {
-		for s, ns := range j.durs {
-			g.observeCost(s, ns/int64(len(events)))
-		}
 	}
 	j.events = nil
 	g.batchJobs.Put(j)
-}
-
-// MatchBatch matches a batch of events, returning one freshly allocated
-// id slice per event; throughput-sensitive callers should reuse a
-// BatchResult with MatchBatchInto instead.
-func (g *Group) MatchBatch(events []*expr.Event) [][]expr.ID {
-	out := make([][]expr.ID, len(events))
-	if len(events) == 0 {
-		return out
-	}
-	var r apcm.BatchResult
-	g.MatchBatchInto(events, &r)
-	for i := range out {
-		if seg := r.For(i); len(seg) > 0 {
-			out[i] = append([]expr.ID(nil), seg...)
-		}
-	}
-	return out
 }

@@ -18,7 +18,7 @@ type shardCounter struct {
 // groupMetrics holds the group's instruments. It is nil when no
 // registry is attached (Options.Metrics == nil); the fan-out path
 // guards on that single nil check and, uninstrumented, takes no
-// timestamps and touches no atomics beyond the periodic cost probe.
+// timestamps and touches no atomics.
 type groupMetrics struct {
 	fanLatency   *metrics.Histogram // per fan-out: all shards matched
 	mergeLatency *metrics.Histogram // per fan-out: per-shard results merged
@@ -51,9 +51,6 @@ func (g *Group) attachMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("apcm_shard_count", "engine shards in the group", func() float64 {
 		return float64(len(g.shards))
 	})
-	reg.GaugeFunc("apcm_shard_imbalance", "max/avg per-shard match-cost EWMA (1.0 = balanced partitions, 0 = unprobed)", func() float64 {
-		return g.imbalance()
-	})
 	reg.GaugeFunc("apcm_shard_group_subscriptions", "live subscriptions across all shards", func() float64 {
 		return float64(g.Len())
 	})
@@ -66,10 +63,6 @@ func (g *Group) attachMetrics(reg *metrics.Registry) {
 		reg.GaugeFunc(fmt.Sprintf("apcm_shard_mem_bytes{shard=\"%d\"}", s),
 			"estimated index heap footprint of this shard", func() float64 {
 				return float64(g.shards[s].Stats().MemBytes)
-			})
-		reg.GaugeFunc(fmt.Sprintf("apcm_shard_cost_ns{shard=\"%d\"}", s),
-			"per-event match-cost EWMA of this shard from fan-out probes", func() float64 {
-				return g.costNs(s)
 			})
 		reg.CounterFunc(fmt.Sprintf("apcm_shard_events_total{shard=\"%d\"}", s),
 			"events fanned out to this shard", func() float64 {

@@ -44,95 +44,65 @@ func TestGroupOptions(t *testing.T) {
 	if _, err := shard.New(shard.Options{Shards: -1}); err == nil {
 		t.Fatal("negative shard count accepted")
 	}
-	if _, err := shard.New(shard.Options{Strategy: shard.Strategy(99)}); err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
 	g := shard.MustNew(shard.Options{})
 	defer g.Close()
 	if g.Shards() < 1 {
 		t.Fatalf("zero-value Options built %d shards", g.Shards())
 	}
-	if got := shard.HashID.String(); got != "hash-id" {
-		t.Fatalf("HashID.String() = %q", got)
-	}
-	if got := shard.AttrRange.String(); got != "attr-range" {
-		t.Fatalf("AttrRange.String() = %q", got)
-	}
 }
 
-// TestRoutingSpread checks that both strategies route a realistic
-// expression population onto every shard rather than collapsing onto a
-// few, and that HashID occupancy is roughly uniform.
+// TestRoutingSpread checks that hash routing spreads a realistic
+// expression population roughly uniformly over every shard.
 func TestRoutingSpread(t *testing.T) {
-	for _, strat := range []shard.Strategy{shard.HashID, shard.AttrRange} {
-		// AttrSpace must match the workload's attribute universe (25) for
-		// AttrRange to spread; HashID ignores it.
-		g := shard.MustNew(shard.Options{Shards: 8, Strategy: strat, AttrSpace: 25, Workers: 1})
-		w := testWorkload(7)
-		xs := w.Expressions(4000)
-		subscribeAll(t, g, xs)
-		st := g.Stats()
-		if st.Subscriptions != len(xs) {
-			t.Fatalf("%v: %d subscriptions routed, want %d", strat, st.Subscriptions, len(xs))
+	g := shard.MustNew(shard.Options{Shards: 8, Workers: 1})
+	defer g.Close()
+	w := testWorkload(7)
+	xs := w.Expressions(4000)
+	subscribeAll(t, g, xs)
+	st := g.Stats()
+	if st.Subscriptions != len(xs) {
+		t.Fatalf("%d subscriptions routed, want %d", st.Subscriptions, len(xs))
+	}
+	want := len(xs) / g.Shards()
+	for s, ss := range st.PerShard {
+		if ss.Subscriptions < want/2 || ss.Subscriptions > want*2 {
+			t.Errorf("shard %d occupancy %d, want ~%d", s, ss.Subscriptions, want)
 		}
-		for s, ss := range st.PerShard {
-			if ss.Subscriptions == 0 {
-				t.Errorf("%v: shard %d received no subscriptions", strat, s)
-			}
-		}
-		if strat == shard.HashID {
-			want := len(xs) / g.Shards()
-			for s, ss := range st.PerShard {
-				if ss.Subscriptions < want/2 || ss.Subscriptions > want*2 {
-					t.Errorf("HashID shard %d occupancy %d, want ~%d", s, ss.Subscriptions, want)
-				}
-			}
-		}
-		g.Close()
 	}
 }
 
 func TestGroupSubscribeMatchUnsubscribe(t *testing.T) {
-	for _, strat := range []shard.Strategy{shard.HashID, shard.AttrRange} {
-		g := shard.MustNew(shard.Options{Shards: 4, Strategy: strat, Workers: 2})
-		w := testWorkload(11)
-		xs := w.Expressions(1200)
-		events := w.Events(150)
-		subscribeAll(t, g, xs)
-		if g.Len() != len(xs) {
-			t.Fatalf("%v: Len() = %d, want %d", strat, g.Len(), len(xs))
-		}
-		g.Prepare()
-		for i, ev := range events {
-			var want []expr.ID
-			for _, x := range xs {
-				if x.MatchesEvent(ev) {
-					want = append(want, x.ID)
-				}
-			}
-			got := sorted(g.Match(ev))
-			want = sorted(want)
-			if len(got) != len(want) {
-				t.Fatalf("%v: event %d: %d matches, oracle %d", strat, i, len(got), len(want))
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("%v: event %d diverged from oracle", strat, i)
-				}
+	g := shard.MustNew(shard.Options{Shards: 4, Workers: 2})
+	defer g.Close()
+	w := testWorkload(11)
+	xs := w.Expressions(1200)
+	events := w.Events(150)
+	subscribeAll(t, g, xs)
+	if g.Len() != len(xs) {
+		t.Fatalf("Len() = %d, want %d", g.Len(), len(xs))
+	}
+	g.Prepare()
+	for i, ev := range events {
+		var want []expr.ID
+		for _, x := range xs {
+			if x.MatchesEvent(ev) {
+				want = append(want, x.ID)
 			}
 		}
-		for _, x := range xs[:300] {
-			if !g.Unsubscribe(x.ID) {
-				t.Fatalf("%v: Unsubscribe(%d) reported absent", strat, x.ID)
-			}
+		if got := sorted(g.Match(ev)); !equalIDs(got, sorted(want)) {
+			t.Fatalf("event %d: group %v, oracle %v", i, got, want)
 		}
-		if g.Unsubscribe(xs[0].ID) {
-			t.Fatalf("%v: double Unsubscribe reported present", strat)
+	}
+	for _, x := range xs[:300] {
+		if !g.Unsubscribe(x.ID) {
+			t.Fatalf("Unsubscribe(%d) reported absent", x.ID)
 		}
-		if g.Len() != len(xs)-300 {
-			t.Fatalf("%v: Len() = %d after removals, want %d", strat, g.Len(), len(xs)-300)
-		}
-		g.Close()
+	}
+	if g.Unsubscribe(xs[0].ID) {
+		t.Fatal("double Unsubscribe reported present")
+	}
+	if g.Len() != len(xs)-300 {
+		t.Fatalf("Len() = %d after removals, want %d", g.Len(), len(xs)-300)
 	}
 }
 
@@ -162,8 +132,8 @@ func TestGroupNewIDUnique(t *testing.T) {
 func TestGroupSubscribePreds(t *testing.T) {
 	g := shard.MustNew(shard.Options{Shards: 4, Workers: 1})
 	defer g.Close()
-	id, err := g.SubscribePreds(expr.Eq(1, 10))
-	if err != nil {
+	id := g.NewID()
+	if err := g.Subscribe(expr.MustNew(id, expr.Eq(1, 10))); err != nil {
 		t.Fatal(err)
 	}
 	ev := expr.MustEvent(expr.P(1, 10))
@@ -177,42 +147,33 @@ func TestGroupSubscribePreds(t *testing.T) {
 }
 
 func TestGroupSnapshotRoundtrip(t *testing.T) {
-	for _, strat := range []shard.Strategy{shard.HashID, shard.AttrRange} {
-		src := shard.MustNew(shard.Options{Shards: 4, Strategy: strat, Workers: 2})
-		w := testWorkload(13)
-		xs := w.Expressions(900)
-		events := w.Events(60)
-		subscribeAll(t, src, xs)
+	src := shard.MustNew(shard.Options{Shards: 4, Workers: 2})
+	defer src.Close()
+	w := testWorkload(13)
+	xs := w.Expressions(900)
+	events := w.Events(60)
+	subscribeAll(t, src, xs)
 
-		var buf bytes.Buffer
-		if err := src.SaveSubscriptions(&buf); err != nil {
-			t.Fatal(err)
-		}
+	var buf bytes.Buffer
+	if err := src.SaveSubscriptions(&buf); err != nil {
+		t.Fatal(err)
+	}
 
-		// Restore into a group of a different shape: the trace is flat, so
-		// shard count and strategy need not match the saving group.
-		dst := shard.MustNew(shard.Options{Shards: 2, Workers: 2})
-		n, err := dst.LoadSubscriptions(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
+	// Restore into a group of a different shape: the trace is flat, so
+	// the shard count need not match the saving group's.
+	dst := shard.MustNew(shard.Options{Shards: 2, Workers: 2})
+	defer dst.Close()
+	n, err := dst.LoadSubscriptions(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(xs) {
+		t.Fatalf("loaded %d subscriptions, want %d", n, len(xs))
+	}
+	for i, ev := range events {
+		if got, want := sorted(dst.Match(ev)), sorted(src.Match(ev)); !equalIDs(got, want) {
+			t.Fatalf("event %d: loaded group %v, source %v", i, got, want)
 		}
-		if n != len(xs) {
-			t.Fatalf("%v: loaded %d subscriptions, want %d", strat, n, len(xs))
-		}
-		for i, ev := range events {
-			want := sorted(src.Match(ev))
-			got := sorted(dst.Match(ev))
-			if len(got) != len(want) {
-				t.Fatalf("%v: event %d: loaded group returned %d matches, source %d", strat, i, len(got), len(want))
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("%v: event %d: loaded group diverged from source", strat, i)
-				}
-			}
-		}
-		src.Close()
-		dst.Close()
 	}
 }
 
@@ -229,7 +190,7 @@ func TestGroupCheckpointRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst := shard.MustNew(shard.Options{Shards: 8, Strategy: shard.AttrRange, Workers: 2})
+	dst := shard.MustNew(shard.Options{Shards: 8, Workers: 2})
 	defer dst.Close()
 	n, err := dst.RestoreSubscriptions(path)
 	if err != nil {
@@ -315,12 +276,12 @@ func TestGroupClosed(t *testing.T) {
 }
 
 func TestGroupStats(t *testing.T) {
-	g := shard.MustNew(shard.Options{Shards: 4, Strategy: shard.AttrRange, Workers: 2})
+	g := shard.MustNew(shard.Options{Shards: 4, Workers: 2})
 	defer g.Close()
 	w := testWorkload(23)
 	subscribeAll(t, g, w.Expressions(800))
 	st := g.Stats()
-	if st.Shards != 4 || st.Strategy != shard.AttrRange || st.Workers != 2 {
+	if st.Shards != 4 || st.Workers != 2 {
 		t.Fatalf("Stats shape = %+v", st)
 	}
 	if st.Subscriptions != 800 || len(st.PerShard) != 4 {
@@ -358,13 +319,11 @@ func TestGroupMetrics(t *testing.T) {
 	out := buf.String()
 	for _, name := range []string{
 		"apcm_shard_count",
-		"apcm_shard_imbalance",
 		"apcm_shard_group_subscriptions",
 		"apcm_shard_fanout_latency_ns",
 		"apcm_shard_merge_latency_ns",
 		`apcm_shard_subscriptions{shard="0"}`,
 		`apcm_shard_mem_bytes{shard="1"}`,
-		`apcm_shard_cost_ns{shard="2"}`,
 		`apcm_shard_events_total{shard="0"}`,
 	} {
 		if !strings.Contains(out, name) {

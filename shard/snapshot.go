@@ -15,9 +15,8 @@ import (
 // Persistence. A group snapshots to the same flat trace format as a
 // single engine — one file, all shards concatenated — so checkpoints
 // move freely between sharded and unsharded deployments (and between
-// groups of different shard counts or strategies: the load side
-// re-routes every subscription under the loading group's own
-// partitioning).
+// groups of different shard counts: the load side re-routes every
+// subscription by the loading group's own shard count).
 
 // SaveSubscriptions writes every live subscription across all shards to
 // w as a binary trace, shard by shard. The group's write lock is held
@@ -78,7 +77,7 @@ func (g *Group) RestoreSubscriptions(path string) (int, error) {
 // LoadSubscriptions reads a trace written by SaveSubscriptions (either
 // flavour: group or single engine, or by cmd/apcm-gen) and subscribes
 // every expression on its owning shard. The calling goroutine reads and
-// slab-decodes records and routes each by the group's partitioning;
+// slab-decodes records and routes each to its owning shard by id;
 // one insert goroutine per shard subscribes that shard's records in
 // trace order, in bulk chunks (see internal/coldstart), so insertion
 // parallelises across shards. The id allocator is advanced past the
@@ -103,7 +102,9 @@ func (g *Group) LoadSubscriptions(r io.Reader) (int, error) {
 	if g.met != nil {
 		m = g.met.coldstart
 	}
-	n, maxID, err := coldstart.Load(r, m, lanes, g.shardOf)
+	n, maxID, err := coldstart.Load(r, m, lanes, func(x *expr.Expression) int {
+		return g.shardOf(x.ID)
+	})
 	g.advanceID(maxID)
 	return n, err
 }

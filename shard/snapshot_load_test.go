@@ -26,8 +26,8 @@ func atProcs(t *testing.T, fn func(t *testing.T)) {
 }
 
 // TestGroupLoadEquivalence: a restore must agree with a per-call
-// Subscribe build under both partitioning strategies and across shard
-// counts — same Len, same matches, same id-allocator state.
+// Subscribe build across shard counts — same Len, same matches, same
+// id-allocator state.
 func TestGroupLoadEquivalence(t *testing.T) {
 	w := testWorkload(31)
 	xs := w.Expressions(1200)
@@ -46,33 +46,24 @@ func TestGroupLoadEquivalence(t *testing.T) {
 	subscribeAll(t, ref, xs)
 
 	atProcs(t, func(t *testing.T) {
-		for _, strat := range []shard.Strategy{shard.HashID, shard.AttrRange} {
-			for _, shards := range []int{1, 2, 3} {
-				g := shard.MustNew(shard.Options{Shards: shards, Strategy: strat, Workers: 2})
-				n, err := g.LoadSubscriptions(bytes.NewReader(buf.Bytes()))
-				if err != nil {
-					t.Fatalf("%v/%d: %v", strat, shards, err)
-				}
-				if n != len(xs) || g.Len() != len(xs) {
-					t.Fatalf("%v/%d: loaded %d (Len %d), want %d", strat, shards, n, g.Len(), len(xs))
-				}
-				if id := g.NewID(); id <= maxID {
-					t.Fatalf("%v/%d: NewID = %d after loading ids up to %d", strat, shards, id, maxID)
-				}
-				for i, ev := range events {
-					want := sorted(ref.Match(ev))
-					got := sorted(g.Match(ev))
-					if len(got) != len(want) {
-						t.Fatalf("%v/%d: event %d: %d matches, want %d", strat, shards, i, len(got), len(want))
-					}
-					for j := range want {
-						if got[j] != want[j] {
-							t.Fatalf("%v/%d: event %d diverged from reference", strat, shards, i)
-						}
-					}
-				}
-				g.Close()
+		for _, shards := range []int{1, 2, 3} {
+			g := shard.MustNew(shard.Options{Shards: shards, Workers: 2})
+			n, err := g.LoadSubscriptions(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("%d shards: %v", shards, err)
 			}
+			if n != len(xs) || g.Len() != len(xs) {
+				t.Fatalf("%d shards: loaded %d (Len %d), want %d", shards, n, g.Len(), len(xs))
+			}
+			if id := g.NewID(); id <= maxID {
+				t.Fatalf("%d shards: NewID = %d after loading ids up to %d", shards, id, maxID)
+			}
+			for i, ev := range events {
+				if got, want := sorted(g.Match(ev)), sorted(ref.Match(ev)); !equalIDs(got, want) {
+					t.Fatalf("%d shards: event %d: %v, want %v", shards, i, got, want)
+				}
+			}
+			g.Close()
 		}
 	})
 }
@@ -120,32 +111,28 @@ func TestGroupLoadDuplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	atProcs(t, func(t *testing.T) {
-		for _, strat := range []shard.Strategy{shard.HashID, shard.AttrRange} {
-			// AttrSpace matches the workload's 25 attributes, so AttrRange
-			// spreads records over every shard.
-			g := shard.MustNew(shard.Options{Shards: 3, Strategy: strat, AttrSpace: 25, Workers: 2})
-			n, err := g.LoadSubscriptions(bytes.NewReader(buf.Bytes()))
-			if err == nil {
-				t.Fatalf("%v: duplicate-id trace loaded without error", strat)
+		g := shard.MustNew(shard.Options{Shards: 3, Workers: 2})
+		defer g.Close()
+		n, err := g.LoadSubscriptions(bytes.NewReader(buf.Bytes()))
+		if err == nil {
+			t.Fatal("duplicate-id trace loaded without error")
+		}
+		if g.Len() != n {
+			t.Fatalf("loaded %d but group holds %d", n, g.Len())
+		}
+		failing := g.ShardOf(&dup)
+		for i, x := range recs {
+			if i == at {
+				continue
 			}
-			if g.Len() != n {
-				t.Fatalf("%v: loaded %d but group holds %d", strat, n, g.Len())
+			want := g.ShardOf(x) != failing || i < at
+			if got := g.Unsubscribe(x.ID); got != want {
+				t.Fatalf("record %d (id %d, shard %d of failing %d): loaded = %v, want %v",
+					i+1, x.ID, g.ShardOf(x), failing, got, want)
 			}
-			failing := g.ShardOf(&dup)
-			for i, x := range recs {
-				if i == at {
-					continue
-				}
-				want := g.ShardOf(x) != failing || i < at
-				if got := g.Unsubscribe(x.ID); got != want {
-					t.Fatalf("%v: record %d (id %d, shard %d of failing %d): loaded = %v, want %v",
-						strat, i+1, x.ID, g.ShardOf(x), failing, got, want)
-				}
-			}
-			if id := g.NewID(); id <= expr.ID(len(xs)) {
-				t.Fatalf("%v: NewID = %d after a load that read ids up to %d", strat, id, len(xs))
-			}
-			g.Close()
+		}
+		if id := g.NewID(); id <= expr.ID(len(xs)) {
+			t.Fatalf("NewID = %d after a load that read ids up to %d", id, len(xs))
 		}
 	})
 }
