@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fault fault-repl fuzz lint lint-json lint-smoke lint-baseline bench-smoke loc clean
+.PHONY: all build test race allocs fault fault-repl fuzz lint lint-json lint-smoke lint-baseline bench-smoke loc clean
 
 all: build lint test
 
@@ -21,6 +21,12 @@ test:
 race:
 	$(GO) test -race -timeout 20m . ./shard/ ./broker/ ./metrics/ ./internal/sched/ ./internal/osr/ ./internal/core/ ./internal/bitset/ ./internal/coldstart/
 	$(GO) test -race -cpu 1,2,4 -run 'Load|Restore|Checkpoint' . ./shard/
+
+# The allocation gates at both product shapes: at -cpu 1 the default
+# engine has no worker pool, at -cpu 2 it has one (which a single-event
+# Match must never touch).
+allocs:
+	$(GO) test -count=1 -run 'ZeroAllocs|DoesNotAllocate' -cpu 1,2 . ./shard/ ./internal/sched/ ./internal/commitlog/
 
 # The fault-injection suite (broker restart/partition/slow-link/reset
 # scenarios over internal/faultnet, plus the commit-log crash-recovery

@@ -1,6 +1,7 @@
 package apcm_test
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/streammatch/apcm"
@@ -52,6 +53,36 @@ func TestMatchSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if avg > allocTolerance {
 		t.Fatalf("MatchAppend allocates %.2f/op in steady state, want 0", avg)
+	}
+}
+
+// TestMatchDefaultOptionsZeroAllocs gates MatchAppend at the product
+// default, apcm.Options{}: with GOMAXPROCS > 1 the engine carries a
+// worker pool, which a single-event match must never touch.
+func TestMatchDefaultOptionsZeroAllocs(t *testing.T) {
+	skipUnderRace(t)
+	g := testWorkload(43)
+	e := apcm.MustNew(apcm.Options{})
+	defer e.Close()
+	if got, want := e.Stats().Workers, runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("default engine has %d workers, want GOMAXPROCS = %d", got, want)
+	}
+	if _, err := e.SubscribeBulk(g.Expressions(3000)); err != nil {
+		t.Fatal(err)
+	}
+	e.Prepare()
+	events := g.Events(256)
+	dst := make([]expr.ID, 0, 1024)
+	for _, ev := range events { // warm scratch pool, caches, adaptive state
+		dst = e.MatchAppend(dst[:0], ev)
+	}
+	i := 0
+	avg := testing.AllocsPerRun(400, func() {
+		dst = e.MatchAppend(dst[:0], events[i%len(events)])
+		i++
+	})
+	if avg > allocTolerance {
+		t.Fatalf("MatchAppend at default options allocates %.2f/op in steady state, want 0", avg)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"github.com/streammatch/apcm/expr"
-	"github.com/streammatch/apcm/internal/betree"
 	"github.com/streammatch/apcm/internal/core"
 	"github.com/streammatch/apcm/internal/sched"
 	"github.com/streammatch/apcm/metrics"
@@ -37,8 +36,11 @@ import (
 // Options configures an Engine. The zero value uses GOMAXPROCS workers
 // and the default tuning.
 type Options struct {
-	// Workers sets the parallel worker count for Match and MatchBatch. 0
-	// means GOMAXPROCS; 1 runs fully sequentially.
+	// Workers sets the worker pool size that MatchBatchInto (and the
+	// batch wrappers over it) shards event chunks across and Prepare
+	// fans cluster compilations across. 0 means GOMAXPROCS; 1 runs
+	// fully sequentially. A single-event Match always runs on the
+	// calling goroutine; concurrent callers match in parallel.
 	Workers int
 
 	// ClusterSize bounds BE-Tree pools before they split. Compressed
@@ -48,11 +50,6 @@ type Options struct {
 	// ProbeInterval is how many events a cluster serves between A-PCM
 	// cost probes. 0 means default (64).
 	ProbeInterval int
-
-	// IntraEventParallelism is the minimum number of candidate clusters
-	// at which a single Match call fans out across workers. 0 means
-	// default (16).
-	IntraEventParallelism int
 
 	// Normalize canonicalises subscriptions on Subscribe (merging
 	// redundant predicates per attribute; see expr.Expression.Normalize)
@@ -72,9 +69,6 @@ func (o *Options) sanitize() {
 	if o.ClusterSize < 0 {
 		o.ClusterSize = 0
 	}
-	if o.IntraEventParallelism <= 0 {
-		o.IntraEventParallelism = 16
-	}
 }
 
 // Engine indexes subscriptions and matches events against them. Engines
@@ -90,7 +84,6 @@ type Engine struct {
 
 	pool      *sched.Pool
 	scratches sync.Pool // *core.Scratch
-	intraJobs sync.Pool // *intraJob
 
 	// Scratch-pool effectiveness (recorded only with metrics attached):
 	// gets per match operation vs. misses that allocated a fresh scratch.
@@ -318,61 +311,15 @@ func (e *Engine) putScratch(s *core.Scratch) {
 	e.scratches.Put(s)
 }
 
-// intraJob is the pooled per-call state of the intra-event parallel
-// path: candidate pools, their cost weights, and per-lane result and
-// scratch slots. Pooling it keeps the fan-out path free of per-call
-// slice allocations.
-type intraJob struct {
-	pools   []*betree.Pool
-	weights []int64
-	parts   [][]expr.ID
-	scr     []*core.Scratch
-}
-
+// matchAppendLocked matches ev on the calling goroutine. The scratch
+// is released by a plain call rather than a defer: a panic in a kernel
+// only drops one pooled scratch.
+//
+//apcm:hotpath
 func (e *Engine) matchAppendLocked(dst []expr.ID, ev *expr.Event) []expr.ID {
 	s := e.getScratch()
-	defer e.putScratch(s)
-	if e.pool == nil {
-		return e.cm.MatchWith(s, dst, ev)
-	}
-	j, _ := e.intraJobs.Get().(*intraJob)
-	if j == nil {
-		j = &intraJob{}
-	}
-	j.pools = e.cm.CollectPools(j.pools[:0], ev)
-	if len(j.pools) < e.opts.IntraEventParallelism {
-		for _, p := range j.pools {
-			dst = e.cm.MatchPool(s, dst, p, ev)
-		}
-		e.intraJobs.Put(j)
-		return dst
-	}
-	// Intra-event parallelism: shard candidate clusters across workers,
-	// weighting each cluster by its probed per-event cost so one
-	// mega-cluster does not serialise a lane while cheap ones idle.
-	j.weights = e.cm.PoolCostAppend(j.weights[:0], j.pools)
-	nw := e.pool.Workers() + 1 // workers plus the calling goroutine
-	if cap(j.parts) < nw {
-		j.parts = make([][]expr.ID, nw)
-		j.scr = make([]*core.Scratch, nw)
-	}
-	parts, scratches := j.parts[:nw], j.scr[:nw]
-	pools := j.pools
-	e.pool.RunWeighted(j.weights, func(w, i int) {
-		if scratches[w] == nil {
-			scratches[w] = e.getScratch()
-		}
-		parts[w] = e.cm.MatchPool(scratches[w], parts[w], pools[i], ev)
-	})
-	for w := range parts {
-		dst = append(dst, parts[w]...)
-		parts[w] = parts[w][:0]
-		if scratches[w] != nil {
-			e.putScratch(scratches[w])
-			scratches[w] = nil
-		}
-	}
-	e.intraJobs.Put(j)
+	dst = e.cm.MatchWith(s, dst, ev)
+	e.putScratch(s)
 	return dst
 }
 

@@ -1,6 +1,7 @@
 package apcm_test
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -40,8 +41,8 @@ func matchOracle(xs []*expr.Expression, ev *expr.Event) []expr.ID {
 }
 
 // engineWorkers are the worker counts the differential tests run the
-// Engine at: fully sequential, and a pool wide enough to take the
-// intra-event fan-out and the parallel batch chunks.
+// Engine at: fully sequential, and a pool wide enough for several
+// parallel batch chunks (the only work the pool serves besides Prepare).
 var engineWorkers = []int{1, 4}
 
 func TestAlgorithmsAgree(t *testing.T) {
@@ -50,7 +51,7 @@ func TestAlgorithmsAgree(t *testing.T) {
 	events := g.Events(400)
 
 	for _, workers := range engineWorkers {
-		e := apcm.MustNew(apcm.Options{Workers: workers, IntraEventParallelism: 4})
+		e := apcm.MustNew(apcm.Options{Workers: workers})
 		defer e.Close()
 		for _, x := range xs {
 			if err := e.Subscribe(x); err != nil {
@@ -62,6 +63,40 @@ func TestAlgorithmsAgree(t *testing.T) {
 				t.Fatalf("workers=%d event %d: got %v, oracle %v", workers, i, got, want)
 			}
 		}
+	}
+}
+
+// TestConcurrentMatchAgreesWithOracle runs Match from several goroutines
+// on one default engine: concurrent callers are the single-event
+// parallelism axis, so each must still see exactly the oracle's answer.
+func TestConcurrentMatchAgreesWithOracle(t *testing.T) {
+	g := testWorkload(5)
+	xs := g.Expressions(1500)
+	e := apcm.MustNew(apcm.Options{})
+	defer e.Close()
+	if _, err := e.SubscribeBulk(xs); err != nil {
+		t.Fatal(err)
+	}
+	const callers, perCaller = 4, 200
+	events := g.Events(callers * perCaller)
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(evs []*expr.Event) {
+			defer wg.Done()
+			for i, ev := range evs {
+				if got, want := sorted(e.Match(ev)), matchOracle(xs, ev); !equalIDs(got, want) {
+					errs <- fmt.Errorf("event %d: got %v, oracle %v", i, got, want)
+					return
+				}
+			}
+		}(events[c*perCaller : (c+1)*perCaller])
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

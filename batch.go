@@ -237,7 +237,7 @@ func (e *Engine) batchInto(events []*expr.Event, r *BatchResult) {
 	}
 	bounds := r.bounds
 	var dedups atomic.Int64
-	e.pool.Run(nchunks, func(_, c int) {
+	e.pool.Run(nchunks, func(c int) {
 		lo, hi := bounds[c], bounds[c+1]
 		s := e.getScratch()
 		var d int64

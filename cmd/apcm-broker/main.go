@@ -119,8 +119,10 @@ func main() {
 	}
 	var eng matcher
 	if *shards > 1 {
-		// Sharded tier: fan-out parallelism replaces intra-engine worker
-		// pools (shard engines run single-worker; see shard.Options).
+		// Sharded tier: each publish fans out across the shards on the
+		// group's pool (shard engines run single-worker; see
+		// shard.Options). Unsharded, a publish matches on its
+		// connection's read loop and the engine's pool serves Prepare.
 		g, err := shard.New(shard.Options{
 			Shards:  *shards,
 			Workers: *workers,

@@ -2,6 +2,8 @@ package apcm_test
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/streammatch/apcm"
@@ -139,9 +141,10 @@ func TestSubscribeAnyValidation(t *testing.T) {
 }
 
 func TestSubscribeAnyUnderParallelMatching(t *testing.T) {
-	// Group dedup must hold on the intra-event parallel path too.
+	// Group dedup must hold on the paths that run in parallel: batch
+	// chunks on the worker pool and concurrent Match callers.
 	g := testWorkload(21)
-	e := apcm.MustNew(apcm.Options{Workers: 4, IntraEventParallelism: 1})
+	e := apcm.MustNew(apcm.Options{Workers: 4})
 	defer e.Close()
 	for _, x := range g.Expressions(1500) {
 		// High-range ids keep clear of the engine's NewID allocator,
@@ -159,8 +162,7 @@ func TestSubscribeAnyUnderParallelMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range g.Events(100) {
-		got := e.Match(ev)
+	check := func(ev *expr.Event, got []expr.ID) error {
 		n := 0
 		for _, id := range got {
 			if id == gid {
@@ -168,8 +170,39 @@ func TestSubscribeAnyUnderParallelMatching(t *testing.T) {
 			}
 		}
 		if _, hasAttr1 := ev.Lookup(1); hasAttr1 && n != 1 {
-			t.Fatalf("group reported %d times for %s", n, ev)
+			return fmt.Errorf("group reported %d times for %s", n, ev)
 		}
+		return nil
+	}
+
+	// Large enough for several chunks at four workers.
+	events := g.Events(1024)
+	var r apcm.BatchResult
+	e.MatchBatchInto(events, &r)
+	for i, ev := range events {
+		if err := check(ev, r.For(i)); err != nil {
+			t.Fatalf("MatchBatchInto: %v", err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(evs []*expr.Event) {
+			defer wg.Done()
+			for _, ev := range evs {
+				if err := check(ev, e.Match(ev)); err != nil {
+					errs <- fmt.Errorf("concurrent Match: %w", err)
+					return
+				}
+			}
+		}(events[c*100 : (c+1)*100])
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -192,7 +192,7 @@ func e6() Experiment {
 	return Experiment{
 		ID:     "E6",
 		Title:  "Parallel scaling: Engine throughput vs worker count (A-PCM)",
-		Expect: "near-linear speedup with cores on multi-core hosts (flat on this container when it has a single vCPU; the code path is identical)",
+		Expect: "inter-event batches (MatchBatchInto, 64 events) speed up with workers up to the host's cores; flat with one core",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
 			xs, events := gen(baseParams(cfg.Seed), cfg.n(15000, 200), cfg.n(2000, 100))

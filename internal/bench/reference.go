@@ -56,15 +56,15 @@ func References() []Reference {
 var paperRows = []string{"Scan", "Counting", "k-index", "BE-Tree", "PCM", "A-PCM"}
 
 // compressed returns the constructor of a core.Matcher in the default
-// configuration with tune applied.
-func compressed(tune func(*core.Config)) func(int) match.Matcher {
+// configuration with adjust applied.
+func compressed(adjust func(*core.Config)) func(int) match.Matcher {
 	return func(size int) match.Matcher {
 		cfg := core.DefaultConfig()
 		if size > 0 {
 			cfg.Tree.MaxPool = size
 		}
-		if tune != nil {
-			tune(&cfg)
+		if adjust != nil {
+			adjust(&cfg)
 		}
 		return core.New(cfg)
 	}

@@ -16,7 +16,7 @@
 // partition (the equality bucket of the event value plus the halving
 // path containing it) and verifies the pooled expressions it meets.
 //
-// The tree exposes its pools (CollectPools / Pools) so that the
+// The tree exposes its pools (CollectPoolsAppend / Pools) so that the
 // compressed matcher can compile them into bitset clusters while reusing
 // the tree's pruning.
 package betree
@@ -542,12 +542,6 @@ func (t *Tree) MatchAppend(dst []expr.ID, e *expr.Event) []expr.ID {
 	return dst
 }
 
-// CollectPools invokes fn on every non-empty pool that could contain a
-// match for e (the compressed matcher's candidate clusters).
-func (t *Tree) CollectPools(e *expr.Event, fn func(*Pool)) {
-	t.visit(t.root, e, fn)
-}
-
 func (t *Tree) visit(n *node, e *expr.Event, fn func(*Pool)) {
 	if len(n.pool.Exprs) > 0 {
 		fn(&n.pool)
@@ -585,10 +579,10 @@ func (t *Tree) visit(n *node, e *expr.Event, fn func(*Pool)) {
 	}
 }
 
-// CollectPoolsAppend is CollectPools in append style: candidate pools
-// for e are appended to dst and the extended slice returned. It exists
-// for the hot match path — the visitor form forces a closure allocation
-// per call on the caller, this form performs none.
+// CollectPoolsAppend appends every non-empty pool that could contain a
+// match for e (the compressed matcher's candidate clusters) to dst and
+// returns the extended slice. It performs no allocation beyond growing
+// dst.
 func (t *Tree) CollectPoolsAppend(dst []*Pool, e *expr.Event) []*Pool {
 	return t.collect(t.root, e, dst)
 }

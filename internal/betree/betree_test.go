@@ -71,8 +71,7 @@ func TestPruningVisitsFewerPoolsThanTotal(t *testing.T) {
 	}
 	total := 0
 	tr.Pools(func(*Pool) { total++ })
-	visited := 0
-	tr.CollectPools(g.Event(), func(*Pool) { visited++ })
+	visited := len(tr.CollectPoolsAppend(nil, g.Event()))
 	if visited >= total {
 		t.Fatalf("no pruning: visited %d of %d pools", visited, total)
 	}
@@ -117,7 +116,9 @@ func TestEqualityBucketRouting(t *testing.T) {
 		t.Fatalf("got %v, want [14]", got)
 	}
 	visited := 0
-	tr.CollectPools(expr.MustEvent(expr.P(1, 3), expr.P(2, 13)), func(p *Pool) { visited += len(p.Exprs) })
+	for _, p := range tr.CollectPoolsAppend(nil, expr.MustEvent(expr.P(1, 3), expr.P(2, 13))) {
+		visited += len(p.Exprs)
+	}
 	if visited >= 100 {
 		t.Fatalf("equality buckets not pruning: visited %d expressions", visited)
 	}

@@ -36,8 +36,8 @@ type clusterState struct {
 	events atomic.Uint32
 
 	// mu serialises probe updates; the estimates themselves are float64
-	// bits in atomics so the scheduler's cost reader (PoolCostAppend)
-	// never takes a lock on the match path.
+	// bits in atomics so the diagnostics reader (Matcher.Clusters) never
+	// waits on a probe.
 	mu    sync.Mutex
 	ewmaC atomic.Uint64 // compressed kernel cost estimate, ns/event
 	ewmaU atomic.Uint64 // uncompressed kernel cost estimate, ns/event
@@ -158,36 +158,4 @@ func (c *compiled) noteKills(li int32, kills int) {
 // Estimates reports a cluster-state snapshot for tests and diagnostics.
 func (cs *clusterState) estimates() (ewmaC, ewmaU float64, mode kernel) {
 	return cs.ewmaCompressed(), cs.ewmaScan(), kernel(cs.mode.Load())
-}
-
-// fallbackCostNs approximates an unprobed pool's per-event cost: about
-// 50ns of interpreted evaluation per member.
-func fallbackCostNs(members int) int64 { return int64(1 + 50*members) }
-
-// PoolCostAppend appends one relative cost weight per pool — the EWMA
-// ns/event of the kernel currently serving the cluster, with a
-// size-proportional estimate for pools never probed — and returns dst.
-// The engine feeds these weights to the scheduler so one expensive
-// cluster no longer serializes a worker lane while cheap ones idle.
-// Weights are relative; only their ratios matter.
-func (m *Matcher) PoolCostAppend(dst []int64, pools []*betree.Pool) []int64 {
-	m.cmu.RLock()
-	for _, p := range pools {
-		var w int64
-		if cs := m.clusters[p]; cs != nil {
-			var e float64
-			if kernel(cs.mode.Load()) == kernelCompressed {
-				e = cs.ewmaCompressed()
-			} else {
-				e = cs.ewmaScan()
-			}
-			w = int64(e)
-		}
-		if w <= 0 {
-			w = fallbackCostNs(len(p.Exprs))
-		}
-		dst = append(dst, w)
-	}
-	m.cmu.RUnlock()
-	return dst
 }

@@ -327,9 +327,8 @@ func (m *Matcher) EndBatch(s *Scratch) {
 
 // FlushOrderCounters folds the scratch-local selectivity-order counters
 // into the matcher's aggregates. The batch path does this in EndBatch;
-// the single-event paths (serial and intra-event parallel) call it when
-// a scratch is released, so the counters stay visible on workloads that
-// never run a batch.
+// the single-event path calls it when the engine releases a scratch, so
+// the counters stay visible on workloads that never run a batch.
 func (m *Matcher) FlushOrderCounters(s *Scratch) {
 	k := &s.kern
 	if k.orderSorts != 0 {

@@ -182,26 +182,3 @@ func TestDisableMemo(t *testing.T) {
 		t.Fatalf("memo consulted %d times with DisableMemo set", memoLookups)
 	}
 }
-
-// TestPoolCostAppend checks weights are positive for probed and
-// unprobed pools alike.
-func TestPoolCostAppend(t *testing.T) {
-	m, g := batchWorkload(t, 11, 2000)
-	s := m.NewScratch()
-	for i := 0; i < 500; i++ {
-		m.MatchWith(s, nil, g.Event())
-	}
-	pools := m.CollectPools(nil, g.Event())
-	if len(pools) == 0 {
-		t.Skip("no candidate pools for event")
-	}
-	weights := m.PoolCostAppend(nil, pools)
-	if len(weights) != len(pools) {
-		t.Fatalf("got %d weights for %d pools", len(weights), len(pools))
-	}
-	for i, w := range weights {
-		if w <= 0 {
-			t.Fatalf("pool %d: non-positive weight %d", i, w)
-		}
-	}
-}

@@ -316,24 +316,19 @@ func (m *Matcher) NewScratch() *Scratch { return &Scratch{} }
 // MatchWith appends the ids of all matching expressions to dst, using s
 // for temporary state. Safe for concurrent use with distinct Scratch
 // values, provided no Insert/Delete runs concurrently.
+//
+//apcm:hotpath
 func (m *Matcher) MatchWith(s *Scratch, dst []expr.ID, e *expr.Event) []expr.ID {
 	s.pools = m.tree.CollectPoolsAppend(s.pools[:0], e)
 	for _, p := range s.pools {
-		dst = m.MatchPool(s, dst, p, e)
+		dst = m.matchPool(s, dst, p, e)
 	}
 	return dst
 }
 
-// CollectPools appends the candidate pools for e to dst and returns it;
-// the parallel engine shards the result across workers and calls
-// MatchPool per pool.
-func (m *Matcher) CollectPools(dst []*betree.Pool, e *expr.Event) []*betree.Pool {
-	return m.tree.CollectPoolsAppend(dst, e)
-}
-
-// MatchPool matches e against a single candidate pool, appending matches
+// matchPool matches e against a single candidate pool, appending matches
 // to dst. Safe for concurrent use with distinct Scratch values.
-func (m *Matcher) MatchPool(s *Scratch, dst []expr.ID, p *betree.Pool, e *expr.Event) []expr.ID {
+func (m *Matcher) matchPool(s *Scratch, dst []expr.ID, p *betree.Pool, e *expr.Event) []expr.ID {
 	if m.cfg.Mode == ModeUncompressed || len(p.Exprs) < m.cfg.MinCompressSize {
 		dst, _ = scanPool(&s.kern, p.Exprs, e, dst)
 		return dst
@@ -531,10 +526,10 @@ func (m *Matcher) PrepareAll() {
 // run (typically sched.Pool.Run): each pool compiles independently into
 // its own arena, so after a bulk restore — where compilation is the
 // dominant remaining cold-start cost — the compiles parallelize
-// cleanly. run must execute fn(worker, i) for every i in [0, n) and
+// cleanly. run must execute fn(i) for every i in [0, n) and
 // return only when all have completed. Same write contract as
 // PrepareAll: no concurrent matchers or writers.
-func (m *Matcher) PrepareAllWith(run func(n int, fn func(worker, idx int))) {
+func (m *Matcher) PrepareAllWith(run func(n int, fn func(idx int))) {
 	if m.cfg.Mode == ModeUncompressed {
 		return
 	}
@@ -557,7 +552,7 @@ func (m *Matcher) PrepareAllWith(run func(n int, fn func(worker, idx int))) {
 	}
 	built := make([]*compiled, len(todo))
 	lo := m.cfg.layout()
-	run(len(todo), func(_, i int) {
+	run(len(todo), func(i int) {
 		built[i] = compileOpts(todo[i], lo)
 	})
 	m.cmu.Lock()

@@ -1,33 +1,25 @@
-// Package sched provides the parallel executor used by the engine: a
-// pool of persistent worker goroutines that execute index ranges with an
-// atomic cursor. The same pool serves both parallelism axes of the
-// paper: intra-event (shard one event's candidate clusters across
-// workers) and inter-event (shard an event batch across workers).
+// Package sched provides the engine's parallel executor: a pool of
+// persistent worker goroutines that execute index ranges with an atomic
+// cursor. It serves the inter-event axis — MatchBatchInto's event
+// chunks, Prepare's cluster compilations and shard.Group's per-shard
+// fan-out. A single-event Match runs on its caller and never reaches
+// the pool.
 //
-// Two scheduling refinements keep lanes busy on skewed work. First, the
-// cursor grain is auto-tuned: after every parallel run the pool measures
-// lane imbalance (max/avg items per lane) and nudges a grain factor —
-// imbalanced runs get finer grains (more stealing), balanced runs get
-// coarser grains (less cursor contention). Second, RunWeighted accepts
-// per-item cost weights and pre-slices the index space into contiguous
-// shards of roughly equal total weight, so one expensive item (a
-// mega-cluster) no longer serializes a lane while cheap ones idle.
+// Run hands out fixed grains of the index space: each run aims for
+// grainFactor chunks per worker lane, so a slow item costs its lane at
+// most one grain while the other lanes keep stealing.
 package sched
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// Grain-factor bounds: the pool aims for grainFactor chunks per worker
-// lane per run.
-const (
-	minGrainFactor     = 2
-	maxGrainFactor     = 32
-	defaultGrainFactor = 8
-)
+// grainFactor is the number of chunks per worker lane a run aims for.
+// Runs of fewer than 8·workers items — batch chunks (at most
+// 4·workers) and shard fan-outs — get a grain of one item.
+const grainFactor = 8
 
 // Pool is a fixed set of worker goroutines. Create with NewPool, release
 // with Close. Run may be called concurrently from multiple goroutines;
@@ -48,11 +40,6 @@ type Pool struct {
 	// jobPool recycles job descriptors: a steady-state Run performs no
 	// heap allocation.
 	jobPool sync.Pool
-
-	// grainFactor is the auto-tuned chunks-per-lane target; imbalance is
-	// the float64-bits EWMA of per-run lane imbalance feeding it.
-	grainFactor atomic.Int64
-	imbalance   atomic.Uint64
 }
 
 // laneCount is an atomic counter padded to a cache line.
@@ -62,19 +49,12 @@ type laneCount struct {
 }
 
 type job struct {
-	p  *Pool
-	fn func(worker, idx int)
-	// bounds, when non-nil, puts the job in shard mode: shard s covers
-	// idx range [bounds[s], bounds[s+1]) and the cursor walks shards.
-	bounds    []int32
-	boundsBuf []int32 // backing storage for bounds, recycled across runs
-	cursor    atomic.Int64
-	total     int64 // items (flat mode) or shards (shard mode)
-	grain     int64
-	wg        sync.WaitGroup
-	// lanes counts items per lane for this run only (imbalance feedback).
-	// Plain ints: each lane index is written by one goroutine at a time.
-	lanes []int64
+	p      *Pool
+	fn     func(idx int)
+	cursor atomic.Int64
+	total  int64
+	grain  int64
+	wg     sync.WaitGroup
 }
 
 // NewPool returns a pool with the given number of workers; zero or
@@ -87,7 +67,6 @@ func NewPool(workers int) *Pool {
 	// on workers being parked at the receive yet (they may not have been
 	// scheduled at all right after NewPool on a loaded machine).
 	p := &Pool{workers: workers, jobs: make(chan *job, workers), items: make([]laneCount, workers+1)}
-	p.grainFactor.Store(defaultGrainFactor)
 	p.done.Add(workers)
 	for w := 0; w < workers; w++ {
 		go p.worker(w)
@@ -106,71 +85,60 @@ func (p *Pool) worker(w int) {
 	}
 }
 
+// drain runs grains off the job's cursor until it is exhausted,
+// counting the items into lane w.
 func (j *job) drain(w int) {
 	var n int64
-	if j.bounds != nil {
-		for {
-			s := j.cursor.Add(1) - 1
-			if s >= j.total {
-				break
-			}
-			lo, hi := int(j.bounds[s]), int(j.bounds[s+1])
-			for i := lo; i < hi; i++ {
-				j.fn(w, i)
-			}
-			n += int64(hi - lo)
+	for {
+		start := j.cursor.Add(j.grain) - j.grain
+		if start >= j.total {
+			break
 		}
-	} else {
-		for {
-			start := j.cursor.Add(j.grain) - j.grain
-			if start >= j.total {
-				break
-			}
-			end := start + j.grain
-			if end > j.total {
-				end = j.total
-			}
-			for i := start; i < end; i++ {
-				j.fn(w, int(i))
-			}
-			n += end - start
+		end := min(start+j.grain, j.total)
+		for i := start; i < end; i++ {
+			j.fn(int(i))
 		}
+		n += end - start
 	}
 	if n != 0 {
 		// One add per drain, not per item, keeps counting off the hot path.
 		j.p.items[w].n.Add(n)
-		j.lanes[w] += n
 	}
 }
 
-func (p *Pool) getJob(fn func(worker, idx int)) *job {
+// Run executes fn(idx) for every idx in [0, total), distributing grains
+// across the pool, and blocks until all complete. The calling goroutine
+// participates, so Run(total, fn) with a single-worker pool still makes
+// progress even under pool contention. fn must be safe for concurrent
+// invocation with distinct idx.
+func (p *Pool) Run(total int, fn func(idx int)) {
+	if total <= 0 {
+		return
+	}
+	p.runs.Add(1)
+	// Late callers on a closed pool degrade to inline execution rather
+	// than deadlock.
+	if p.closed.Load() || total == 1 || p.workers == 1 {
+		for i := 0; i < total; i++ {
+			fn(i)
+		}
+		p.items[p.workers].n.Add(int64(total))
+		return
+	}
 	j, _ := p.jobPool.Get().(*job)
 	if j == nil {
-		j = &job{p: p, lanes: make([]int64, p.workers+1)}
+		j = &job{p: p}
 	}
 	j.fn = fn
-	j.bounds = nil
 	j.cursor.Store(0)
-	for i := range j.lanes {
-		j.lanes[i] = 0
-	}
-	return j
-}
-
-// dispatch offers job copies to the workers, participates as the extra
-// lane, waits for completion, feeds the imbalance tuner and recycles the
-// job. Reuse after wg.Wait is safe: every offered copy has been received
-// and Done'd by then, so no worker still references j.
-func (p *Pool) dispatch(j *job, copies int) {
-	if copies > p.workers {
-		copies = p.workers
-	}
+	j.total = int64(total)
+	j.grain = max(int64(total)/(int64(p.workers)*grainFactor), 1)
 	// Enqueue one job copy per worker (fewer if the queue backs up under
 	// concurrent Runs — the caller covers the difference by draining).
 	// Each delivered copy is Done'd exactly once by its receiver; a copy
 	// received after the cursor is exhausted drains as a no-op.
 offer:
-	for i := 0; i < copies; i++ {
+	for i := 0; i < min(total, p.workers); i++ {
 		j.wg.Add(1)
 		select {
 		case p.jobs <- j:
@@ -179,137 +147,13 @@ offer:
 			break offer
 		}
 	}
-	// The caller participates as worker id p.workers, so a busy pool
-	// never stalls it.
+	// The caller participates as lane p.workers, so a busy pool never
+	// stalls it. Reuse after wg.Wait is safe: every offered copy has been
+	// received and Done'd by then, so no worker still references j.
 	j.drain(p.workers)
 	j.wg.Wait()
-	p.tune(j)
 	j.fn = nil
 	p.jobPool.Put(j)
-}
-
-// tune updates the lane-imbalance EWMA from a finished job and nudges
-// the grain factor: imbalance wants finer grains, balance wants coarser.
-// Concurrent runs may race the read-modify-write; the feedback loop
-// tolerates lost updates.
-func (p *Pool) tune(j *job) {
-	var mx, sum int64
-	n := 0
-	for _, c := range j.lanes {
-		if c > 0 {
-			n++
-			sum += c
-			if c > mx {
-				mx = c
-			}
-		}
-	}
-	if n < 2 || sum == 0 {
-		return
-	}
-	imb := float64(mx) * float64(n) / float64(sum)
-	const d = 0.8
-	ew := math.Float64frombits(p.imbalance.Load())
-	if ew == 0 {
-		ew = imb
-	} else {
-		ew = d*ew + (1-d)*imb
-	}
-	p.imbalance.Store(math.Float64bits(ew))
-	gf := p.grainFactor.Load()
-	switch {
-	case ew > 1.25 && gf < maxGrainFactor:
-		p.grainFactor.CompareAndSwap(gf, gf+1)
-	case ew < 1.05 && gf > minGrainFactor:
-		p.grainFactor.CompareAndSwap(gf, gf-1)
-	}
-}
-
-func (p *Pool) runInline(total int, fn func(worker, idx int)) {
-	for i := 0; i < total; i++ {
-		fn(0, i)
-	}
-	p.items[p.workers].n.Add(int64(total))
-}
-
-// Run executes fn(worker, idx) for every idx in [0, total), distributing
-// ranges across the pool, and blocks until all complete. The calling
-// goroutine participates, so Run(total, fn) with a single-worker pool
-// still makes progress even under pool contention. fn must be safe for
-// concurrent invocation with distinct idx.
-func (p *Pool) Run(total int, fn func(worker, idx int)) {
-	if total <= 0 {
-		return
-	}
-	p.runs.Add(1)
-	// Late callers on a closed pool degrade to inline execution rather
-	// than deadlock.
-	if p.closed.Load() || total == 1 || p.workers == 1 {
-		p.runInline(total, fn)
-		return
-	}
-	j := p.getJob(fn)
-	j.total = int64(total)
-	j.grain = int64(total) / (int64(p.workers) * p.grainFactor.Load())
-	if j.grain < 1 {
-		j.grain = 1
-	}
-	p.dispatch(j, total)
-}
-
-// RunWeighted executes fn(worker, idx) for every idx in [0,
-// len(weights)), like Run, but pre-slices the index space into
-// contiguous shards of roughly equal total weight before handing shards
-// to the cursor. Weights are relative costs (non-positive weights count
-// as 1); contiguity is preserved so locality-ordered inputs stay
-// locality-ordered within a lane.
-func (p *Pool) RunWeighted(weights []int64, fn func(worker, idx int)) {
-	total := len(weights)
-	if total <= 0 {
-		return
-	}
-	p.runs.Add(1)
-	if p.closed.Load() || total == 1 || p.workers == 1 {
-		p.runInline(total, fn)
-		return
-	}
-	var sum int64
-	for _, w := range weights {
-		if w < 1 {
-			w = 1
-		}
-		sum += w
-	}
-	shards := int(p.grainFactor.Load()) * p.workers
-	if shards > total {
-		shards = total
-	}
-	target := sum / int64(shards)
-	if target < 1 {
-		target = 1
-	}
-	j := p.getJob(fn)
-	b := append(j.boundsBuf[:0], 0)
-	var acc int64
-	for i, w := range weights {
-		if w < 1 {
-			w = 1
-		}
-		acc += w
-		// Close a shard once it carries its share of the weight, keeping
-		// the tail open so we never exceed the shard budget by more than
-		// one.
-		if acc >= target && i+1 < total && len(b)-1 < shards-1 {
-			b = append(b, int32(i+1))
-			acc = 0
-		}
-	}
-	b = append(b, int32(total))
-	j.boundsBuf = b
-	j.bounds = b
-	j.total = int64(len(b) - 1)
-	j.grain = 1
-	p.dispatch(j, int(j.total))
 }
 
 // Stats is an observability snapshot of the pool.
@@ -322,11 +166,6 @@ type Stats struct {
 	// Imbalance across lanes reveals skewed task costs or an
 	// under-subscribed pool.
 	WorkerItems []int64
-	// GrainFactor is the auto-tuned chunks-per-lane target currently in
-	// effect, and ShardImbalance the per-run lane imbalance EWMA
-	// (max/avg, 1.0 = perfectly balanced) driving it.
-	GrainFactor    int64
-	ShardImbalance float64
 }
 
 // Stats snapshots the pool's counters. Safe to call concurrently with
@@ -334,12 +173,10 @@ type Stats struct {
 // cut.
 func (p *Pool) Stats() Stats {
 	st := Stats{
-		Workers:        p.workers,
-		QueueDepth:     len(p.jobs),
-		Runs:           p.runs.Load(),
-		WorkerItems:    make([]int64, len(p.items)),
-		GrainFactor:    p.grainFactor.Load(),
-		ShardImbalance: math.Float64frombits(p.imbalance.Load()),
+		Workers:     p.workers,
+		QueueDepth:  len(p.jobs),
+		Runs:        p.runs.Load(),
+		WorkerItems: make([]int64, len(p.items)),
 	}
 	for i := range p.items {
 		st.WorkerItems[i] = p.items[i].n.Load()

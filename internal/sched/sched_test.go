@@ -1,11 +1,9 @@
 package sched
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestRunCoversAllIndexes(t *testing.T) {
@@ -13,7 +11,7 @@ func TestRunCoversAllIndexes(t *testing.T) {
 		p := NewPool(workers)
 		for _, total := range []int{0, 1, 7, 64, 1000} {
 			var hits = make([]atomic.Int32, total)
-			p.Run(total, func(_, i int) { hits[i].Add(1) })
+			p.Run(total, func(i int) { hits[i].Add(1) })
 			for i := range hits {
 				if hits[i].Load() != 1 {
 					t.Fatalf("workers=%d total=%d: index %d hit %d times", workers, total, i, hits[i].Load())
@@ -32,21 +30,6 @@ func TestDefaultWorkerCount(t *testing.T) {
 	}
 }
 
-func TestWorkerIDsInRange(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var bad atomic.Int32
-	p.Run(10000, func(w, _ int) {
-		// Caller participates as worker id p.Workers().
-		if w < 0 || w > 4 {
-			bad.Add(1)
-		}
-	})
-	if bad.Load() != 0 {
-		t.Fatalf("%d out-of-range worker ids", bad.Load())
-	}
-}
-
 func TestConcurrentRuns(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -56,7 +39,7 @@ func TestConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.Run(500, func(_, _ int) { total.Add(1) })
+			p.Run(500, func(int) { total.Add(1) })
 		}()
 	}
 	wg.Wait()
@@ -69,7 +52,7 @@ func TestRunAfterClose(t *testing.T) {
 	p := NewPool(2)
 	p.Close()
 	var n atomic.Int32
-	p.Run(10, func(_, _ int) { n.Add(1) })
+	p.Run(10, func(int) { n.Add(1) })
 	if n.Load() != 10 {
 		t.Fatalf("Run after Close executed %d of 10", n.Load())
 	}
@@ -82,32 +65,28 @@ func TestDoubleCloseSafe(t *testing.T) {
 }
 
 func TestParallelismActuallyHappens(t *testing.T) {
-	// With several workers, at least two distinct worker ids should
-	// participate in a large run (statistically certain with a blocking
-	// first task per worker).
+	// The first item blocks until a second item starts, which only a
+	// second lane can run: with a single lane this would hang.
 	p := NewPool(4)
 	defer p.Close()
-	var mu sync.Mutex
-	seen := map[int]bool{}
-	var gate sync.WaitGroup
-	gate.Add(2)
-	done := make(chan struct{})
-	go func() { gate.Wait(); close(done) }()
-	p.Run(64, func(w, i int) {
-		mu.Lock()
-		first := !seen[w]
-		seen[w] = true
-		n := len(seen)
-		mu.Unlock()
-		if first && n <= 2 {
-			gate.Done()
-			<-done // hold until a second worker arrives
+	var started atomic.Int32
+	second := make(chan struct{})
+	p.Run(64, func(int) {
+		switch started.Add(1) {
+		case 1:
+			<-second
+		case 2:
+			close(second)
 		}
 	})
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) < 2 {
-		t.Fatalf("only %d workers participated", len(seen))
+	lanes := 0
+	for _, n := range p.Stats().WorkerItems {
+		if n > 0 {
+			lanes++
+		}
+	}
+	if lanes < 2 {
+		t.Fatalf("only %d lanes ran items", lanes)
 	}
 }
 
@@ -116,7 +95,7 @@ func TestStatsAccounting(t *testing.T) {
 	defer p.Close()
 	const total = 1000
 	for r := 0; r < 4; r++ {
-		p.Run(total, func(w, i int) {})
+		p.Run(total, func(int) {})
 	}
 	st := p.Stats()
 	if st.Workers != 3 {
@@ -138,82 +117,10 @@ func TestStatsAccounting(t *testing.T) {
 	// Single-worker pools execute inline and count into the caller lane.
 	p1 := NewPool(1)
 	defer p1.Close()
-	p1.Run(10, func(w, i int) {})
+	p1.Run(10, func(int) {})
 	st1 := p1.Stats()
 	if st1.WorkerItems[1] != 10 || st1.Runs != 1 {
 		t.Fatalf("inline accounting: %+v", st1)
-	}
-}
-
-func TestRunWeightedCoversAllIndexes(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		p := NewPool(workers)
-		for _, total := range []int{1, 2, 7, 64, 513} {
-			weights := make([]int64, total)
-			for i := range weights {
-				weights[i] = int64(i % 17) // includes zero weights
-			}
-			var hits = make([]atomic.Int32, total)
-			p.RunWeighted(weights, func(_, i int) { hits[i].Add(1) })
-			for i := range hits {
-				if hits[i].Load() != 1 {
-					t.Fatalf("workers=%d total=%d: index %d hit %d times", workers, total, i, hits[i].Load())
-				}
-			}
-		}
-		p.Close()
-	}
-}
-
-func TestRunWeightedSplitsHeavyHead(t *testing.T) {
-	// One mega-item followed by many cheap items: weighted sharding must
-	// put the mega-item in its own shard instead of bundling a uniform
-	// 1/(workers*factor) slice of the index space with it.
-	p := NewPool(4)
-	defer p.Close()
-	weights := make([]int64, 256)
-	weights[0] = 1 << 20
-	for i := 1; i < len(weights); i++ {
-		weights[i] = 1
-	}
-	// Behavioural check: the heavy item spins until every cheap item has
-	// run. If the greedy cut failed to isolate it in its own shard, the
-	// cheap items sharing its shard could never run and this would hang.
-	done := make(chan struct{})
-	var cheapDone atomic.Int32
-	go func() {
-		p.RunWeighted(weights, func(_, i int) {
-			if i == 0 {
-				// Wait until every cheap item has run: impossible if they
-				// share the heavy item's lane-sequential shard.
-				for cheapDone.Load() < int32(len(weights)-1) {
-					runtime.Gosched()
-				}
-				return
-			}
-			cheapDone.Add(1)
-		})
-		close(done)
-	}()
-	<-done
-}
-
-func TestGrainFactorStaysBounded(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	for r := 0; r < 200; r++ {
-		p.Run(1024, func(w, i int) {
-			if i == 0 {
-				time.Sleep(50 * time.Microsecond) // skew one item
-			}
-		})
-	}
-	st := p.Stats()
-	if st.GrainFactor < minGrainFactor || st.GrainFactor > maxGrainFactor {
-		t.Fatalf("grain factor %d out of bounds [%d, %d]", st.GrainFactor, minGrainFactor, maxGrainFactor)
-	}
-	if st.ShardImbalance < 0 {
-		t.Fatalf("negative imbalance %f", st.ShardImbalance)
 	}
 }
 
@@ -221,7 +128,7 @@ func TestRunSteadyStateDoesNotAllocate(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 	var sink atomic.Int64
-	fn := func(_, i int) { sink.Add(int64(i)) }
+	fn := func(i int) { sink.Add(int64(i)) }
 	for i := 0; i < 10; i++ {
 		p.Run(128, fn) // warm the job pool
 	}

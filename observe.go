@@ -153,12 +153,6 @@ func (e *Engine) attachMetrics(reg *metrics.Registry) {
 		reg.GaugeFunc("apcm_pool_queue_depth", "scheduler jobs waiting in the queue", func() float64 {
 			return float64(e.pool.Stats().QueueDepth)
 		})
-		reg.GaugeFunc("apcm_pool_grain_factor", "auto-tuned scheduler chunks-per-lane target", func() float64 {
-			return float64(e.pool.Stats().GrainFactor)
-		})
-		reg.GaugeFunc("apcm_pool_shard_imbalance", "EWMA of per-run lane imbalance (max/avg, 1.0 = balanced)", func() float64 {
-			return e.pool.Stats().ShardImbalance
-		})
 		reg.CounterFunc("apcm_pool_runs_total", "scheduler Run invocations", func() float64 {
 			return float64(e.pool.Stats().Runs)
 		})

@@ -20,8 +20,8 @@ import (
 type fanJob struct {
 	g     *Group
 	ev    *expr.Event
-	parts [][]expr.ID         // per-shard results, capacity retained across calls
-	run   func(worker, s int) // bound to matchShard once; reused
+	parts [][]expr.ID // per-shard results, capacity retained across calls
+	run   func(s int) // bound to matchShard once; reused
 }
 
 func newFanJob(g *Group) *fanJob {
@@ -34,7 +34,7 @@ func newFanJob(g *Group) *fanJob {
 // slice.
 //
 //apcm:hotpath
-func (j *fanJob) matchShard(_, s int) {
+func (j *fanJob) matchShard(s int) {
 	j.parts[s] = j.g.shards[s].MatchAppend(j.parts[s][:0], j.ev)
 }
 
@@ -56,10 +56,10 @@ func (j *fanJob) mergeInto(dst []expr.ID) []expr.ID {
 // one core, so the fan-out would pay goroutine handoff and wakeup
 // latency per event for zero parallelism — measurably slower than the
 // plain loop (see EXPERIMENTS.md E19, the subs=100k/shards=2 anomaly).
-func (g *Group) runFan(fn func(worker, s int)) {
+func (g *Group) runFan(fn func(s int)) {
 	if runtime.GOMAXPROCS(0) == 1 {
 		for s := range g.shards {
-			fn(0, s)
+			fn(s)
 		}
 		return
 	}
@@ -112,7 +112,7 @@ type batchJob struct {
 	g      *Group
 	events []*expr.Event
 	parts  []*apcm.BatchResult
-	run    func(worker, s int)
+	run    func(s int)
 }
 
 func newBatchJob(g *Group) *batchJob {
@@ -124,7 +124,7 @@ func newBatchJob(g *Group) *batchJob {
 	return j
 }
 
-func (j *batchJob) matchShard(_, s int) {
+func (j *batchJob) matchShard(s int) {
 	j.g.shards[s].MatchBatchInto(j.events, j.parts[s])
 }
 

@@ -12,7 +12,7 @@
 // runs the shards on a persistent worker pool (internal/sched), giving
 // match parallelism that grows with shard count on multi-core hosts.
 // Hash routing keeps the shards evenly loaded, so the fan-out hands the
-// pool one task per shard and lets it tune its own grain.
+// pool one task per shard.
 //
 // The Group implements the Engine surface the rest of the stack is
 // written against — Subscribe, Unsubscribe, Match, MatchAppend,
@@ -48,7 +48,9 @@ type Options struct {
 	// Engine configures every shard's engine. Engine.Workers defaults
 	// to 1 — shard fan-out is the parallelism axis, and per-shard
 	// worker pools on top of it would oversubscribe the host; set it
-	// explicitly to layer intra-shard parallelism anyway.
+	// explicitly to shard each engine's MatchBatchInto chunks and
+	// Prepare compilations as well. A single-event match inside a
+	// shard runs on the fan-out lane that called it either way.
 	// Engine.Metrics is ignored: N shards registering the same engine
 	// metric names would collide, so per-shard visibility comes from
 	// the group's own apcm_shard_* instruments (see Options.Metrics).
@@ -203,7 +205,7 @@ func (g *Group) Prepare() {
 	if g.closed {
 		return
 	}
-	g.pool.Run(len(g.shards), func(_, s int) {
+	g.pool.Run(len(g.shards), func(s int) {
 		g.shards[s].Prepare()
 	})
 }
