@@ -24,9 +24,10 @@ race:
 
 # The allocation gates at both product shapes: at -cpu 1 the default
 # engine has no worker pool, at -cpu 2 it has one (which a single-event
-# Match must never touch).
+# Match must never touch). The heap budget of compiled clusters rides
+# along.
 allocs:
-	$(GO) test -count=1 -run 'ZeroAllocs|DoesNotAllocate' -cpu 1,2 . ./shard/ ./internal/sched/ ./internal/commitlog/
+	$(GO) test -count=1 -run 'ZeroAllocs|DoesNotAllocate|HeapBudget' -cpu 1,2 . ./shard/ ./internal/sched/ ./internal/commitlog/ ./internal/core/
 
 # The fault-injection suite (broker restart/partition/slow-link/reset
 # scenarios over internal/faultnet, plus the commit-log crash-recovery

@@ -288,6 +288,17 @@ type Expression struct {
 	Preds []Predicate
 }
 
+// MemBytes reports the heap bytes x holds: the struct (32 bytes on
+// 64-bit platforms), its predicate array (40 per predicate) and every
+// membership set, by capacity. TestMemBytesSizes pins the sizes.
+func (x *Expression) MemBytes() int64 {
+	b := 32 + 40*int64(cap(x.Preds))
+	for i := range x.Preds {
+		b += int64(cap(x.Preds[i].Set)) * 4
+	}
+	return b
+}
+
 // New builds a validated expression. The predicate slice is copied and
 // sorted by attribute.
 func New(id ID, preds ...Predicate) (*Expression, error) {

@@ -4,7 +4,18 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestMemBytesSizes checks MemBytes against the struct sizes it counts
+// with, on one expression with a membership set.
+func TestMemBytesSizes(t *testing.T) {
+	x := MustNew(1, Eq(1, 2), Any(2, 3, 4, 5))
+	want := int64(unsafe.Sizeof(Expression{}) + 2*unsafe.Sizeof(Predicate{}) + 3*unsafe.Sizeof(Value(0)))
+	if got := x.MemBytes(); got != want {
+		t.Fatalf("MemBytes = %d, want %d", got, want)
+	}
+}
 
 func TestOpString(t *testing.T) {
 	cases := map[Op]string{

@@ -61,7 +61,9 @@ type Pool struct {
 	Exprs []*expr.Expression
 }
 
-func (p *Pool) remove(id expr.ID) bool {
+// remove takes the expression with the given id out of the pool and
+// returns it, or nil when the pool does not hold it.
+func (p *Pool) remove(id expr.ID) *expr.Expression {
 	for i, x := range p.Exprs {
 		if x.ID == id {
 			last := len(p.Exprs) - 1
@@ -69,10 +71,10 @@ func (p *Pool) remove(id expr.ID) bool {
 			p.Exprs[last] = nil
 			p.Exprs = p.Exprs[:last]
 			p.Gen++
-			return true
+			return x
 		}
 	}
-	return false
+	return nil
 }
 
 type node struct {
@@ -266,6 +268,9 @@ type Tree struct {
 	numNodes  int
 	numParts  int
 	numCnodes int
+	// exprBytes is Σ MemBytes of the indexed expressions, kept current
+	// by InsertPool and DeletePool so MemBytes does not walk them.
+	exprBytes int64
 }
 
 // New returns an empty tree with the given configuration.
@@ -299,6 +304,7 @@ func (t *Tree) InsertPool(x *expr.Expression) (*Pool, error) {
 		return nil, fmt.Errorf("betree: duplicate expression id %d", x.ID)
 	}
 	t.insert(t.root, x, nil)
+	t.exprBytes += x.MemBytes()
 	return &t.loc[x.ID].pool, nil
 }
 
@@ -522,11 +528,13 @@ func (t *Tree) DeletePool(id expr.ID) (*Pool, bool) {
 	if !ok {
 		return nil, false
 	}
-	if !n.pool.remove(id) {
+	x := n.pool.remove(id)
+	if x == nil {
 		// loc and pools are maintained together; disagreement is a bug.
 		panic(fmt.Sprintf("betree: location map points to a pool without id %d", id))
 	}
 	delete(t.loc, id)
+	t.exprBytes -= x.MemBytes()
 	return &n.pool, true
 }
 
@@ -692,8 +700,8 @@ func (t *Tree) Stats() Stats {
 }
 
 // MemBytes estimates the heap footprint of the tree structure (nodes,
-// partitions, cluster nodes, pool slices and the location map); the
-// expressions themselves are shared with the caller and excluded.
+// partitions, cluster nodes, pool slices and the location map) and of
+// the expressions it keeps alive.
 func (t *Tree) MemBytes() int64 {
 	var b int64
 	b += int64(t.numNodes) * 64
@@ -701,5 +709,5 @@ func (t *Tree) MemBytes() int64 {
 	b += int64(t.numCnodes) * 48
 	b += int64(len(t.loc)) * 24
 	t.Pools(func(p *Pool) { b += int64(cap(p.Exprs)) * 8 })
-	return b
+	return b + t.exprBytes
 }

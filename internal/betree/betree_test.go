@@ -220,6 +220,36 @@ func TestMemBytesAndStats(t *testing.T) {
 	}
 }
 
+// TestMemBytesTracksExpressions checks the running expression total
+// through inserts that split pools and through deletes: it must equal a
+// walk of the expressions the tree still holds.
+func TestMemBytesTracksExpressions(t *testing.T) {
+	tr := New(Config{MaxPool: 8, MaxClusterDepth: 32})
+	xs := workload.MustNew(workload.Default()).Expressions(2000)
+	for _, x := range xs {
+		if err := tr.Insert(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Insert(xs[0]); err == nil {
+		t.Fatal("duplicate insert accepted")
+	}
+	for _, x := range xs[:1000] {
+		if !tr.Delete(x.ID) {
+			t.Fatalf("delete %d failed", x.ID)
+		}
+	}
+	tr.Delete(xs[0].ID) // absent: must not change the total
+	var want int64
+	tr.ForEach(func(x *expr.Expression) bool {
+		want += x.MemBytes()
+		return true
+	})
+	if tr.exprBytes != want {
+		t.Fatalf("running expression bytes %d, walk %d", tr.exprBytes, want)
+	}
+}
+
 func TestExtremeValueSpans(t *testing.T) {
 	tr := New(Config{MaxPool: 2})
 	xs := []*expr.Expression{

@@ -42,20 +42,10 @@ func NewFull(n int) *Bitset {
 	return b
 }
 
-// View wraps words as a Bitset of capacity n without copying. len(words)
-// must equal wordsFor(n); the caller retains ownership of the backing
-// array. The compiler uses View to lay every dense posting of a cluster
-// out in one contiguous slab.
-func View(words []uint64, n int) *Bitset {
-	if len(words) != wordsFor(n) {
-		panic("bitset: View length does not match capacity")
-	}
-	return &Bitset{words: words, n: n}
-}
-
-// InitView points an existing Bitset value at words without allocating:
-// the in-place flavour of View, used by the cluster arena to initialize
-// a slab of Bitset structs over sub-slices of one backing array.
+// InitView points an existing Bitset value at words without allocating
+// or copying: len(words) must equal wordsFor(n), and the caller keeps
+// ownership of the backing array. The cluster arena uses it to lay a
+// slab of Bitset structs over sub-slices of one word slab.
 func (b *Bitset) InitView(words []uint64, n int) {
 	if len(words) != wordsFor(n) {
 		panic("bitset: InitView length does not match capacity")

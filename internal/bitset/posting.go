@@ -133,8 +133,7 @@ func (p *Posting) Promote() {
 
 // Demote converts p to the sparse representation, reporting whether it
 // did; it refuses (returning false) when the popcount exceeds
-// SparseMaxFor. The compiler's finalize pass uses it to undo speculative
-// promotion, and tests use it to probe the demotion boundary.
+// SparseMaxFor. Tests use it to probe the demotion boundary.
 func (p *Posting) Demote() bool {
 	if p.b == nil {
 		return true
@@ -149,15 +148,6 @@ func (p *Posting) Demote() bool {
 	p.b, p.ids = nil, ids
 	return true
 }
-
-// SetDense and SetSparse are the compiler's slab-packing hooks: finalize
-// re-homes each posting's storage into one contiguous per-cluster slab
-// and swaps the backing in. The new backing must hold exactly the same
-// members; nothing here checks that.
-func (p *Posting) SetDense(b *Bitset) { p.b, p.ids = b, nil }
-
-// SetSparse replaces the backing with a sorted id slice (see SetDense).
-func (p *Posting) SetSparse(ids []int32) { p.b, p.ids = nil, ids }
 
 // InitDense initializes p — typically a zero struct inside an arena's
 // posting slab — in place as a dense posting backed by b, without

@@ -224,8 +224,8 @@ func TestPostingSlabRehoming(t *testing.T) {
 	b.Set(7)
 	copy(slab[0:], a.Ids())
 	copy(slab[4:], b.Ids())
-	a.SetSparse(slab[0:2:4])
-	b.SetSparse(slab[4:5:8])
+	a.InitSparse(slab[0:2:4], 512)
+	b.InitSparse(slab[4:5:8], 512)
 	a.Set(300)
 	a.Set(400) // fills a's slack exactly
 	a.Set(450) // overflows: must reallocate privately, not clobber b
@@ -246,12 +246,13 @@ func TestPostingSlabRehoming(t *testing.T) {
 
 func TestPostingViewBackedDense(t *testing.T) {
 	words := make([]uint64, wordsFor(200))
-	v := View(words, 200)
+	var v Bitset
+	v.InitView(words, 200)
 	p := NewPosting(200)
 	p.Set(3)
 	p.Set(150)
-	p.CopyInto(v)
-	p.SetDense(v)
+	p.CopyInto(&v)
+	p.InitDense(&v)
 	if p.IsSparse() || p.Count() != 2 || !p.Test(3) || !p.Test(150) {
 		t.Fatal("view-backed dense posting lost members")
 	}
@@ -263,10 +264,11 @@ func TestPostingViewBackedDense(t *testing.T) {
 func TestViewPanicsOnLengthMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("View with wrong length should panic")
+			t.Fatal("InitView with wrong length should panic")
 		}
 	}()
-	View(make([]uint64, 2), 200)
+	var v Bitset
+	v.InitView(make([]uint64, 2), 200)
 }
 
 // Satellite: micro-benchmarks for the bounds-check-elimination re-slice

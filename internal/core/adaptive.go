@@ -63,11 +63,9 @@ func (m *Matcher) matchAdaptive(cs *clusterState, s *Scratch, dst []expr.ID, p *
 		return m.probe(cs, s, dst, p, e)
 	}
 	if kernel(cs.mode.Load()) == kernelCompressed {
-		dst, _ = cs.compiled.Load().matchCompressed(&s.kern, e, dst)
-		return dst
+		return cs.compiled.Load().matchCompressed(&s.kern, e, dst)
 	}
-	dst, _ = scanPool(&s.kern, p.Exprs, e, dst)
-	return dst
+	return scanPool(&s.kern, p.Exprs, e, dst)
 }
 
 // probe runs both kernels on e (returning the compressed kernel's
@@ -82,7 +80,7 @@ func (m *Matcher) matchAdaptive(cs *clusterState, s *Scratch, dst []expr.ID, p *
 func (m *Matcher) probe(cs *clusterState, s *Scratch, dst []expr.ID, p *betree.Pool, e *expr.Event) []expr.ID {
 	m.probes.Add(1)
 	startU := time.Now()
-	s.probeIDs, _ = scanPool(&s.kern, p.Exprs, e, s.probeIDs[:0])
+	s.probeIDs = scanPool(&s.kern, p.Exprs, e, s.probeIDs[:0])
 	costU := float64(time.Since(startU))
 
 	// measure=true folds per-group kill counts into the groupKill EWMAs,
@@ -92,7 +90,7 @@ func (m *Matcher) probe(cs *clusterState, s *Scratch, dst []expr.ID, p *betree.P
 	// both kernels are timed as actually executed, so A-PCM keeps
 	// picking the genuinely cheaper one per cluster.
 	startC := time.Now()
-	dst, _ = cs.compiled.Load().matchHybrid(&s.kern, e, dst, true)
+	dst = cs.compiled.Load().matchHybrid(&s.kern, e, dst, true)
 	costC := float64(time.Since(startC))
 
 	d := m.cfg.Decay

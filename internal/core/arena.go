@@ -15,8 +15,8 @@ import (
 // loop as the kernel chased pointers across the heap.
 //
 // finalize now sizes everything in a pre-pass and carves the whole
-// cluster out of seven typed slabs, one allocation each (Go's type
-// system rules out a single untyped block without unsafe; seven
+// cluster out of nine typed slabs, one allocation each (Go's type
+// system rules out a single untyped block without unsafe; typed
 // contiguous slabs capture almost all of the locality win at none of
 // the risk):
 //
@@ -27,6 +27,8 @@ import (
 //	                         attr-direct table
 //	posts  []bitset.Posting  every posting struct, group-ordered
 //	bsets  []bitset.Bitset   backing structs for the dense postings
+//	eq     []eqEntry         equality-union entries, group-ordered and
+//	                         sorted by value within a group
 //	dict   []dictEntry       first/strict dictionary entries, group-ordered
 //	flat   []*bitset.Posting value-indexed equality-table slots
 //	kill   []atomic.Uint32   per-group kill-rate estimates
@@ -34,31 +36,32 @@ import (
 //
 // Sub-slices handed out of a slab are capacity-clamped, so incremental
 // maintenance (tryAppend growing a sparse posting past its slack, or a
-// group gaining a dictionary entry) reallocates that one slice
-// privately instead of clobbering its slab neighbour — the same policy
-// the sparse slab used before the arena.
+// group gaining an equality value or a dictionary entry) reallocates
+// that one slice privately instead of clobbering its slab neighbour —
+// the same policy the sparse slab used before the arena.
 //
 // Recompile-and-swap is a pointer flip: a fresh compile builds its own
 // arena off the hot path and clusterFor swaps the *compiled in; the old
-// cluster's entire graph dies as eight objects, not thousands.
+// cluster's entire graph dies as a dozen objects, not thousands.
 type clusterArena struct {
 	words []uint64
 	ids   []int32
 	posts []bitset.Posting
 	bsets []bitset.Bitset
+	eq    []eqEntry
 	dict  []dictEntry
 	flat  []*bitset.Posting
 	kill  []atomic.Uint32
 	cnt   []uint16
 
-	// take cursors; only used during finalize.
-	wo, io, po, bo, do, fo int
+	// carve cursors; only used during finalize.
+	wo, io, po, bo, eo, do, fo int
 }
 
 // arenaSizes is the pre-pass result that sizes a clusterArena.
 type arenaSizes struct {
-	words, ids, posts, bsets, dict, flat, cnt int
-	kill                                      int
+	words, ids, posts, bsets, eq, dict, flat, cnt int
+	kill                                          int
 }
 
 func newClusterArena(s arenaSizes) *clusterArena {
@@ -67,6 +70,7 @@ func newClusterArena(s arenaSizes) *clusterArena {
 		ids:   make([]int32, s.ids),
 		posts: make([]bitset.Posting, s.posts),
 		bsets: make([]bitset.Bitset, s.bsets),
+		eq:    make([]eqEntry, s.eq),
 		dict:  make([]dictEntry, s.dict),
 		flat:  make([]*bitset.Posting, s.flat),
 		kill:  make([]atomic.Uint32, s.kill),
@@ -74,64 +78,31 @@ func newClusterArena(s arenaSizes) *clusterArena {
 	}
 }
 
-// takeWords hands out the next n words, capacity-clamped.
-func (a *clusterArena) takeWords(n int) []uint64 {
-	s := a.words[a.wo : a.wo+n : a.wo+n]
-	a.wo += n
+// carve hands out the next n elements of slab, advancing the cursor
+// *at, with append slack past them: the result has len n and cap
+// n+slack, so an append beyond the slack reallocates privately instead
+// of overwriting the slab neighbour.
+func carve[T any](slab []T, at *int, n, slack int) []T {
+	s := slab[*at : *at+n : *at+n+slack]
+	*at += n + slack
 	return s
 }
 
-// takeIDs hands out a slice for n ids with the given append slack: the
-// result has len n, cap n+slack.
-func (a *clusterArena) takeIDs(n, slack int) []int32 {
-	s := a.ids[a.io : a.io+n : a.io+n+slack]
-	a.io += n + slack
-	return s
-}
-
-// nextPosting hands out the next posting struct slot.
-func (a *clusterArena) nextPosting() *bitset.Posting {
-	p := &a.posts[a.po]
-	a.po++
-	return p
-}
-
-// nextBitset hands out the next dense-backing struct slot.
-func (a *clusterArena) nextBitset() *bitset.Bitset {
-	b := &a.bsets[a.bo]
-	a.bo++
-	return b
-}
-
-// takeDict copies src into the dictionary slab and returns the
-// capacity-clamped arena-backed slice.
-func (a *clusterArena) takeDict(src []dictEntry) []dictEntry {
-	n := len(src)
-	s := a.dict[a.do : a.do+n : a.do+n]
-	a.do += n
+// carveCopy moves src into the next len(src) elements of slab.
+func carveCopy[T any](slab []T, at *int, src []T) []T {
+	s := carve(slab, at, len(src), 0)
 	copy(s, src)
-	return s
-}
-
-// takeFlat hands out n equality-table slots, capacity-clamped.
-func (a *clusterArena) takeFlat(n int) []*bitset.Posting {
-	s := a.flat[a.fo : a.fo+n : a.fo+n]
-	a.fo += n
 	return s
 }
 
 // bytes reports the arena's total backing size — the figure behind the
 // apcm_arena_bytes gauge.
 func (a *clusterArena) bytes() int64 {
-	const (
-		postingSize = 40 // unsafe.Sizeof(bitset.Posting{}) on 64-bit
-		bitsetSize  = 32
-		dictSize    = 24
-	)
 	return int64(len(a.words))*8 +
 		int64(len(a.ids))*4 +
 		int64(len(a.posts))*postingSize +
 		int64(len(a.bsets))*bitsetSize +
+		int64(len(a.eq))*eqEntrySize +
 		int64(len(a.dict))*dictSize +
 		int64(len(a.flat))*8 +
 		int64(len(a.kill))*4 +

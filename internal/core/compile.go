@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"github.com/streammatch/apcm/expr"
@@ -23,7 +23,7 @@ func nextRev() uint64 { return revCounter.Add(1) }
 // ablation axes); all off reproduces the pre-hybrid layout exactly.
 type layoutOpts struct {
 	forceDense bool // compile every posting dense (no sparse representation)
-	noEqFlat   bool // keep equality unions in the Go map only
+	noEqFlat   bool // keep equality unions in the sorted slice only
 	noOrder    bool // evaluate groups in attribute order (no kill-rate sort)
 }
 
@@ -34,17 +34,22 @@ type layoutOpts struct {
 //     giving a one-pass eligibility test ("does the event cover every
 //     attribute this member constrains?") that never touches attributes
 //     the event lacks;
-//   - per-attribute groups with an equality-union map (event value →
-//     posting of members whose first predicate on the attribute is that
-//     equality — one lookup replaces evaluating every distinct equality
-//     predicate) plus dictionaries of distinct non-equality "first"
-//     predicates and of "strict" additional predicates (second and later
-//     predicates on the same attribute of one member);
+//   - per-attribute groups with an equality union (the distinct values v
+//     of members whose first predicate on the attribute is "== v", sorted,
+//     each with the posting of those members — one probe replaces
+//     evaluating every distinct equality predicate) plus dictionaries of
+//     distinct non-equality "first" predicates and of "strict" additional
+//     predicates (second and later predicates on the same attribute of
+//     one member);
 //   - membership postings per dictionary entry. A posting is hybrid
 //     (bitset.Posting): dense entries combine word-wide, sparse ones —
 //     the common case on selective workloads — touch only their listed
 //     members. finalize chooses the representation per entry by popcount
-//     and re-homes all posting storage into two per-cluster slabs.
+//     and re-homes all posting storage into the cluster's arena.
+//
+// A compiled cluster holds no Go map: attributes resolve by localOf, and
+// building and maintenance scan the small per-group dictionaries and the
+// member ids.
 //
 // Compiled clusters support bounded incremental maintenance so that a
 // subscription update does not force a full recompilation: bitsets are
@@ -63,27 +68,25 @@ type compiled struct {
 	n     int    // member slots in use (live + tombstoned)
 	tombs int    // tombstoned members
 	capN  int    // member capacity of every bitset and of masks
-	words int    // member-bitset words (capN/64), for cost accounting
 	lo    layoutOpts
 
-	ids     []expr.ID
-	idToIdx map[expr.ID]int32
+	// ids maps member slot → subscription id. Tombstoned slots keep
+	// their id; tryTombstone skips them when it scans for a member.
+	ids []expr.ID
 
-	// Cluster-local attribute universe. Local index nAttrs is reserved
-	// as the tombstone slot: no event attribute ever maps to it, so a
-	// mask with that bit set is never covered.
-	attrIdx map[expr.AttrID]int32
-	// attrs lists the universe sorted ascending, with attrLocal carrying
-	// the matching local indexes; the kernel merge-joins an event's sorted
-	// pairs against attrs instead of hashing every pair through attrIdx.
-	attrs     []expr.AttrID
-	attrLocal []int32
-	nAttrs    int
-	awords    int      // words per member attribute mask ((nAttrs+1+63)/64)
-	masks     []uint64 // capN × awords, flat
+	// Cluster-local attribute universe: attrs lists the constrained
+	// attributes sorted ascending, and an attribute's local index is its
+	// position in attrs (see localOf). Local index nAttrs is reserved as
+	// the tombstone slot: no event attribute ever maps to it, so a mask
+	// with that bit set is never covered.
+	attrs  []expr.AttrID
+	nAttrs int
+	awords int      // words per member attribute mask ((nAttrs+1+63)/64)
+	masks  []uint64 // capN × awords, flat
 	// attrCnt is each member's distinct constrained-attribute count; the
 	// candidate-driven eligibility pass compares occurrence counters
-	// against it. Tombstoned members are set to an unreachable count.
+	// against it. Tombstoned members are set to tombCnt, which no
+	// occurrence count reaches.
 	attrCnt []uint16
 	// attrDirect, when non-nil, maps attr - attrLo directly to the local
 	// attribute index (-1 = not in the universe): step 1 indexes it per
@@ -102,43 +105,54 @@ type compiled struct {
 	// estimate is heuristic, so racy read-modify-write is acceptable.
 	groupKill []atomic.Uint32
 
-	// Dictionary indexes (canonical predicate key → entry position) are
-	// retained to support incremental appends.
-	firstIdx  []map[string]int
-	strictIdx []map[string]int
-
 	predSlots     int // Σ per-member predicates (live members)
 	distinctPreds int // Σ dictionary entries (incl. equality-union values)
 	seqCount      uint32
 
+	// held is heldBytes kept current by every posting, equality-union and
+	// dictionary change; finalHeld is its value when finalize returned.
+	// memoryBytes counts growth beyond finalHeld as maintenance storage
+	// outside the arena without walking the postings.
+	held, finalHeld int64
+
 	// arena owns the cluster's backing storage after finalize: masks,
-	// posting structs and their words/ids, dictionary entries, flat
-	// tables, kill estimates and counters all live in its slabs (see
-	// arena.go). Nil only before finalize runs.
+	// posting structs and their words/ids, equality unions, dictionary
+	// entries, flat tables, kill estimates and counters all live in its
+	// slabs (see arena.go). Nil only before finalize runs.
 	arena *clusterArena
 }
+
+// tombCnt is the attrCnt of a tombstoned member: an occurrence count no
+// event can reach, so the candidate pass never finds it eligible.
+const tombCnt = 0xFFFF
 
 // attrGroup holds one attribute's compiled predicates.
 type attrGroup struct {
 	// attrBits marks members with at least one predicate on the
 	// attribute; members outside it are unaffected by this group.
 	attrBits *bitset.Posting
-	// eqUnion maps a value to the members whose first predicate on this
-	// attribute is equality with that value. Always authoritative; when
-	// eqFlat is non-nil the kernel probes that instead.
-	eqUnion map[expr.Value]*bitset.Posting
-	// eqFlat is a value-indexed view of eqUnion covering [eqLo, eqLo+len):
-	// one bounds check and an array load replace the map probe. Built by
-	// finalize when the observed value range is small; dropped (nil) if an
-	// incremental append brings a value outside the compiled range.
+	// eq is the equality union, sorted by value: entry v holds the
+	// members whose first predicate on this attribute is "== v". Always
+	// authoritative; the kernel probes eqFlat when it exists and
+	// binary-searches eq otherwise.
+	eq []eqEntry
+	// eqFlat is a value-indexed view of eq covering [eqLo, eqLo+len):
+	// one bounds check and an array load replace the search. Built by
+	// finalize when the observed value range is small; dropped (nil) if
+	// an incremental append brings a value outside the compiled range.
 	eqFlat []*bitset.Posting
 	eqLo   expr.Value
 	// first holds the distinct non-equality first predicates.
 	first []dictEntry
 	// strict holds the distinct additional predicates; a member already
-	// counted in eqUnion/first dies if any of its strict predicates
-	// fails.
+	// counted in eq/first dies if any of its strict predicates fails.
 	strict []dictEntry
+}
+
+// eqEntry is one equality-union value and the members it selects.
+type eqEntry struct {
+	val  expr.Value
+	bits *bitset.Posting
 }
 
 // dictEntry is one distinct predicate and the members it belongs to. seq
@@ -148,6 +162,38 @@ type dictEntry struct {
 	pred *expr.Predicate
 	bits *bitset.Posting
 	seq  uint32
+}
+
+// eqSearch returns the position of v in g.eq — or where v would be
+// inserted — and whether it is there.
+//
+//apcm:hotpath
+func (g *attrGroup) eqSearch(v expr.Value) (int, bool) {
+	eq := g.eq
+	lo, hi := 0, len(eq)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if eq[mid].val < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(eq) && eq[lo].val == v
+}
+
+// localOf returns attr's cluster-local index, reporting false when attr
+// is outside the universe.
+func (c *compiled) localOf(a expr.AttrID) (int32, bool) {
+	if dir := c.attrDirect; dir != nil {
+		d := int64(a) - int64(c.attrLo)
+		if uint64(d) >= uint64(len(dir)) || dir[d] < 0 {
+			return -1, false
+		}
+		return dir[d], true
+	}
+	i, ok := slices.BinarySearch(c.attrs, a)
+	return int32(i), ok
 }
 
 // slackCapacity sizes bitsets with headroom for incremental appends.
@@ -181,41 +227,28 @@ func compile(p *betree.Pool) *compiled { return compileOpts(p, layoutOpts{}) }
 func compileOpts(p *betree.Pool, lo layoutOpts) *compiled {
 	n := len(p.Exprs)
 	c := &compiled{
-		gen:     p.Gen,
-		rev:     nextRev(),
-		capN:    slackCapacity(n),
-		lo:      lo,
-		ids:     make([]expr.ID, 0, n),
-		idToIdx: make(map[expr.ID]int32, n),
-		attrIdx: make(map[expr.AttrID]int32),
+		gen:  p.Gen,
+		rev:  nextRev(),
+		capN: slackCapacity(n),
+		lo:   lo,
+		ids:  make([]expr.ID, 0, n),
 	}
-	c.words = c.capN / 64
 
-	// Pass 1: the cluster-local attribute universe (+1 tombstone slot).
+	// Pass 1: the cluster-local attribute universe (+1 tombstone slot),
+	// sorted and de-duplicated; a local index is a rank in it.
+	var all []expr.AttrID
 	for _, x := range p.Exprs {
 		for i := range x.Preds {
-			a := x.Preds[i].Attr
-			if _, ok := c.attrIdx[a]; !ok {
-				c.attrIdx[a] = int32(c.nAttrs)
-				c.nAttrs++
-			}
+			all = append(all, x.Preds[i].Attr)
 		}
 	}
+	slices.Sort(all)
+	c.attrs = slices.Clip(slices.Clone(slices.Compact(all)))
+	c.nAttrs = len(c.attrs)
 	c.awords = (c.nAttrs + 1 + 63) / 64
 	c.masks = make([]uint64, c.capN*c.awords)
 	c.attrCnt = make([]uint16, 0, c.capN)
 	c.groups = make([]attrGroup, c.nAttrs)
-	c.firstIdx = make([]map[string]int, c.nAttrs)
-	c.strictIdx = make([]map[string]int, c.nAttrs)
-	c.attrs = make([]expr.AttrID, 0, c.nAttrs)
-	c.attrLocal = make([]int32, c.nAttrs)
-	for a := range c.attrIdx {
-		c.attrs = append(c.attrs, a)
-	}
-	sort.Slice(c.attrs, func(i, j int) bool { return c.attrs[i] < c.attrs[j] })
-	for i, a := range c.attrs {
-		c.attrLocal[i] = c.attrIdx[a]
-	}
 
 	// Pass 2: members.
 	for _, x := range p.Exprs {
@@ -232,10 +265,22 @@ func compileOpts(p *betree.Pool, lo layoutOpts) *compiled {
 // boundary (member indexes only grow during a build, so the sorted-list
 // appends are O(1)).
 func (c *compiled) newPosting() *bitset.Posting {
+	var p *bitset.Posting
 	if c.lo.forceDense {
-		return bitset.DensePosting(bitset.New(c.capN))
+		p = bitset.DensePosting(bitset.New(c.capN))
+	} else {
+		p = bitset.NewPosting(c.capN)
 	}
-	return bitset.NewPosting(c.capN)
+	c.held += postingHeld(p)
+	return p
+}
+
+// set adds member idx to p, keeping held current when p grows or
+// promotes.
+func (c *compiled) set(p *bitset.Posting, idx int) {
+	before := postingHeld(p)
+	p.Set(idx)
+	c.held += postingHeld(p) - before
 }
 
 // append adds x as the next member. Every attribute of x must already be
@@ -245,81 +290,78 @@ func (c *compiled) append(x *expr.Expression) {
 	idx := c.n
 	c.n++
 	c.ids = append(c.ids, x.ID)
-	c.idToIdx[x.ID] = int32(idx)
 	mask := c.masks[idx*c.awords : (idx+1)*c.awords]
-	var key []byte
 	distinct := uint16(0)
+	var g *attrGroup
 
 	for j := range x.Preds {
 		pr := &x.Preds[j]
 		c.predSlots++
-		li := c.attrIdx[pr.Attr]
-		g := &c.groups[li]
-		if g.attrBits == nil {
-			g.attrBits = c.newPosting()
-		}
-		g.attrBits.Set(idx)
-		mask[li>>6] |= 1 << (uint(li) & 63)
-
 		// Predicates are attribute-sorted within an expression, so
 		// "first on this attribute" is "previous predicate differs".
 		isFirst := j == 0 || x.Preds[j-1].Attr != pr.Attr
 		if isFirst {
 			distinct++
+			li, _ := c.localOf(pr.Attr)
+			g = &c.groups[li]
+			if g.attrBits == nil {
+				g.attrBits = c.newPosting()
+			}
+			c.set(g.attrBits, idx)
+			mask[li>>6] |= 1 << (uint(li) & 63)
 		}
 		switch {
 		case isFirst && pr.Op == expr.EQ:
-			if g.eqUnion == nil {
-				g.eqUnion = make(map[expr.Value]*bitset.Posting)
-			}
-			u := g.eqUnion[pr.Lo]
-			if u == nil {
-				u = c.newPosting()
-				g.eqUnion[pr.Lo] = u
-				c.distinctPreds++
-				if g.eqFlat != nil {
-					// Keep the flat view coherent with the map; a value
-					// outside the compiled span drops the accelerator
-					// (the map stays authoritative).
-					if d := int64(pr.Lo) - int64(g.eqLo); uint64(d) < uint64(len(g.eqFlat)) {
-						g.eqFlat[d] = u
-					} else {
-						g.eqFlat = nil
-					}
-				}
-			}
-			u.Set(idx)
+			c.set(c.eqAdd(g, pr.Lo), idx)
 		case isFirst:
-			if c.firstIdx[li] == nil {
-				c.firstIdx[li] = make(map[string]int)
-			}
-			key = expr.AppendPredicate(key[:0], pr)
-			ei, ok := c.firstIdx[li][string(key)]
-			if !ok {
-				ei = len(g.first)
-				c.firstIdx[li][string(key)] = ei
-				c.seqCount++
-				g.first = append(g.first, dictEntry{pred: pr, bits: c.newPosting(), seq: c.seqCount})
-				c.distinctPreds++
-			}
-			g.first[ei].bits.Set(idx)
+			c.set(g.first[c.entry(&g.first, pr)].bits, idx)
 		default:
-			if c.strictIdx[li] == nil {
-				c.strictIdx[li] = make(map[string]int)
-			}
-			key = expr.AppendPredicate(key[:0], pr)
-			ei, ok := c.strictIdx[li][string(key)]
-			if !ok {
-				ei = len(g.strict)
-				c.strictIdx[li][string(key)] = ei
-				c.seqCount++
-				g.strict = append(g.strict, dictEntry{pred: pr, bits: c.newPosting(), seq: c.seqCount})
-				c.distinctPreds++
-			}
-			g.strict[ei].bits.Set(idx)
+			c.set(g.strict[c.entry(&g.strict, pr)].bits, idx)
 		}
 	}
 	c.attrCnt = append(c.attrCnt, distinct)
+}
+
+// eqAdd returns g's equality-union posting for v, inserting a new
+// entry at its sorted position when v is new. A new value is also
+// entered into eqFlat, or drops the flat table when it falls outside
+// the table's span (eq stays authoritative).
+func (c *compiled) eqAdd(g *attrGroup, v expr.Value) *bitset.Posting {
+	i, ok := g.eqSearch(v)
+	if ok {
+		return g.eq[i].bits
+	}
+	u := c.newPosting()
+	oldCap := cap(g.eq)
+	g.eq = slices.Insert(g.eq, i, eqEntry{val: v, bits: u})
+	c.held += int64(cap(g.eq)-oldCap) * eqEntrySize
+	c.distinctPreds++
+	if g.eqFlat != nil {
+		if d := int64(v) - int64(g.eqLo); uint64(d) < uint64(len(g.eqFlat)) {
+			g.eqFlat[d] = u
+		} else {
+			g.eqFlat = nil
+		}
+	}
+	return u
+}
+
+// entry returns the position of pr's entry in *dict, appending a new
+// entry when pr is not there yet. Dictionaries are per group and small,
+// so a scan with Predicate.Equal finds the entry, at compile and on
+// append alike.
+func (c *compiled) entry(dict *[]dictEntry, pr *expr.Predicate) int {
+	for i := range *dict {
+		if (*dict)[i].pred.Equal(pr) {
+			return i
+		}
+	}
+	c.seqCount++
+	c.distinctPreds++
+	oldCap := cap(*dict)
+	*dict = append(*dict, dictEntry{pred: pr, bits: c.newPosting(), seq: c.seqCount})
+	c.held += int64(cap(*dict)-oldCap) * dictSize
+	return len(*dict) - 1
 }
 
 // forEachPosting visits every posting of the cluster, in a fixed order.
@@ -329,8 +371,8 @@ func (c *compiled) forEachPosting(fn func(p *bitset.Posting)) {
 		if g.attrBits != nil {
 			fn(g.attrBits)
 		}
-		for _, u := range g.eqUnion {
-			fn(u)
+		for i := range g.eq {
+			fn(g.eq[i].bits)
 		}
 		for i := range g.first {
 			fn(g.first[i].bits)
@@ -344,13 +386,14 @@ func (c *compiled) forEachPosting(fn func(p *bitset.Posting)) {
 // finalize runs the density-aware layout pass after all members are in:
 //
 //  1. Arena build: a pre-pass sizes every slab class — posting structs,
-//     dense words, sparse ids, dictionary entries, flat-table slots,
-//     masks, counters — and the whole cluster is re-homed into one
-//     clusterArena (see arena.go), so the group loop walks a handful of
-//     contiguous arrays instead of chasing per-entry heap objects, and
-//     recompile-and-swap frees the old cluster as a few slabs.
+//     dense words, sparse ids, equality-union entries, dictionary
+//     entries, flat-table slots, masks, counters — and the whole
+//     cluster is re-homed into one clusterArena (see arena.go), so the
+//     group loop walks a handful of contiguous arrays instead of
+//     chasing per-entry heap objects, and recompile-and-swap frees the
+//     old cluster as a few slabs.
 //  2. Flat equality tables: groups whose observed equality-value span is
-//     small get a value-indexed eqFlat view over the eqUnion map.
+//     small get a value-indexed eqFlat view over the sorted eq slice.
 //  3. Static selectivity: groupKill is seeded per group from entry
 //     density and eq-union coverage — members constrained minus expected
 //     survivors (the average eq-union size plus half the non-equality
@@ -360,18 +403,21 @@ func (c *compiled) finalize() {
 	// Pre-pass A: posting and dictionary volumes. Representations are
 	// already settled (Set promotes at the density boundary; forceDense
 	// builds dense outright).
-	nPost, nDense, denseWords, sparseIds, nDict := 0, 0, 0, 0, 0
+	words := c.capN / 64 // per dense posting
+	nPost, nDense, denseWords, sparseIds, nDict, nEq := 0, 0, 0, 0, 0, 0
 	c.forEachPosting(func(p *bitset.Posting) {
 		nPost++
 		if p.IsSparse() {
 			sparseIds += len(p.Ids()) + sparseSlabSlack
 		} else {
 			nDense++
-			denseWords += c.words
+			denseWords += words
 		}
 	})
 	for gi := range c.groups {
-		nDict += len(c.groups[gi].first) + len(c.groups[gi].strict)
+		g := &c.groups[gi]
+		nDict += len(g.first) + len(g.strict)
+		nEq += len(g.eq)
 	}
 
 	// Pre-pass B: flat attribute-dictionary span (the table is carved
@@ -394,30 +440,23 @@ func (c *compiled) finalize() {
 	type eqSpan struct {
 		lo, hi expr.Value
 		total  int // Σ eq-union member counts (reused by the kill seeds)
-		span   int // flat-table slots; 0 = keep the map only
+		span   int // flat-table slots; 0 = search eq only
 	}
 	spans := make([]eqSpan, len(c.groups))
 	flatSlots := 0
 	for gi := range c.groups {
 		g := &c.groups[gi]
-		if len(g.eqUnion) == 0 {
+		if len(g.eq) == 0 {
 			continue
 		}
 		sp := &spans[gi]
-		first := true
-		for v, u := range g.eqUnion {
-			sp.total += u.Count()
-			if first || v < sp.lo {
-				sp.lo = v
-			}
-			if first || v > sp.hi {
-				sp.hi = v
-			}
-			first = false
+		sp.lo, sp.hi = g.eq[0].val, g.eq[len(g.eq)-1].val
+		for i := range g.eq {
+			sp.total += g.eq[i].bits.Count()
 		}
 		if !c.lo.noEqFlat {
 			span := int64(sp.hi) - int64(sp.lo) + 1
-			if span <= eqFlatMaxSpan && span <= int64(eqFlatSpanFactor*len(g.eqUnion)+eqFlatMinSpan) {
+			if span <= eqFlatMaxSpan && span <= int64(eqFlatSpanFactor*len(g.eq)+eqFlatMinSpan) {
 				sp.span = int(span)
 				flatSlots += sp.span
 			}
@@ -431,6 +470,7 @@ func (c *compiled) finalize() {
 		posts: nPost,
 		bsets: nDense,
 		dict:  nDict,
+		eq:    nEq,
 		flat:  flatSlots,
 		kill:  c.nAttrs,
 		cnt:   c.capN,
@@ -440,7 +480,7 @@ func (c *compiled) finalize() {
 	// Re-home the flat member state. The masks were built in a private
 	// slice during the append pass (slab sizes depend on the finished
 	// postings); one copy moves them into the arena for good.
-	copy(ar.takeWords(maskWords), c.masks)
+	copy(carve(ar.words, &ar.wo, maskWords, 0), c.masks)
 	c.masks = ar.words[:maskWords:maskWords]
 	cnt := ar.cnt[:len(c.attrCnt):c.capN]
 	copy(cnt, c.attrCnt)
@@ -449,45 +489,46 @@ func (c *compiled) finalize() {
 
 	// rehome moves one posting — struct and backing — into the arena.
 	rehome := func(p *bitset.Posting) *bitset.Posting {
-		np := ar.nextPosting()
+		np := &carve(ar.posts, &ar.po, 1, 0)[0]
 		if p.IsSparse() {
 			ids := p.Ids()
-			slab := ar.takeIDs(len(ids), sparseSlabSlack)
+			slab := carve(ar.ids, &ar.io, len(ids), sparseSlabSlack)
 			copy(slab, ids)
 			np.InitSparse(slab, c.capN)
 		} else {
-			bs := ar.nextBitset()
-			bs.InitView(ar.takeWords(c.words), c.capN)
+			bs := &carve(ar.bsets, &ar.bo, 1, 0)[0]
+			bs.InitView(carve(ar.words, &ar.wo, words, 0), c.capN)
 			p.CopyInto(bs)
 			np.InitDense(bs)
 		}
 		return np
 	}
 
-	// Re-home every posting, dictionary entry and flat table, group by
-	// group, in forEachPosting order so consumption matches pre-pass A
-	// exactly. eqFlat is rebuilt from the re-homed eqUnion values, so the
-	// two views alias the same arena posting structs.
+	// Re-home every posting, equality union, dictionary entry and flat
+	// table, group by group, in forEachPosting order so consumption
+	// matches pre-pass A exactly. eqFlat is built from the re-homed eq
+	// entries, so the two views alias the same arena posting structs.
 	for gi := range c.groups {
 		g := &c.groups[gi]
 		if g.attrBits != nil {
 			g.attrBits = rehome(g.attrBits)
 		}
-		for v, u := range g.eqUnion {
-			g.eqUnion[v] = rehome(u)
+		g.eq = carveCopy(ar.eq, &ar.eo, g.eq)
+		for i := range g.eq {
+			g.eq[i].bits = rehome(g.eq[i].bits)
 		}
-		g.first = ar.takeDict(g.first)
+		g.first = carveCopy(ar.dict, &ar.do, g.first)
 		for i := range g.first {
 			g.first[i].bits = rehome(g.first[i].bits)
 		}
-		g.strict = ar.takeDict(g.strict)
+		g.strict = carveCopy(ar.dict, &ar.do, g.strict)
 		for i := range g.strict {
 			g.strict[i].bits = rehome(g.strict[i].bits)
 		}
 		if sp := &spans[gi]; sp.span > 0 {
-			flat := ar.takeFlat(sp.span)
-			for v, u := range g.eqUnion {
-				flat[int64(v)-int64(sp.lo)] = u
+			flat := carve(ar.flat, &ar.fo, sp.span, 0)
+			for _, e := range g.eq {
+				flat[int64(e.val)-int64(sp.lo)] = e.bits
 			}
 			g.eqFlat, g.eqLo = flat, sp.lo
 		}
@@ -495,12 +536,12 @@ func (c *compiled) finalize() {
 
 	if attrSpan > 0 {
 		lo := c.attrs[0]
-		dir := ar.takeIDs(attrSpan, 0)
+		dir := carve(ar.ids, &ar.io, attrSpan, 0)
 		for i := range dir {
 			dir[i] = -1
 		}
 		for i, a := range c.attrs {
-			dir[int64(a)-int64(lo)] = c.attrLocal[i]
+			dir[int64(a)-int64(lo)] = int32(i)
 		}
 		c.attrDirect, c.attrLo = dir, lo
 	}
@@ -516,7 +557,7 @@ func (c *compiled) finalize() {
 			firstTotal += g.first[i].bits.Count()
 		}
 		surv := firstTotal / 2
-		if n := len(g.eqUnion); n > 0 {
+		if n := len(g.eq); n > 0 {
 			surv += spans[gi].total / n
 		}
 		kills := g.attrBits.Count() - surv
@@ -525,14 +566,8 @@ func (c *compiled) finalize() {
 		}
 		c.groupKill[gi].Store(uint32(kills) << killPointShift)
 	}
-}
-
-// arenaBytes reports the cluster's arena footprint (0 before finalize).
-func (c *compiled) arenaBytes() int64 {
-	if c.arena == nil {
-		return 0
-	}
-	return c.arena.bytes()
+	c.held = c.heldBytes()
+	c.finalHeld = c.held
 }
 
 // tryAppend incorporates a freshly inserted pool member without
@@ -548,7 +583,7 @@ func (c *compiled) tryAppend(p *betree.Pool, x *expr.Expression) bool {
 		return false
 	}
 	for i := range x.Preds {
-		if _, ok := c.attrIdx[x.Preds[i].Attr]; !ok {
+		if _, ok := c.localOf(x.Preds[i].Attr); !ok {
 			return false
 		}
 	}
@@ -574,7 +609,7 @@ func (c *compiled) tryAppendBatch(p *betree.Pool, xs []*expr.Expression) bool {
 	}
 	for _, x := range xs {
 		for i := range x.Preds {
-			if _, ok := c.attrIdx[x.Preds[i].Attr]; !ok {
+			if _, ok := c.localOf(x.Preds[i].Attr); !ok {
 				return false
 			}
 		}
@@ -589,19 +624,26 @@ func (c *compiled) tryAppendBatch(p *betree.Pool, xs []*expr.Expression) bool {
 
 // tryTombstone marks a deleted member dead without recompiling, by
 // setting the reserved tombstone bit in its attribute mask (which no
-// event can cover). Same generation discipline as tryAppend.
+// event can cover). The member's slot is found by scanning ids (at most
+// capN slots), skipping slots already tombstoned, so deleting an id
+// twice fails the second time. Same generation discipline as tryAppend.
 func (c *compiled) tryTombstone(p *betree.Pool, id expr.ID) bool {
 	if c.gen+1 != p.Gen {
 		return false
 	}
-	idx, ok := c.idToIdx[id]
-	if !ok {
+	idx := -1
+	for i, v := range c.ids {
+		if v == id && c.attrCnt[i] != tombCnt {
+			idx = i
+			break
+		}
+	}
+	if idx < 0 {
 		return false
 	}
 	tomb := c.nAttrs // reserved local slot
-	c.masks[int(idx)*c.awords+tomb>>6] |= 1 << (uint(tomb) & 63)
-	c.attrCnt[idx] = 0xFFFF // unreachable occurrence count: never eligible
-	delete(c.idToIdx, id)
+	c.masks[idx*c.awords+tomb>>6] |= 1 << (uint(tomb) & 63)
+	c.attrCnt[idx] = tombCnt
 	c.tombs++
 	c.gen = p.Gen
 	c.rev = nextRev() // invalidate revision-keyed caches
@@ -656,27 +698,51 @@ func (c *compiled) tally() postingTally {
 	return t
 }
 
-// memoryBytes estimates the cluster's heap footprint.
-func (c *compiled) memoryBytes() int64 {
+// Struct sizes on 64-bit platforms, for byte accounting without unsafe
+// (TestAccountedStructSizes pins them to unsafe.Sizeof).
+const (
+	compiledSize = 288
+	groupSize    = 112
+	eqEntrySize  = 16
+	dictSize     = 24
+	postingSize  = 40
+	bitsetSize   = 32
+	arenaSize    = 272
+)
+
+// postingHeld is what one posting holds: its struct, its bitset struct
+// when dense, and its backing words or ids by capacity.
+func postingHeld(p *bitset.Posting) int64 {
+	b := postingSize + int64(p.MemBytes())
+	if !p.IsSparse() {
+		b += bitsetSize
+	}
+	return b
+}
+
+// heldBytes sums what the postings, equality unions and dictionaries
+// hold — structs, backing words and ids, slice capacities — wherever
+// that storage lives. finalize seeds held with it; tests check that the
+// running total agrees.
+func (c *compiled) heldBytes() int64 {
 	var b int64
+	c.forEachPosting(func(p *bitset.Posting) { b += postingHeld(p) })
 	for gi := range c.groups {
 		g := &c.groups[gi]
-		if g.attrBits != nil {
-			b += int64(g.attrBits.MemBytes()) + 64
-		}
-		for _, u := range g.eqUnion {
-			b += int64(u.MemBytes()) + 16
-		}
-		b += int64(len(g.eqFlat)) * 8
-		for i := range g.first {
-			b += int64(g.first[i].bits.MemBytes()) + 24
-		}
-		for i := range g.strict {
-			b += int64(g.strict[i].bits.MemBytes()) + 24
-		}
+		b += int64(cap(g.eq))*eqEntrySize + int64(cap(g.first)+cap(g.strict))*dictSize
 	}
-	b += int64(len(c.ids))*8 + int64(len(c.masks))*8 + int64(len(c.groupKill))*4 + int64(len(c.attrCnt))*2
-	b += int64(len(c.attrDirect)) * 4
-	b += int64(len(c.attrIdx))*16 + int64(len(c.idToIdx))*24
+	return b
+}
+
+// memoryBytes reports the cluster's heap footprint: the structs, the
+// group table, the id and attribute lists, every arena slab, and what
+// incremental maintenance allocated outside the arena since finalize,
+// measured as the growth of held. Size-class rounding is not counted.
+func (c *compiled) memoryBytes() int64 {
+	b := int64(compiledSize+arenaSize) + int64(cap(c.groups))*groupSize +
+		int64(cap(c.ids))*8 + int64(cap(c.attrs))*4 + c.arena.bytes()
+	if grown := c.held - c.finalHeld; grown > 0 {
+		b += grown
+	}
 	return b
 }

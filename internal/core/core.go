@@ -4,8 +4,9 @@
 // The matcher clusters subscriptions with a BE-Tree (internal/betree)
 // and compiles every sufficiently large pool into a compressed cluster:
 // per-member attribute masks for a one-pass eligibility test,
-// per-attribute equality-union maps (one hash lookup evaluates every
-// distinct equality predicate on an attribute at once) and dictionaries
+// per-attribute equality unions (one probe of a value-sorted slice or
+// its flat table evaluates every distinct equality predicate on an
+// attribute at once) and dictionaries
 // of distinct non-equality predicates, each entry carrying a bitset of
 // the members that contain it. Matching an event is then word-wide
 // Boolean algebra over the whole cluster instead of per-subscription
@@ -88,8 +89,9 @@ type Config struct {
 	// DisableHybridPostings compiles every posting dense, as before the
 	// density-adaptive layout (ablation switch, see E18).
 	DisableHybridPostings bool
-	// DisableFlatEq keeps equality unions in the Go map only, never
-	// building the value-indexed flat tables (ablation switch).
+	// DisableFlatEq keeps equality unions in their sorted slice only
+	// (binary search), never building the value-indexed flat tables
+	// (ablation switch).
 	DisableFlatEq bool
 	// DisableGroupOrder evaluates groups in attribute order instead of
 	// descending estimated-kill order (ablation switch).
@@ -330,14 +332,12 @@ func (m *Matcher) MatchWith(s *Scratch, dst []expr.ID, e *expr.Event) []expr.ID 
 // to dst. Safe for concurrent use with distinct Scratch values.
 func (m *Matcher) matchPool(s *Scratch, dst []expr.ID, p *betree.Pool, e *expr.Event) []expr.ID {
 	if m.cfg.Mode == ModeUncompressed || len(p.Exprs) < m.cfg.MinCompressSize {
-		dst, _ = scanPool(&s.kern, p.Exprs, e, dst)
-		return dst
+		return scanPool(&s.kern, p.Exprs, e, dst)
 	}
 	cs := m.clusterFor(p)
 	switch m.cfg.Mode {
 	case ModeCompressed:
-		dst, _ = cs.compiled.Load().matchCompressed(&s.kern, e, dst)
-		return dst
+		return cs.compiled.Load().matchCompressed(&s.kern, e, dst)
 	default:
 		return m.matchAdaptive(cs, s, dst, p, e)
 	}
@@ -431,7 +431,7 @@ func (m *Matcher) Stats() Stats {
 		st.PredicateSlots += c.predSlots
 		st.DistinctPreds += c.distinctPreds
 		st.CompressedBytes += c.memoryBytes()
-		st.ArenaBytes += c.arenaBytes()
+		st.ArenaBytes += c.arena.bytes()
 		t := c.tally()
 		st.DensePostings += t.Dense
 		st.SparsePostings += t.Sparse

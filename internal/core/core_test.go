@@ -285,8 +285,9 @@ func TestPrepareAllNoopsWhenUncompressed(t *testing.T) {
 	}
 }
 
-func TestCompressedKernelCheaperOnRedundantCluster(t *testing.T) {
-	// Direct kernel cost comparison on a highly redundant pool.
+func TestKernelsAgreeOnRedundantCluster(t *testing.T) {
+	// Both kernels on a highly redundant pool: three groups of two or
+	// three shared equality values each.
 	pool := &betree.Pool{}
 	for i := 1; i <= 512; i++ {
 		pool.Exprs = append(pool.Exprs, expr.MustNew(expr.ID(i),
@@ -295,19 +296,17 @@ func TestCompressedKernelCheaperOnRedundantCluster(t *testing.T) {
 	c := compile(pool)
 	var ab kernelScratch
 	ev := expr.MustEvent(expr.P(1, 0), expr.P(2, 1), expr.P(3, 1))
-	gotC, costC := c.matchCompressed(&ab, ev, nil)
-	gotU, costU := scanPool(&ab, pool.Exprs, ev, nil)
-	if len(gotC) != len(gotU) {
+	gotC := c.matchCompressed(&ab, ev, nil)
+	gotU := scanPool(&ab, pool.Exprs, ev, nil)
+	if !sameIDs(gotC, gotU) {
 		t.Fatalf("kernels disagree: %d vs %d matches", len(gotC), len(gotU))
-	}
-	if costC >= costU {
-		t.Fatalf("compressed kernel not cheaper on redundant cluster: %d vs %d", costC, costU)
 	}
 }
 
 func TestCompressedKernelEarlyExit(t *testing.T) {
-	// Every member requires attr 9, absent from the event: one AND-NOT
-	// should empty the survivor set and exit.
+	// Every member requires attr 9 == 1 and the event carries attr 9 = 2:
+	// whichever group runs, the attr-9 group empties the survivor set
+	// with one AND-NOT and the loop exits before collecting survivors.
 	pool := &betree.Pool{}
 	for i := 1; i <= 64; i++ {
 		pool.Exprs = append(pool.Exprs, expr.MustNew(expr.ID(i),
@@ -315,15 +314,19 @@ func TestCompressedKernelEarlyExit(t *testing.T) {
 	}
 	c := compile(pool)
 	var ab kernelScratch
-	got, cost := c.matchCompressed(&ab, expr.MustEvent(expr.P(1, 3)), nil)
-	if len(got) != 0 {
+	ev := expr.MustEvent(expr.P(1, 3), expr.P(9, 2))
+	if got := c.matchCompressed(&ab, ev, nil); len(got) != 0 {
 		t.Fatalf("unexpected matches %v", got)
 	}
-	// Groups are attr-sorted, so attr 1's dictionary (64 entries) is
-	// evaluated first; the early exit then fires on attr 9's miss.
-	// Cost must still be far below evaluating per-member predicates.
-	if _, full := scanPool(&ab, pool.Exprs, expr.MustEvent(expr.P(1, 3)), nil); cost > full {
-		t.Fatalf("early exit missing: compressed cost %d vs scan %d", cost, full)
+	if ab.earlyExits != 1 {
+		t.Fatalf("earlyExits = %d, want 1", ab.earlyExits)
+	}
+	// A matching event runs the loop to the end: no early exit.
+	if got := c.matchCompressed(&ab, expr.MustEvent(expr.P(1, 3), expr.P(9, 1)), nil); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("matches %v, want [3]", got)
+	}
+	if ab.earlyExits != 1 {
+		t.Fatalf("earlyExits = %d after a matching event, want 1", ab.earlyExits)
 	}
 }
 
@@ -345,7 +348,7 @@ func TestCompileDedupesAcrossMembers(t *testing.T) {
 	if len(c.groups) != 2 || c.nAttrs != 2 {
 		t.Fatalf("groups malformed: %d groups, %d attrs", len(c.groups), c.nAttrs)
 	}
-	li, ok := c.attrIdx[1]
+	li, ok := c.localOf(1)
 	if !ok {
 		t.Fatal("attribute 1 missing from cluster universe")
 	}
@@ -354,11 +357,12 @@ func TestCompileDedupesAcrossMembers(t *testing.T) {
 		t.Fatalf("attrBits count = %d", g.attrBits.Count())
 	}
 	// All 100 members share Eq(1,7): one equality-union entry.
-	if len(g.eqUnion) != 1 || g.eqUnion[7] == nil || g.eqUnion[7].Count() != 100 {
-		t.Fatalf("eqUnion malformed: %v", g.eqUnion)
+	if len(g.eq) != 1 || g.eq[0].val != 7 || g.eq[0].bits.Count() != 100 {
+		t.Fatalf("eq union malformed: %v", g.eq)
 	}
 	// Attr 2 carries the shared Between as a single first-dictionary entry.
-	g2 := &c.groups[c.attrIdx[2]]
+	li2, _ := c.localOf(2)
+	g2 := &c.groups[li2]
 	if len(g2.first) != 1 || g2.first[0].bits.Count() != 100 {
 		t.Fatalf("first dictionary malformed: %+v", g2.first)
 	}
@@ -373,18 +377,19 @@ func TestCompileStrictPredicates(t *testing.T) {
 			expr.Gt(1, 3), expr.Lt(1, 10)))
 	}
 	c := compile(pool)
-	g := &c.groups[c.attrIdx[1]]
+	li, _ := c.localOf(1)
+	g := &c.groups[li]
 	if len(g.strict) != 1 {
 		t.Fatalf("strict dictionary has %d entries, want 1", len(g.strict))
 	}
 	var ks kernelScratch
-	if got, _ := c.matchCompressed(&ks, expr.MustEvent(expr.P(1, 5)), nil); len(got) != 10 {
+	if got := c.matchCompressed(&ks, expr.MustEvent(expr.P(1, 5)), nil); len(got) != 10 {
 		t.Fatalf("value inside both bounds matched %d of 10", len(got))
 	}
-	if got, _ := c.matchCompressed(&ks, expr.MustEvent(expr.P(1, 12)), nil); len(got) != 0 {
+	if got := c.matchCompressed(&ks, expr.MustEvent(expr.P(1, 12)), nil); len(got) != 0 {
 		t.Fatalf("value above the strict bound matched %d", len(got))
 	}
-	if got, _ := c.matchCompressed(&ks, expr.MustEvent(expr.P(1, 2)), nil); len(got) != 0 {
+	if got := c.matchCompressed(&ks, expr.MustEvent(expr.P(1, 2)), nil); len(got) != 0 {
 		t.Fatalf("value below the first bound matched %d", len(got))
 	}
 }
@@ -401,7 +406,7 @@ func TestEligibilityKillsMissingAttrMembers(t *testing.T) {
 	}
 	c := compile(pool)
 	var ks kernelScratch
-	got, _ := c.matchCompressed(&ks, expr.MustEvent(expr.P(1, 5)), nil)
+	got := c.matchCompressed(&ks, expr.MustEvent(expr.P(1, 5)), nil)
 	if len(got) != 32 {
 		t.Fatalf("got %d matches, want 32", len(got))
 	}

@@ -12,9 +12,9 @@ import (
 
 // TestEqFlatIncrementalAppendFallback pins the flat-equality coherence
 // rule: an incremental append whose equality value lands outside the
-// compiled [eqLo, eqLo+len) range must drop eqFlat (the map stays
-// authoritative), and matching must keep agreeing with the scan kernel
-// for both old and new values.
+// compiled [eqLo, eqLo+len) range must drop eqFlat (the sorted eq slice
+// stays authoritative), and matching must keep agreeing with the scan
+// kernel for both old and new values.
 func TestEqFlatIncrementalAppendFallback(t *testing.T) {
 	const attr = expr.AttrID(1)
 	pool := &betree.Pool{}
@@ -23,7 +23,7 @@ func TestEqFlatIncrementalAppendFallback(t *testing.T) {
 			expr.MustNew(expr.ID(i+1), expr.Eq(attr, expr.Value(i%10))))
 	}
 	c := compile(pool)
-	li, ok := c.attrIdx[attr]
+	li, ok := c.localOf(attr)
 	if !ok {
 		t.Fatal("attribute missing from compiled universe")
 	}
@@ -43,7 +43,7 @@ func TestEqFlatIncrementalAppendFallback(t *testing.T) {
 		t.Fatal("in-range append must not drop the flat table")
 	}
 
-	// Out-of-range append must drop it and fall back to the map.
+	// Out-of-range append must drop it and fall back to searching eq.
 	outRange := expr.MustNew(101, expr.Eq(attr, 5000))
 	pool.Exprs = append(pool.Exprs, outRange)
 	pool.Gen++
@@ -57,8 +57,8 @@ func TestEqFlatIncrementalAppendFallback(t *testing.T) {
 	var ks kernelScratch
 	for _, v := range []expr.Value{0, 3, 5000, 77} {
 		ev := expr.MustEvent(expr.P(attr, v))
-		a, _ := c.matchCompressed(&ks, ev, nil)
-		b, _ := scanPool(&ks, pool.Exprs, ev, nil)
+		a := c.matchCompressed(&ks, ev, nil)
+		b := scanPool(&ks, pool.Exprs, ev, nil)
 		if !sameIDs(a, b) {
 			t.Fatalf("value %d: compressed %v scan %v", v, a, b)
 		}
@@ -105,9 +105,9 @@ func TestPropKernelsAgreeAcrossLayoutOpts(t *testing.T) {
 		var ks kernelScratch
 		for trial := 0; trial < 15; trial++ {
 			ev := g.Event()
-			want, _ := scanPool(&ks, pool.Exprs, ev, nil)
+			want := scanPool(&ks, pool.Exprs, ev, nil)
 			for i, c := range cs {
-				got, _ := c.matchCompressed(&ks, ev, nil)
+				got := c.matchCompressed(&ks, ev, nil)
 				if !sameIDs(got, want) {
 					t.Logf("seed %d variant %+v: compressed %v scan %v on %s",
 						seed, variants[i], got, want, ev)

@@ -7,17 +7,6 @@ import (
 	"github.com/streammatch/apcm/internal/bitset"
 )
 
-// Kernel cost model, in abstract work units. A predicate evaluation (a
-// Matches call: branchy switch, possible set probe) is weighted against
-// word-wide bitset operations; the adaptive policy only ever compares
-// the two kernels' totals, so relative weights are what matter.
-const (
-	costPredEval     = 4 // one Predicate.Matches call (or one hash probe)
-	costWordOp       = 1 // one 64-bit word of bitset work
-	costExprLoop     = 1 // per-expression loop overhead in the scan kernel
-	costSparseMember = 1 // one listed member of a sparse posting (test/clear)
-)
-
 // eligCacheMinWork gates the eligibility cache: for clusters whose
 // eligibility sweep is under this many words the map probe costs as much
 // as the sweep it would save.
@@ -146,18 +135,17 @@ func (s *kernelScratch) predMatches(rev uint64, e *dictEntry, val expr.Value) bo
 //     attribute set — the common case after OSR — hit the per-cluster
 //     eligibility cache and skip the sweep entirely.
 //  3. Per present group, in descending estimated-kill order (groupKill):
-//     one equality probe (flat table or map) plus evaluation of the
-//     distinct non-equality predicates (memoized across the batch)
-//     yields the satisfied union; alive &= satisfied | ^attrBits, where
-//     sparse groups touch only their listed members. Failed strict
-//     predicates AND-NOT out individually. Dense ops report emptiness
-//     exactly, so the loop exits as soon as alive hits zero — the kill
-//     order exists to make that happen in as few groups as possible.
-//
-// Returns the appended dst and the work units spent.
+//     one equality probe (flat table, else binary search of eq) plus
+//     evaluation of the distinct non-equality predicates (memoized
+//     across the batch) yields the satisfied union; alive &= satisfied
+//     | ^attrBits, where sparse groups touch only their listed members.
+//     Failed strict predicates AND-NOT out individually. Dense ops
+//     report emptiness exactly, so the loop exits as soon as alive hits
+//     zero — the kill order exists to make that happen in as few groups
+//     as possible.
 //
 //apcm:hotpath
-func (c *compiled) matchCompressed(s *kernelScratch, e *expr.Event, dst []expr.ID) ([]expr.ID, int) {
+func (c *compiled) matchCompressed(s *kernelScratch, e *expr.Event, dst []expr.ID) []expr.ID {
 	return c.matchHybrid(s, e, dst, false)
 }
 
@@ -167,10 +155,9 @@ func (c *compiled) matchCompressed(s *kernelScratch, e *expr.Event, dst []expr.I
 // The popcounts are paid only on probe events.
 //
 //apcm:hotpath
-func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, measure bool) ([]expr.ID, int) {
+func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, measure bool) []expr.ID {
 	bufs := s.get(c.capN)
 	alive, sat := bufs.alive, bufs.sat
-	cost := 0
 
 	// Step 1: present mask and group hits, by merge-join.
 	if cap(s.present) < c.awords {
@@ -185,7 +172,6 @@ func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, m
 	if dir := c.attrDirect; dir != nil {
 		// Flat attribute dictionary: one bounds check and an array load
 		// per event pair, independent of the universe width.
-		cost += len(pairs) * costWordOp
 		lo0 := int64(c.attrLo)
 		for i := range pairs {
 			d := int64(pairs[i].Attr) - lo0
@@ -201,12 +187,11 @@ func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, m
 		}
 	} else {
 		ca := c.attrs
-		cost += (len(pairs) + len(ca)) * costWordOp
 		for i, j := 0, 0; i < len(pairs) && j < len(ca); {
 			a, b := pairs[i].Attr, ca[j]
 			switch {
 			case a == b:
-				li := c.attrLocal[j]
+				li := int32(j)
 				present[li>>6] |= 1 << (uint(li) & 63)
 				s.hits = append(s.hits, groupHit{local: li, val: pairs[i].Val})
 				i++
@@ -219,7 +204,7 @@ func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, m
 		}
 	}
 	if len(s.hits) == 0 {
-		return dst, cost
+		return dst
 	}
 
 	// Step 2: eligibility. A member survives iff its attribute mask is
@@ -236,10 +221,9 @@ func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, m
 		if ce.matches(present) {
 			s.eligHits++
 			if !ce.any {
-				return dst, cost
+				return dst
 			}
 			copy(alive.Words(), ce.words)
-			cost += c.words * costWordOp
 			cached = true
 			ce = nil // nothing to store
 		}
@@ -268,7 +252,6 @@ func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, m
 			// i.e. when its occurrence count reaches its distinct
 			// constrained-attribute count. Tombstoned members carry an
 			// unreachable count and can never trip the equality.
-			cost += cand * 2 * costSparseMember
 			bufs.epoch++
 			if bufs.epoch&0xFFFF == 0 { // 16-bit stamp wrapped: clear stale marks
 				for i := range bufs.mark {
@@ -296,7 +279,7 @@ func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, m
 			s.eligIds = elig
 			anyAlive = len(elig) > 0
 			if !anyAlive && ce == nil {
-				return dst, cost
+				return dst
 			}
 			alive.ClearAll()
 			aw := alive.Words()
@@ -306,7 +289,6 @@ func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, m
 		} else {
 			alive.ClearAll()
 			aw := alive.Words()
-			cost += c.n * c.awords * costWordOp
 			for m := 0; m < c.n; m++ {
 				mask := c.masks[m*c.awords : (m+1)*c.awords]
 				ok := true
@@ -326,7 +308,7 @@ func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, m
 			ce.store(present, alive.Words(), anyAlive)
 		}
 		if !anyAlive {
-			return dst, cost
+			return dst
 		}
 	}
 
@@ -358,21 +340,18 @@ func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, m
 		}
 
 		// Satisfied union inputs: the equality probe (flat table when
-		// compiled, map otherwise) and the matched non-equality first
-		// predicates.
+		// compiled, binary search of the sorted eq union otherwise) and
+		// the matched non-equality first predicates.
 		var u *bitset.Posting
 		if g.eqFlat != nil {
-			cost += costPredEval
 			if d := int64(h.val) - int64(g.eqLo); uint64(d) < uint64(len(g.eqFlat)) {
 				u = g.eqFlat[d]
 			}
-		} else if g.eqUnion != nil {
-			cost += costPredEval
-			u = g.eqUnion[h.val]
+		} else if i, ok := g.eqSearch(h.val); ok {
+			u = g.eq[i].bits
 		}
 		fh := s.firstHits[:0]
 		for ei := range g.first {
-			cost += costPredEval
 			if s.predMatches(c.rev, &g.first[ei], h.val) {
 				fh = append(fh, g.first[ei].bits)
 			}
@@ -386,9 +365,7 @@ func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, m
 			// eq union or first posting here is sparse too (subsets of
 			// attrBits cannot be denser than it), so the Test probes walk
 			// tiny id lists.
-			ids := ab.Ids()
-			cost += len(ids) * costSparseMember
-			for _, id := range ids {
+			for _, id := range ab.Ids() {
 				i := int(id)
 				if !alive.Test(i) || (u != nil && u.Test(i)) {
 					continue
@@ -405,7 +382,6 @@ func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, m
 				}
 			}
 		} else if len(fh) == 0 {
-			cost += c.words * costWordOp
 			if u == nil {
 				emptied = ab.AndNotInto(alive)
 			} else if ud := u.Dense(); ud != nil {
@@ -422,12 +398,9 @@ func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, m
 			} else {
 				sat.ClearAll()
 			}
-			cost += c.words * costWordOp
 			for _, fb := range fh {
 				fb.OrInto(sat)
-				cost += c.words * costWordOp
 			}
-			cost += c.words * costWordOp
 			emptied = alive.AndUnion(sat, ab.Dense())
 		}
 		if emptied {
@@ -435,18 +408,16 @@ func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, m
 			if measure {
 				c.noteKills(h.local, before)
 			}
-			return dst, cost
+			return dst
 		}
 		for ei := range g.strict {
-			cost += costPredEval
 			if !s.predMatches(c.rev, &g.strict[ei], h.val) {
-				cost += c.words * costWordOp
 				if g.strict[ei].bits.AndNotInto(alive) {
 					s.earlyExits++
 					if measure {
 						c.noteKills(h.local, before)
 					}
-					return dst, cost
+					return dst
 				}
 			}
 		}
@@ -465,27 +436,23 @@ func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, m
 			w &= w - 1
 		}
 	}
-	return dst, cost
+	return dst
 }
 
 // scanPool runs the uncompressed kernel: short-circuiting interpretation
 // of every pooled expression. Attribute lookups go through the scratch's
 // dense value table (stamped array indexing) instead of scanning the
-// event's pair list per predicate. Returns the appended dst and the work
-// units spent.
+// event's pair list per predicate. Returns the appended dst.
 //
 //apcm:hotpath
-func scanPool(s *kernelScratch, exprs []*expr.Expression, e *expr.Event, dst []expr.ID) ([]expr.ID, int) {
-	cost := 0
+func scanPool(s *kernelScratch, exprs []*expr.Expression, e *expr.Event, dst []expr.ID) []expr.ID {
 	vt := &s.vt
 	if !vt.ensure(e) {
 		return scanPoolSlow(exprs, e, dst)
 	}
 	for _, x := range exprs {
-		cost += costExprLoop
 		matched := true
 		for j := range x.Preds {
-			cost += costPredEval
 			p := &x.Preds[j]
 			v, ok := vt.lookup(p.Attr)
 			if !ok || !p.Matches(v) {
@@ -497,20 +464,17 @@ func scanPool(s *kernelScratch, exprs []*expr.Expression, e *expr.Event, dst []e
 			dst = append(dst, x.ID)
 		}
 	}
-	return dst, cost
+	return dst
 }
 
 // scanPoolSlow is the fallback for events whose attribute ids exceed the
 // dense-table bound; it resolves attributes against the event directly.
 //
 //apcm:hotpath
-func scanPoolSlow(exprs []*expr.Expression, e *expr.Event, dst []expr.ID) ([]expr.ID, int) {
-	cost := 0
+func scanPoolSlow(exprs []*expr.Expression, e *expr.Event, dst []expr.ID) []expr.ID {
 	for _, x := range exprs {
-		cost += costExprLoop
 		matched := true
 		for j := range x.Preds {
-			cost += costPredEval
 			p := &x.Preds[j]
 			v, ok := e.Lookup(p.Attr)
 			if !ok || !p.Matches(v) {
@@ -522,5 +486,5 @@ func scanPoolSlow(exprs []*expr.Expression, e *expr.Event, dst []expr.ID) ([]exp
 			dst = append(dst, x.ID)
 		}
 	}
-	return dst, cost
+	return dst
 }

@@ -41,8 +41,8 @@ func TestPropKernelsAgree(t *testing.T) {
 		var ks kernelScratch
 		for trial := 0; trial < 30; trial++ {
 			ev := g.Event()
-			a, _ := c.matchCompressed(&ks, ev, nil)
-			b, _ := scanPool(&ks, pool.Exprs, ev, nil)
+			a := c.matchCompressed(&ks, ev, nil)
+			b := scanPool(&ks, pool.Exprs, ev, nil)
 			if !sameIDs(a, b) {
 				t.Logf("seed %d: compressed %v scan %v on %s", seed, a, b, ev)
 				return false
@@ -100,8 +100,8 @@ func TestPropKernelsAgreeAfterIncrementalMaintenance(t *testing.T) {
 		var ks kernelScratch
 		for trial := 0; trial < 20; trial++ {
 			ev := g.Event()
-			a, _ := c.matchCompressed(&ks, ev, nil)
-			b, _ := scanPool(&ks, pool.Exprs, ev, nil)
+			a := c.matchCompressed(&ks, ev, nil)
+			b := scanPool(&ks, pool.Exprs, ev, nil)
 			if !sameIDs(a, b) {
 				return false
 			}

@@ -210,10 +210,14 @@ func (m *Matcher) ForEach(fn func(*expr.Expression) bool) {
 	}
 }
 
-// MemBytes estimates the heap footprint of the index structures.
+// MemBytes estimates the heap footprint of the index structures and of
+// the expressions they keep alive.
 func (m *Matcher) MemBytes() int64 {
 	var b int64
 	b += int64(len(m.infos)) * 64
+	for i := range m.infos {
+		b += m.infos[i].x.MemBytes()
+	}
 	b += int64(len(m.counters)+len(m.stamps)) * 4
 	b += int64(len(m.slot)) * 24
 	for _, ai := range m.attrs {

@@ -249,12 +249,16 @@ func (m *Matcher) ForEach(fn func(*expr.Expression) bool) {
 	}
 }
 
-// MemBytes estimates the heap footprint of the index structures.
+// MemBytes estimates the heap footprint of the index structures and of
+// the expressions they keep alive.
 func (m *Matcher) MemBytes() int64 {
 	var b int64
 	b += int64(len(m.loc)) * 32
 	for _, p := range m.parts {
 		b += int64(len(p.subs))*9 + 64
+		for _, x := range p.subs {
+			b += x.MemBytes()
+		}
 		for key, slots := range p.posts {
 			b += int64(len(key)) + 16 + int64(len(slots))*4
 		}

@@ -294,9 +294,9 @@ func capacityBearing(pass *analysis.Pass, v *types.Var, rhs ast.Expr) bool {
 			}
 		}
 		// Function results carry whatever capacity the callee gave
-		// them — including arena take-style helpers (takeIDs,
-		// takeWords), whose capacity-clamped slab views are the whole
-		// point of the arena. make and conversions likewise.
+		// them — including the arena's carve helper, whose
+		// capacity-clamped slab views are the whole point of the
+		// arena. make and conversions likewise.
 		return true
 	case *ast.SliceExpr:
 		// Reslices and slab sub-slices: s := a.words[o:o+n:o+n+slack]

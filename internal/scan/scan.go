@@ -73,17 +73,9 @@ func (m *Matcher) ForEach(fn func(*expr.Expression) bool) {
 func (m *Matcher) MemBytes() int64 {
 	var b int64
 	for _, x := range m.exprs {
-		b += exprMemBytes(x)
+		b += x.MemBytes()
 	}
 	b += int64(len(m.exprs)) * 8 // exprs slice
 	b += int64(len(m.pos)) * 24  // rough map entry cost
-	return b
-}
-
-func exprMemBytes(x *expr.Expression) int64 {
-	b := int64(16) // header
-	for i := range x.Preds {
-		b += 32 + int64(len(x.Preds[i].Set))*4
-	}
 	return b
 }

@@ -364,3 +364,36 @@ func TestSubscribeBulkThenAppendCompiled(t *testing.T) {
 		}
 	}
 }
+
+// TestMemBytesTracksHeap checks that Stats().MemBytes — the
+// apcm_mem_bytes gauge — accounts for what the engine actually holds: on
+// a seeded restore of 20 000 subscriptions it must land within ±25 % of
+// the live-heap growth across LoadSubscriptions and Prepare.
+func TestMemBytesTracksHeap(t *testing.T) {
+	p := workload.Default()
+	p.Seed = 1
+	var snap bytes.Buffer
+	if err := trace.WriteExpressions(&snap, workload.MustNew(p).Expressions(20000)); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e := apcm.MustNew(apcm.Options{})
+	defer e.Close()
+	if _, err := e.LoadSubscriptions(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	e.Prepare()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	got := e.Stats().MemBytes
+	ratio := float64(got) / float64(heap)
+	t.Logf("MemBytes %d, heap growth %d (ratio %.2f)", got, heap, ratio)
+	if ratio < 0.75 || ratio > 1.25 {
+		t.Fatalf("MemBytes %d is %.2f× the heap growth %d, want within ±25%%", got, ratio, heap)
+	}
+}
