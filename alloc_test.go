@@ -91,7 +91,7 @@ func TestMatchBatchIntoSteadyStateZeroAllocs(t *testing.T) {
 	e, events := allocEngine(t, 37, 3000)
 	batch := events[:128]
 	var r apcm.BatchResult
-	for k := 0; k < 8; k++ { // warm: grow r's arenas, memo table, caches
+	for k := 0; k < 8; k++ { // warm: grow r's buffers and the scratch
 		e.MatchBatchInto(batch, &r)
 	}
 	avg := testing.AllocsPerRun(100, func() {

@@ -307,7 +307,6 @@ func (e *Engine) getScratch() *core.Scratch {
 }
 
 func (e *Engine) putScratch(s *core.Scratch) {
-	e.cm.FlushOrderCounters(s)
 	e.scratches.Put(s)
 }
 
@@ -338,8 +337,7 @@ func (e *Engine) MatchBatch(events []*expr.Event) [][]expr.ID {
 	return e.matchBatchUninstrumented(events)
 }
 
-// matchBatchUninstrumented runs the batch kernel (locality sort,
-// cross-event memoization, duplicate sharing) and copies the packed
+// matchBatchUninstrumented runs the batch path and copies the packed
 // segments into caller-owned slices.
 func (e *Engine) matchBatchUninstrumented(events []*expr.Event) [][]expr.ID {
 	out := make([][]expr.ID, len(events))
@@ -394,15 +392,6 @@ type Stats struct {
 	// kernel re-decisions they triggered, both directions, cumulative.
 	Probes      int64
 	KernelFlips int64
-	// Batch-path cache effectiveness, cumulative over all MatchBatchInto
-	// calls: cross-event predicate memo lookups/hits, per-cluster
-	// eligibility-cache lookups/hits, and events answered from an
-	// adjacent equal event's result.
-	MemoHits    int64
-	MemoLookups int64
-	EligHits    int64
-	EligLookups int64
-	BatchDedups int64
 	// Density-adaptive layout tallies across compiled clusters: posting
 	// representations chosen at compile time, sparse id volume, and flat
 	// equality tables.
@@ -411,11 +400,6 @@ type Stats struct {
 	SparseMemberSlots int
 	EqFlatTables      int
 	EqFlatSlots       int
-	// Selectivity-order effectiveness, cumulative and flushed at batch
-	// end: kill-ordered group evaluations and early exits taken when the
-	// survivor set emptied before the group loop finished.
-	GroupOrderSorts      int64
-	GroupOrderEarlyExits int64
 	// ScratchGets/ScratchNews describe scratch-pool recycling (recorded
 	// only with metrics attached): recycle rate = 1 − News/Gets.
 	ScratchGets int64
@@ -449,9 +433,6 @@ func (e *Engine) Stats() Stats {
 	st.SparseMemberSlots = cs.SparseMemberSlots
 	st.EqFlatTables = cs.EqFlatTables
 	st.EqFlatSlots = cs.EqFlatSlots
-	st.GroupOrderSorts = cs.GroupOrderSorts
-	st.GroupOrderEarlyExits = cs.GroupOrderEarlyExits
-	st.MemoHits, st.MemoLookups, st.EligHits, st.EligLookups, st.BatchDedups = e.cm.BatchCounters()
 	return st
 }
 

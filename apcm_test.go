@@ -1,6 +1,7 @@
 package apcm_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -280,40 +281,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-// TestStatsOrderCountersFlushSingleEvent pins the counter flush on the
-// single-event path: group-order sorts and early exits accumulate in
-// per-goroutine scratch and only reach Stats() when the scratch is
-// released, which the batch path does in EndBatch and Match must do on
-// scratch put. A dense small-universe workload with a redundant
-// predicate pool routes A-PCM's clusters to the compressed kernel and
-// makes both counters fire.
-func TestStatsOrderCountersFlushSingleEvent(t *testing.T) {
-	p := workload.Default()
-	p.Seed = 7
-	p.NumAttrs = 20
-	p.Cardinality = 5
-	p.PredPoolSize = 4
-	g := workload.MustNew(p)
-	e := apcm.MustNew(apcm.Options{})
-	defer e.Close()
-	for _, x := range g.Expressions(5000) {
-		if err := e.Subscribe(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Prepare()
-	for i := 0; i < 2000; i++ {
-		e.Match(g.Event())
-	}
-	st := e.Stats()
-	if st.GroupOrderSorts == 0 {
-		t.Error("GroupOrderSorts not flushed on the single-event path")
-	}
-	if st.GroupOrderEarlyExits == 0 {
-		t.Error("GroupOrderEarlyExits not flushed on the single-event path")
-	}
-}
-
 func TestNormalizeOption(t *testing.T) {
 	e := apcm.MustNew(apcm.Options{Workers: 1, Normalize: true})
 	defer e.Close()
@@ -383,5 +350,34 @@ func TestClustersDiagnostics(t *testing.T) {
 	}
 	if probed == 0 {
 		t.Fatal("no cluster was ever probed despite matching")
+	}
+}
+
+// TestMatchEventRefilledInPlace matches one *expr.Event, rewrites it in
+// place with json.Unmarshal and matches it again: the second Match must
+// see the new values. A scan kernel that keyed its per-event value table
+// by the event pointer would answer from the old values.
+func TestMatchEventRefilledInPlace(t *testing.T) {
+	e := apcm.MustNew(apcm.Options{Workers: 1})
+	defer e.Close()
+	id, err := e.SubscribePreds(expr.Ge(1, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := expr.MustEvent(expr.P(1, 20))
+	if got := e.Match(ev); len(got) != 1 || got[0] != id {
+		t.Fatalf("a1=20: got %v, want [%d]", got, id)
+	}
+	if err := json.Unmarshal([]byte(`{"pairs":[{"attr":1,"val":5}]}`), ev); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Match(ev); len(got) != 0 {
+		t.Fatalf("a1=5 after refilling the event: got %v, want no match", got)
+	}
+	if err := json.Unmarshal([]byte(`{"pairs":[{"attr":1,"val":30}]}`), ev); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Match(ev); len(got) != 1 || got[0] != id {
+		t.Fatalf("a1=30 after refilling the event: got %v, want [%d]", got, id)
 	}
 }

@@ -1,13 +1,10 @@
 package apcm
 
 import (
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/streammatch/apcm/expr"
-	"github.com/streammatch/apcm/internal/osr"
 )
 
 // BatchResult receives the results of MatchBatchInto: every event's
@@ -20,16 +17,10 @@ type BatchResult struct {
 	ids  []expr.ID
 	offs []int32 // event i's matches are ids[offs[2i]:offs[2i+1]]
 
-	dedups int
-
 	// Reusable internals of MatchBatchInto.
-	perm   []int32       // locality permutation: perm[k] = original index
-	sorted []*expr.Event // events in perm order
-	soffs  []int32       // segment offsets in sorted order, chunk-relative
-	bounds []int32       // chunk boundaries over sorted order
-	chunks [][]expr.ID   // per-chunk id buffers for the parallel path
-	sorter batchSorter
-	xids   []expr.ID // DNF alias translation double-buffer
+	bounds []int32     // chunk boundaries over the batch
+	chunks [][]expr.ID // per-chunk id buffers for the parallel path
+	xids   []expr.ID   // DNF alias translation double-buffer
 	xoffs  []int32
 }
 
@@ -38,21 +29,15 @@ func (r *BatchResult) Len() int { return r.n }
 
 // For returns event i's matched subscription ids (order unspecified).
 // The slice aliases the result's internal buffer — it is valid until the
-// next MatchBatchInto with this result, and adjacent duplicate events
-// share one backing segment. Callers that retain it must copy.
+// next MatchBatchInto with this result. Callers that retain it must
+// copy.
 func (r *BatchResult) For(i int) []expr.ID {
 	return r.ids[r.offs[2*i]:r.offs[2*i+1]:r.offs[2*i+1]]
 }
 
-// Dedups reports how many events of the last batch were answered from an
-// equal event's result instead of being matched again.
-func (r *BatchResult) Dedups() int { return r.dedups }
-
 func (r *BatchResult) reset(n int) {
 	r.n = n
 	r.ids = r.ids[:0]
-	r.perm = r.perm[:0]
-	r.dedups = 0
 	if cap(r.offs) < 2*n {
 		r.offs = make([]int32, 2*n)
 	}
@@ -89,7 +74,6 @@ func MergeBatchResults(dst *BatchResult, parts []*BatchResult) {
 	if cap(dst.ids) < total {
 		dst.ids = make([]expr.ID, 0, total)
 	}
-	dedups := 0
 	for i := 0; i < n; i++ {
 		start := int32(len(dst.ids))
 		for _, p := range parts {
@@ -97,48 +81,22 @@ func MergeBatchResults(dst *BatchResult, parts []*BatchResult) {
 		}
 		dst.offs[2*i], dst.offs[2*i+1] = start, int32(len(dst.ids))
 	}
-	for _, p := range parts {
-		dedups += p.dedups
-	}
-	dst.dedups = dedups
 }
-
-// batchSorter sorts a permutation of event indexes into locality order
-// (osr.Less) without sorting the caller's slice. A concrete type instead
-// of sort.SliceStable keeps the sort allocation-free.
-type batchSorter struct {
-	events []*expr.Event
-	perm   []int32
-}
-
-func (s *batchSorter) Len() int { return len(s.perm) }
-func (s *batchSorter) Less(i, j int) bool {
-	return osr.Less(s.events[s.perm[i]], s.events[s.perm[j]])
-}
-func (s *batchSorter) Swap(i, j int) { s.perm[i], s.perm[j] = s.perm[j], s.perm[i] }
 
 // batchResults recycles BatchResult values for internal callers (the
 // MatchBatch compatibility wrapper and the stream layer).
 var batchResults = sync.Pool{New: func() any { return new(BatchResult) }}
 
 // minChunkEvents is the smallest per-worker chunk worth fanning a batch
-// out over the pool: below this the cross-event caches lose more than
-// the parallelism gains.
+// out over the pool.
 const minChunkEvents = 8
 
 // MatchBatchInto matches a batch of events into r, replacing its
-// previous contents. The batch is internally processed in locality order
-// (see internal/osr) while that measurably pays: adjacent equal events
-// are matched once, and near-equal events hit the cross-event predicate
-// memo and eligibility caches, so larger batches are progressively
-// cheaper per event. On workloads where the matcher's arming policies
-// observe no cross-event reuse, the sort (and the caches it feeds) are
-// skipped and batches cost the same per event as single matches. Results
-// are reported under the caller's original event indexes regardless.
-//
-// With a worker pool, large batches are split into contiguous chunks
-// matched concurrently (inter-event parallelism). A steady-state call
-// with a reused r performs no heap allocation on the sequential path.
+// previous contents: event i's result is r.For(i), exactly what
+// Match(events[i]) returns. With a worker pool, large batches are split
+// into contiguous chunks matched concurrently (inter-event
+// parallelism). A steady-state call with a reused r performs no heap
+// allocation on the sequential path.
 func (e *Engine) MatchBatchInto(events []*expr.Event, r *BatchResult) {
 	if m := e.met; m != nil {
 		start := time.Now()
@@ -167,37 +125,24 @@ func (e *Engine) matchBatchInto(events []*expr.Event, r *BatchResult) {
 	}
 }
 
-// batchInto runs the matcher's batch kernel over the batch, then maps
-// the kernel's segments back to original indexes. The batch is
-// locality-sorted first only while the matcher's sort-arming policy
-// (core.SortUseful) measures the sorted order as actually buying
-// cross-event reuse; on workloads without repeats the events are fed in
-// arrival order and the sort and permutation remap are skipped.
+// matchRun matches events in order on one scratch, appending every
+// match to ids and recording event i's segment as offs[2i] (start) and
+// offs[2i+1] (end).
+func (e *Engine) matchRun(ids []expr.ID, offs []int32, events []*expr.Event) []expr.ID {
+	s := e.getScratch()
+	for i, ev := range events {
+		offs[2*i] = int32(len(ids))
+		ids = e.cm.MatchWith(s, ids, ev)
+		offs[2*i+1] = int32(len(ids))
+	}
+	e.putScratch(s)
+	return ids
+}
+
+// batchInto matches the batch on the caller, or in contiguous chunks on
+// the pool when there is one and the batch is large enough.
 func (e *Engine) batchInto(events []*expr.Event, r *BatchResult) {
 	n := len(events)
-	if cap(r.perm) < n {
-		r.perm = make([]int32, n)
-		r.sorted = make([]*expr.Event, n)
-		r.soffs = make([]int32, 2*n)
-	}
-	run := events
-	doSort := n > 1 && e.cm.SortUseful()
-	if doSort {
-		perm := r.perm[:n]
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		r.sorter.events, r.sorter.perm = events, perm
-		sort.Stable(&r.sorter)
-		r.sorter.events, r.sorter.perm = nil, nil
-		r.perm = perm
-		run = r.sorted[:n]
-		for k, p := range perm {
-			run[k] = events[p]
-		}
-	}
-	soffs := r.soffs[:2*n]
-
 	nchunks := 1
 	if e.pool != nil {
 		nchunks = e.pool.Workers() * 4
@@ -209,24 +154,13 @@ func (e *Engine) batchInto(events []*expr.Event, r *BatchResult) {
 		}
 	}
 	if nchunks == 1 {
-		s := e.getScratch()
-		var d int64
-		r.ids, d = e.cm.MatchBatchAppend(s, r.ids, soffs, run, doSort)
-		e.putScratch(s)
-		r.dedups = int(d)
-		for k := 0; k < n; k++ {
-			p := k
-			if doSort {
-				p = int(r.perm[k])
-			}
-			r.offs[2*p], r.offs[2*p+1] = soffs[2*k], soffs[2*k+1]
-		}
+		r.ids = e.matchRun(r.ids, r.offs, events)
 		return
 	}
 
-	// Parallel path: contiguous chunks of the kernel order, one batch
-	// kernel run per chunk, merged afterwards. Chunk boundaries cost a
-	// little cache sharing but keep each chunk's results contiguous.
+	// Parallel path: one run per chunk into its own id buffer, writing
+	// its events' offsets relative to that buffer; the merge appends the
+	// buffers and rebases the offsets.
 	if cap(r.chunks) < nchunks {
 		r.chunks = make([][]expr.ID, nchunks)
 	}
@@ -236,59 +170,33 @@ func (e *Engine) batchInto(events []*expr.Event, r *BatchResult) {
 		r.bounds = append(r.bounds, int32(c*n/nchunks))
 	}
 	bounds := r.bounds
-	var dedups atomic.Int64
 	e.pool.Run(nchunks, func(c int) {
 		lo, hi := bounds[c], bounds[c+1]
-		s := e.getScratch()
-		var d int64
-		chunks[c], d = e.cm.MatchBatchAppend(s, chunks[c][:0], soffs[2*lo:2*hi], run[lo:hi], doSort)
-		e.putScratch(s)
-		dedups.Add(d)
+		chunks[c] = e.matchRun(chunks[c][:0], r.offs[2*lo:2*hi], events[lo:hi])
 	})
-	r.dedups = int(dedups.Load())
 	for c := 0; c < nchunks; c++ {
 		base := int32(len(r.ids))
 		r.ids = append(r.ids, chunks[c]...)
-		lo, hi := int(bounds[c]), int(bounds[c+1])
-		for k := lo; k < hi; k++ {
-			p := k
-			if doSort {
-				p = int(r.perm[k])
-			}
-			r.offs[2*p], r.offs[2*p+1] = base+soffs[2*k], base+soffs[2*k+1]
+		for k := 2 * bounds[c]; k < 2*bounds[c+1]; k++ {
+			r.offs[k] += base
 		}
 	}
 }
 
 // translateSegments rewrites every result segment through the DNF alias
-// table (see dnf.go), de-duplicating group ids within each event.
-// Shared segments (adjacent duplicate events) are translated once and
-// stay shared. The rebuilt ids land in the translation double-buffer,
-// which is then swapped in.
+// table (see dnf.go), de-duplicating group ids within each event. The
+// rebuilt ids land in the translation double-buffer, which is then
+// swapped in.
 func (r *BatchResult) translateSegments(e *Engine) {
 	xids := r.xids[:0]
 	if cap(r.xoffs) < 2*r.n {
 		r.xoffs = make([]int32, 2*r.n)
 	}
 	xoffs := r.xoffs[:2*r.n]
-	// Walk events in sorted order when available so shared segments are
-	// adjacent; equal (start,end) pairs then always mean a shared (or
-	// identically empty) segment, which translates identically.
-	pst, pen := int32(-1), int32(-1)
-	var nst, nen int32
-	for k := 0; k < r.n; k++ {
-		i := k
-		if len(r.perm) == r.n {
-			i = int(r.perm[k])
-		}
-		st, en := r.offs[2*i], r.offs[2*i+1]
-		if st != pst || en != pen {
-			pst, pen = st, en
-			nst = int32(len(xids))
-			xids = e.translateAppend(xids, r.ids[st:en])
-			nen = int32(len(xids))
-		}
-		xoffs[2*i], xoffs[2*i+1] = nst, nen
+	for i := 0; i < r.n; i++ {
+		xoffs[2*i] = int32(len(xids))
+		xids = e.translateAppend(xids, r.ids[r.offs[2*i]:r.offs[2*i+1]])
+		xoffs[2*i+1] = int32(len(xids))
 	}
 	r.ids, r.xids = xids, r.ids
 	r.offs, r.xoffs = xoffs, r.offs

@@ -44,7 +44,7 @@ func checkBatchAgainstMatch(t *testing.T, e *apcm.Engine, r *apcm.BatchResult, b
 // MatchBatchInto must report exactly what per-event Match reports. The
 // permutation/partition is drawn by testing/quick from a random seed, so
 // each run exercises fresh batch boundaries, duplicate placements and
-// sort orders through the memoized kernel.
+// chunk splits.
 func TestMatchBatchDifferential(t *testing.T) {
 	g := testWorkload(7)
 	xs := g.Expressions(2500)
@@ -63,7 +63,7 @@ func TestMatchBatchDifferential(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			evs := append([]*expr.Event(nil), base...)
 			rng.Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
-			// Inject duplicates so the adjacent-equal dedup path runs.
+			// Inject duplicate events.
 			for i := 0; i < 24; i++ {
 				evs = append(evs, evs[rng.Intn(len(evs))])
 			}
@@ -80,16 +80,12 @@ func TestMatchBatchDifferential(t *testing.T) {
 		if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 			t.Errorf("workers=%d: %v", workers, err)
 		}
-		if st := e.Stats(); st.MemoLookups == 0 {
-			t.Errorf("workers=%d: Stats reports no memo lookups", workers)
-		}
 		e.Close()
 	}
 }
 
 // TestMatchBatchDedupsDuplicates feeds a batch that is one event
-// repeated: the kernel must answer the repeats from the first result
-// (Dedups > 0) while every segment still matches the oracle.
+// repeated: every segment must equal what Match returns for it.
 func TestMatchBatchDedupsDuplicates(t *testing.T) {
 	g := testWorkload(11)
 	xs := g.Expressions(1200)
@@ -109,18 +105,11 @@ func TestMatchBatchDedupsDuplicates(t *testing.T) {
 	}
 	var r apcm.BatchResult
 	checkBatchAgainstMatch(t, e, &r, batch)
-	if r.Dedups() == 0 {
-		t.Error("64 copies of one event produced no dedup hits")
-	}
-	if st := e.Stats(); st.BatchDedups == 0 {
-		t.Error("Stats.BatchDedups = 0 after a duplicate-heavy batch")
-	}
 }
 
 // TestMatchBatchChurnDifferential interleaves subscribe/unsubscribe
 // churn between batches: after every mutation the batch path must track
-// the new index state exactly (revision-keyed caches may never serve
-// stale results).
+// the new index state exactly.
 func TestMatchBatchChurnDifferential(t *testing.T) {
 	g := testWorkload(13)
 	xs := g.Expressions(2000)
@@ -196,8 +185,8 @@ func TestMatchBatchDNFGroups(t *testing.T) {
 
 // TestMatchBatchConcurrentChurn hammers the batch path from several
 // reader goroutines while a writer churns subscriptions — primarily a
-// -race exercise of the rev-keyed memo/eligibility caches and the
-// scratch pool. Results are only sanity-checked (ids must be ones this
+// -race exercise of the scratch pool and the compiled clusters' in-place
+// maintenance. Results are only sanity-checked (ids must be ones this
 // test ever subscribed) because the oracle changes under the readers.
 func TestMatchBatchConcurrentChurn(t *testing.T) {
 	g := testWorkload(19)
@@ -252,7 +241,7 @@ func TestMatchBatchConcurrentChurn(t *testing.T) {
 						}
 					}
 				}
-				// Interleave the single-event path through the same caches.
+				// Interleave the single-event path on the same scratch pool.
 				_ = e.Match(events[rng.Intn(len(events))])
 			}
 		}(w)

@@ -2,11 +2,13 @@ package apcm_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"github.com/streammatch/apcm"
 	"github.com/streammatch/apcm/expr"
+	"github.com/streammatch/apcm/internal/scan"
 )
 
 // TestAlgorithmsAgreeUnderChurn is the differential churn test: the
@@ -155,5 +157,90 @@ func TestAlgorithmsAgreeUnderChurn(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestChurnOnOversizedPool churns a pool the BE-Tree cannot split: every
+// subscription is a == 7 plus != predicates on b and c, so once the tree
+// has partitioned on a there is no indexable attribute left and the pool
+// grows past MaxPool. Rounds of unsubscribes and subscribes then drive
+// the compiled cluster's in-place maintenance at that size — tombstones
+// found by scanning the member ids, dictionary entries appended after a
+// scan of their group, recompiles when slack runs out — and every round
+// is checked against the Scan oracle.
+func TestChurnOnOversizedPool(t *testing.T) {
+	const (
+		subs     = 1500
+		rounds   = 12
+		perRound = 120
+	)
+	rng := rand.New(rand.NewSource(41))
+	nextID := expr.ID(1)
+	newSub := func() *expr.Expression {
+		x := expr.MustNew(nextID, expr.Eq(1, 7),
+			expr.Ne(2, expr.Value(rng.Intn(300))), expr.Ne(3, expr.Value(rng.Intn(300))))
+		nextID++
+		return x
+	}
+	e := apcm.MustNew(apcm.Options{})
+	defer e.Close()
+	oracle := scan.New()
+	var live []expr.ID
+	subscribe := func(x *expr.Expression) {
+		if err := e.Subscribe(x); err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.Insert(x); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, x.ID)
+	}
+	for i := 0; i < subs; i++ {
+		subscribe(newSub())
+	}
+	e.Prepare()
+
+	events := make([]*expr.Event, 64)
+	var r apcm.BatchResult
+	for round := 0; round <= rounds; round++ {
+		for i := range events {
+			a := expr.Value(7)
+			if i%8 == 0 {
+				a = 8
+			}
+			events[i] = expr.MustEvent(expr.P(1, a),
+				expr.P(2, expr.Value(rng.Intn(300))), expr.P(3, expr.Value(rng.Intn(300))))
+		}
+		e.MatchBatchInto(events, &r)
+		for i, ev := range events {
+			want := sorted(oracle.MatchAppend(nil, ev))
+			if got := sorted(e.Match(ev)); !equalIDs(got, want) {
+				t.Fatalf("round %d event %s: Match has %d ids, Scan %d", round, ev, len(got), len(want))
+			}
+			if got := sorted(append([]expr.ID(nil), r.For(i)...)); !equalIDs(got, want) {
+				t.Fatalf("round %d event %s: MatchBatchInto has %d ids, Scan %d", round, ev, len(got), len(want))
+			}
+		}
+		if round == rounds {
+			break
+		}
+		for i := 0; i < perRound; i++ {
+			k := rng.Intn(len(live))
+			if !e.Unsubscribe(live[k]) || !oracle.Delete(live[k]) {
+				t.Fatalf("round %d: unsubscribe %d failed", round, live[k])
+			}
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		for i := 0; i < perRound; i++ {
+			subscribe(newSub())
+		}
+	}
+	largest := 0
+	for _, c := range e.Clusters() {
+		largest = max(largest, c.Live)
+	}
+	if largest != len(live) {
+		t.Fatalf("largest cluster holds %d live subscriptions, want all %d in one", largest, len(live))
 	}
 }

@@ -9,9 +9,8 @@ import (
 // E18: density-adaptive layout ablation. The canonical workload compiles
 // overwhelmingly sparse postings (most dictionary entries hold a handful
 // of members out of a 384-slot cluster), which is exactly the regime the
-// hybrid layout, the flat equality tables and the kill-ordered group
-// loop target. Each lever is switched off in turn, then all together
-// (the pre-PR dense layout), and the same sweep is repeated on a
+// hybrid layout and the flat equality tables target. Each lever is
+// switched off in turn, then both together (the dense layout), and the same sweep is repeated on a
 // redundant pool (E7's max-redundancy regime) where postings are dense —
 // the no-regression check that dense workloads lose nothing.
 
@@ -22,11 +21,11 @@ func init() {
 func e18() Experiment {
 	return Experiment{
 		ID:     "E18",
-		Title:  "Ablation: posting density × group ordering",
+		Title:  "Ablation: posting density × flat equality tables",
 		Expect: "on the sparse canonical workload each lever contributes and all-off is slowest; on the dense redundant regime the variants tie within noise (ours: beyond-paper ablation)",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
-			variants := refs("A-PCM", "A-PCM no-hybrid", "A-PCM no-flateq", "A-PCM no-ordering", "A-PCM all-off")
+			variants := refs("A-PCM", "A-PCM no-hybrid", "A-PCM no-flateq", "A-PCM all-off")
 			type regime struct {
 				label string
 				pool  int

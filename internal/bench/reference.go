@@ -10,7 +10,6 @@ import (
 	"github.com/streammatch/apcm/internal/counting"
 	"github.com/streammatch/apcm/internal/kindex"
 	"github.com/streammatch/apcm/internal/match"
-	"github.com/streammatch/apcm/internal/osr"
 	"github.com/streammatch/apcm/internal/scan"
 )
 
@@ -25,7 +24,7 @@ type Reference struct {
 
 // References lists every matcher the comparison tables measure: the
 // paper's baselines, A-PCM itself, and the ablation variants of A-PCM
-// (E17, E18) — each a core.Config with one lever switched off, or all
+// (E18) — each a core.Config with one lever switched off, or all
 // of them. The order is table order.
 func References() []Reference {
 	return []Reference{
@@ -41,12 +40,10 @@ func References() []Reference {
 		}},
 		{"PCM", compressed(func(c *core.Config) { c.Mode = core.ModeCompressed })},
 		{"A-PCM", compressed(nil)},
-		{"A-PCM no-memo", compressed(func(c *core.Config) { c.DisableMemo = true })},
 		{"A-PCM no-hybrid", compressed(func(c *core.Config) { c.DisableHybridPostings = true })},
 		{"A-PCM no-flateq", compressed(func(c *core.Config) { c.DisableFlatEq = true })},
-		{"A-PCM no-ordering", compressed(func(c *core.Config) { c.DisableGroupOrder = true })},
 		{"A-PCM all-off", compressed(func(c *core.Config) {
-			c.DisableHybridPostings, c.DisableFlatEq, c.DisableGroupOrder = true, true, true
+			c.DisableHybridPostings, c.DisableFlatEq = true, true
 		})},
 	}
 }
@@ -103,56 +100,30 @@ func build(ref Reference, clusterSize int, xs []*expr.Expression) (match.Matcher
 }
 
 // loop is the one sequential match loop every comparison row runs
-// through, so rows differ only in the matcher. A *core.Matcher matches
-// each batch with MatchBatchAppend on one Scratch, locality-sorting the
-// batch first while its SortUseful policy says the order pays (as the
-// Engine's batch path does); any other matcher matches event by event
-// with MatchAppend.
+// through, so rows differ only in the matcher: each event of a batch is
+// matched with MatchAppend, in the order given. Experiments that want
+// locality order sort their event lists first (osr.Reorder).
 type loop struct {
-	m  match.Matcher
-	cm *core.Matcher // m as the compressed matcher, nil for the others
-	s  *core.Scratch
+	m match.Matcher
 
-	// After run, order holds the batch in the order it was matched and
-	// ids[offs[2i]:offs[2i+1]] is order[i]'s result.
-	order []*expr.Event
-	ids   []expr.ID
-	offs  []int32
-	buf   []*expr.Event
+	// After run, ids[offs[2i]:offs[2i+1]] is the batch's event i's result.
+	ids  []expr.ID
+	offs []int32
 }
 
-func newLoop(m match.Matcher) *loop {
-	l := &loop{m: m}
-	if cm, ok := m.(*core.Matcher); ok {
-		l.cm, l.s = cm, cm.NewScratch()
-	}
-	return l
-}
+func newLoop(m match.Matcher) *loop { return &loop{m: m} }
 
 // run matches one batch.
 func (l *loop) run(batch []*expr.Event) {
 	if cap(l.offs) < 2*len(batch) {
 		l.offs = make([]int32, 2*len(batch))
 	}
-	offs := l.offs[:2*len(batch)]
 	l.ids = l.ids[:0]
-	if l.cm == nil {
-		for i, ev := range batch {
-			offs[2*i] = int32(len(l.ids))
-			l.ids = l.m.MatchAppend(l.ids, ev)
-			offs[2*i+1] = int32(len(l.ids))
-		}
-		l.order = batch
-		return
+	for i, ev := range batch {
+		l.offs[2*i] = int32(len(l.ids))
+		l.ids = l.m.MatchAppend(l.ids, ev)
+		l.offs[2*i+1] = int32(len(l.ids))
 	}
-	sorted := len(batch) > 1 && l.cm.SortUseful()
-	if sorted {
-		l.buf = append(l.buf[:0], batch...)
-		osr.Reorder(l.buf)
-		batch = l.buf
-	}
-	l.ids, _ = l.cm.MatchBatchAppend(l.s, l.ids, offs, batch, sorted)
-	l.order = batch
 }
 
 // measureRow builds ref over xs and returns the matcher with its

@@ -83,14 +83,12 @@ func (m *Matcher) probe(cs *clusterState, s *Scratch, dst []expr.ID, p *betree.P
 	s.probeIDs = scanPool(&s.kern, p.Exprs, e, s.probeIDs[:0])
 	costU := float64(time.Since(startU))
 
-	// measure=true folds per-group kill counts into the groupKill EWMAs,
-	// so the selectivity order is refined on the same cadence as the
-	// kernel choice. The wall-clock estimate automatically prices the
-	// hybrid layout (sparse member loops, flat eq probes) correctly —
-	// both kernels are timed as actually executed, so A-PCM keeps
-	// picking the genuinely cheaper one per cluster.
+	// The wall-clock estimate automatically prices the hybrid layout
+	// (sparse member loops, flat eq probes) correctly — both kernels are
+	// timed as actually executed, so A-PCM keeps picking the genuinely
+	// cheaper one per cluster.
 	startC := time.Now()
-	dst = cs.compiled.Load().matchHybrid(&s.kern, e, dst, true)
+	dst = cs.compiled.Load().matchCompressed(&s.kern, e, dst)
 	costC := float64(time.Since(startC))
 
 	d := m.cfg.Decay
@@ -128,29 +126,6 @@ func (m *Matcher) probe(cs *clusterState, s *Scratch, dst []expr.ID, p *betree.P
 	}
 	cs.mu.Unlock()
 	return dst
-}
-
-// Group-kill EWMA: kills observed per group visit, in 24.8 fixed point.
-// Seeded statically by finalize, refreshed only on probe events (the
-// popcounts it needs would be too dear per ordinary match).
-const (
-	killPointShift = 8 // fractional bits of the kill estimate
-	killEwmaShift  = 2 // EWMA weight 1/4 per probe observation
-)
-
-// noteKills folds one probe-time observation — kills members killed by
-// the group at local index li — into its EWMA. Concurrent probes race
-// benignly: Load/Store atomics keep the race detector quiet and the
-// estimate is heuristic, same contract as the arming policies.
-func (c *compiled) noteKills(li int32, kills int) {
-	v := uint32(kills) << killPointShift
-	g := &c.groupKill[li]
-	old := g.Load()
-	if old == 0 {
-		g.Store(v)
-		return
-	}
-	g.Store(old - old>>killEwmaShift + v>>killEwmaShift)
 }
 
 // Estimates reports a cluster-state snapshot for tests and diagnostics.

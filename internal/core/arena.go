@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"github.com/streammatch/apcm/internal/bitset"
-)
+import "github.com/streammatch/apcm/internal/bitset"
 
 // clusterArena is the single backing store of one compiled cluster.
 // Before the arena, a compiled cluster scattered its state across
@@ -15,7 +11,7 @@ import (
 // loop as the kernel chased pointers across the heap.
 //
 // finalize now sizes everything in a pre-pass and carves the whole
-// cluster out of nine typed slabs, one allocation each (Go's type
+// cluster out of eight typed slabs, one allocation each (Go's type
 // system rules out a single untyped block without unsafe; typed
 // contiguous slabs capture almost all of the locality win at none of
 // the risk):
@@ -31,7 +27,6 @@ import (
 //	                         sorted by value within a group
 //	dict   []dictEntry       first/strict dictionary entries, group-ordered
 //	flat   []*bitset.Posting value-indexed equality-table slots
-//	kill   []atomic.Uint32   per-group kill-rate estimates
 //	cnt    []uint16          per-member distinct-attribute counts
 //
 // Sub-slices handed out of a slab are capacity-clamped, so incremental
@@ -51,7 +46,6 @@ type clusterArena struct {
 	eq    []eqEntry
 	dict  []dictEntry
 	flat  []*bitset.Posting
-	kill  []atomic.Uint32
 	cnt   []uint16
 
 	// carve cursors; only used during finalize.
@@ -61,7 +55,6 @@ type clusterArena struct {
 // arenaSizes is the pre-pass result that sizes a clusterArena.
 type arenaSizes struct {
 	words, ids, posts, bsets, eq, dict, flat, cnt int
-	kill                                          int
 }
 
 func newClusterArena(s arenaSizes) *clusterArena {
@@ -73,7 +66,6 @@ func newClusterArena(s arenaSizes) *clusterArena {
 		eq:    make([]eqEntry, s.eq),
 		dict:  make([]dictEntry, s.dict),
 		flat:  make([]*bitset.Posting, s.flat),
-		kill:  make([]atomic.Uint32, s.kill),
 		cnt:   make([]uint16, s.cnt),
 	}
 }
@@ -105,6 +97,5 @@ func (a *clusterArena) bytes() int64 {
 		int64(len(a.eq))*eqEntrySize +
 		int64(len(a.dict))*dictSize +
 		int64(len(a.flat))*8 +
-		int64(len(a.kill))*4 +
 		int64(len(a.cnt))*2
 }

@@ -2,21 +2,11 @@ package core
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"github.com/streammatch/apcm/expr"
 	"github.com/streammatch/apcm/internal/betree"
 	"github.com/streammatch/apcm/internal/bitset"
 )
-
-// revCounter issues process-wide cluster revisions. Every compilation and
-// every successful in-place mutation (tryAppend, tryTombstone) assigns a
-// fresh revision, so any scratch-side cache keyed by revision (the batch
-// predicate memo, the eligibility cache) is invalidated by construction:
-// a stale revision simply never matches again.
-var revCounter atomic.Uint64
-
-func nextRev() uint64 { return revCounter.Add(1) }
 
 // layoutOpts gates the density-adaptive layout machinery, per matcher.
 // Each switch disables one independently measurable piece (the E18
@@ -24,7 +14,6 @@ func nextRev() uint64 { return revCounter.Add(1) }
 type layoutOpts struct {
 	forceDense bool // compile every posting dense (no sparse representation)
 	noEqFlat   bool // keep equality unions in the sorted slice only
-	noOrder    bool // evaluate groups in attribute order (no kill-rate sort)
 }
 
 // compiled is the compressed form of one BE-Tree pool. Three structures
@@ -64,10 +53,9 @@ type layoutOpts struct {
 // contract: it must never run concurrently with matching.
 type compiled struct {
 	gen   uint64
-	rev   uint64 // cache-invalidation revision, see revCounter
-	n     int    // member slots in use (live + tombstoned)
-	tombs int    // tombstoned members
-	capN  int    // member capacity of every bitset and of masks
+	n     int // member slots in use (live + tombstoned)
+	tombs int // tombstoned members
+	capN  int // member capacity of every bitset and of masks
 	lo    layoutOpts
 
 	// ids maps member slot → subscription id. Tombstoned slots keep
@@ -96,18 +84,8 @@ type compiled struct {
 
 	groups []attrGroup // indexed by local attribute index
 
-	// groupKill estimates, per group, how many members one visit kills —
-	// the kernel's selectivity order (largest first) so alive hits zero
-	// in as few groups as possible. Seeded statically by finalize from
-	// entry densities and eq-union coverage, refined online by an EWMA of
-	// kills observed during adaptive probes (noteKills), in 24.8 fixed
-	// point. Atomics because probes on different goroutines may race; the
-	// estimate is heuristic, so racy read-modify-write is acceptable.
-	groupKill []atomic.Uint32
-
 	predSlots     int // Σ per-member predicates (live members)
 	distinctPreds int // Σ dictionary entries (incl. equality-union values)
-	seqCount      uint32
 
 	// held is heldBytes kept current by every posting, equality-union and
 	// dictionary change; finalHeld is its value when finalize returned.
@@ -117,7 +95,7 @@ type compiled struct {
 
 	// arena owns the cluster's backing storage after finalize: masks,
 	// posting structs and their words/ids, equality unions, dictionary
-	// entries, flat tables, kill estimates and counters all live in its
+	// entries, flat tables and counters all live in its
 	// slabs (see arena.go). Nil only before finalize runs.
 	arena *clusterArena
 }
@@ -155,13 +133,10 @@ type eqEntry struct {
 	bits *bitset.Posting
 }
 
-// dictEntry is one distinct predicate and the members it belongs to. seq
-// is unique within the compiled cluster; together with the cluster's rev
-// it keys the batch predicate memo.
+// dictEntry is one distinct predicate and the members it belongs to.
 type dictEntry struct {
 	pred *expr.Predicate
 	bits *bitset.Posting
-	seq  uint32
 }
 
 // eqSearch returns the position of v in g.eq — or where v would be
@@ -228,7 +203,6 @@ func compileOpts(p *betree.Pool, lo layoutOpts) *compiled {
 	n := len(p.Exprs)
 	c := &compiled{
 		gen:  p.Gen,
-		rev:  nextRev(),
 		capN: slackCapacity(n),
 		lo:   lo,
 		ids:  make([]expr.ID, 0, n),
@@ -255,7 +229,7 @@ func compileOpts(p *betree.Pool, lo layoutOpts) *compiled {
 		c.append(x)
 	}
 
-	// Pass 3: density-aware layout (slabs, flat eq tables, kill seeds).
+	// Pass 3: density-aware layout (slabs, flat eq tables).
 	c.finalize()
 	return c
 }
@@ -356,10 +330,9 @@ func (c *compiled) entry(dict *[]dictEntry, pr *expr.Predicate) int {
 			return i
 		}
 	}
-	c.seqCount++
 	c.distinctPreds++
 	oldCap := cap(*dict)
-	*dict = append(*dict, dictEntry{pred: pr, bits: c.newPosting(), seq: c.seqCount})
+	*dict = append(*dict, dictEntry{pred: pr, bits: c.newPosting()})
 	c.held += int64(cap(*dict)-oldCap) * dictSize
 	return len(*dict) - 1
 }
@@ -394,11 +367,6 @@ func (c *compiled) forEachPosting(fn func(p *bitset.Posting)) {
 //     old cluster as a few slabs.
 //  2. Flat equality tables: groups whose observed equality-value span is
 //     small get a value-indexed eqFlat view over the sorted eq slice.
-//  3. Static selectivity: groupKill is seeded per group from entry
-//     density and eq-union coverage — members constrained minus expected
-//     survivors (the average eq-union size plus half the non-equality
-//     first members) — giving the kernel a kill order before the first
-//     adaptive probe refines it.
 func (c *compiled) finalize() {
 	// Pre-pass A: posting and dictionary volumes. Representations are
 	// already settled (Set promotes at the density boundary; forceDense
@@ -439,7 +407,6 @@ func (c *compiled) finalize() {
 	// before any allocation so the flat slab can be sized exactly.
 	type eqSpan struct {
 		lo, hi expr.Value
-		total  int // Σ eq-union member counts (reused by the kill seeds)
 		span   int // flat-table slots; 0 = search eq only
 	}
 	spans := make([]eqSpan, len(c.groups))
@@ -451,9 +418,6 @@ func (c *compiled) finalize() {
 		}
 		sp := &spans[gi]
 		sp.lo, sp.hi = g.eq[0].val, g.eq[len(g.eq)-1].val
-		for i := range g.eq {
-			sp.total += g.eq[i].bits.Count()
-		}
 		if !c.lo.noEqFlat {
 			span := int64(sp.hi) - int64(sp.lo) + 1
 			if span <= eqFlatMaxSpan && span <= int64(eqFlatSpanFactor*len(g.eq)+eqFlatMinSpan) {
@@ -472,7 +436,6 @@ func (c *compiled) finalize() {
 		dict:  nDict,
 		eq:    nEq,
 		flat:  flatSlots,
-		kill:  c.nAttrs,
 		cnt:   c.capN,
 	})
 	c.arena = ar
@@ -485,7 +448,6 @@ func (c *compiled) finalize() {
 	cnt := ar.cnt[:len(c.attrCnt):c.capN]
 	copy(cnt, c.attrCnt)
 	c.attrCnt = cnt
-	c.groupKill = ar.kill
 
 	// rehome moves one posting — struct and backing — into the arena.
 	rehome := func(p *bitset.Posting) *bitset.Posting {
@@ -545,27 +507,6 @@ func (c *compiled) finalize() {
 		}
 		c.attrDirect, c.attrLo = dir, lo
 	}
-
-	// Kill seeds, from the re-homed postings.
-	for gi := range c.groups {
-		g := &c.groups[gi]
-		if g.attrBits == nil {
-			continue
-		}
-		firstTotal := 0
-		for i := range g.first {
-			firstTotal += g.first[i].bits.Count()
-		}
-		surv := firstTotal / 2
-		if n := len(g.eq); n > 0 {
-			surv += spans[gi].total / n
-		}
-		kills := g.attrBits.Count() - surv
-		if kills < 0 {
-			kills = 0
-		}
-		c.groupKill[gi].Store(uint32(kills) << killPointShift)
-	}
 	c.held = c.heldBytes()
 	c.finalHeld = c.held
 }
@@ -589,13 +530,12 @@ func (c *compiled) tryAppend(p *betree.Pool, x *expr.Expression) bool {
 	}
 	c.append(x)
 	c.gen = p.Gen
-	c.rev = nextRev() // invalidate revision-keyed caches
 	return true
 }
 
 // tryAppendBatch incorporates a run of freshly inserted pool members in
-// one step: one generation check, one pass, one revision bump, instead
-// of one of each per subscription (the bulk-restore path). It succeeds
+// one step: one generation check and one pass, instead of one of each
+// per subscription (the bulk-restore path). It succeeds
 // only when the batch accounts for every unseen pool change — the
 // cluster's generation plus the batch length must land exactly on the
 // pool's generation. That check is sound because cluster generations
@@ -618,7 +558,6 @@ func (c *compiled) tryAppendBatch(p *betree.Pool, xs []*expr.Expression) bool {
 		c.append(x)
 	}
 	c.gen = p.Gen
-	c.rev = nextRev() // invalidate revision-keyed caches, once for the batch
 	return true
 }
 
@@ -646,7 +585,6 @@ func (c *compiled) tryTombstone(p *betree.Pool, id expr.ID) bool {
 	c.attrCnt[idx] = tombCnt
 	c.tombs++
 	c.gen = p.Gen
-	c.rev = nextRev() // invalidate revision-keyed caches
 	return true
 }
 
@@ -701,13 +639,13 @@ func (c *compiled) tally() postingTally {
 // Struct sizes on 64-bit platforms, for byte accounting without unsafe
 // (TestAccountedStructSizes pins them to unsafe.Sizeof).
 const (
-	compiledSize = 288
+	compiledSize = 248
 	groupSize    = 112
 	eqEntrySize  = 16
-	dictSize     = 24
+	dictSize     = 16
 	postingSize  = 40
 	bitsetSize   = 32
-	arenaSize    = 272
+	arenaSize    = 248
 )
 
 // postingHeld is what one posting holds: its struct, its bitset struct

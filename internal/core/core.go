@@ -83,9 +83,6 @@ type Config struct {
 	// Decay is the weight kept by the old cost estimate at each probe,
 	// in (0,1). Default 0.8.
 	Decay float64
-	// DisableMemo turns off the cross-event predicate memo armed by
-	// BeginBatch (ablation switch for the batch experiments).
-	DisableMemo bool
 	// DisableHybridPostings compiles every posting dense, as before the
 	// density-adaptive layout (ablation switch, see E18).
 	DisableHybridPostings bool
@@ -93,9 +90,6 @@ type Config struct {
 	// (binary search), never building the value-indexed flat tables
 	// (ablation switch).
 	DisableFlatEq bool
-	// DisableGroupOrder evaluates groups in attribute order instead of
-	// descending estimated-kill order (ablation switch).
-	DisableGroupOrder bool
 }
 
 // layout derives the compile-time layout switches from the config.
@@ -103,7 +97,6 @@ func (c *Config) layout() layoutOpts {
 	return layoutOpts{
 		forceDense: c.DisableHybridPostings,
 		noEqFlat:   c.DisableFlatEq,
-		noOrder:    c.DisableGroupOrder,
 	}
 }
 
@@ -150,31 +143,6 @@ type Matcher struct {
 	flipsC atomic.Int64 // flips to the compressed kernel
 	flipsU atomic.Int64 // flips to the uncompressed (scan) kernel
 
-	// Batch-path cache effectiveness (see batch.go); flushed from
-	// per-Scratch counters by EndBatch.
-	memoHits    atomic.Int64
-	memoLookups atomic.Int64
-	eligHits    atomic.Int64
-	eligLookups atomic.Int64
-	dedups      atomic.Int64
-
-	// Memo and sort arming policies (see batch.go): EWMAs in 16.16 fixed
-	// point — memoRate tracks the per-batch memo hit ratio, sortRate the
-	// per-batch cross-event reuse ratio (dedups plus eligibility hits per
-	// event) of sorted batches — and batch sequence counters that pace
-	// re-probing once a policy is judged useless. Racy updates are fine —
-	// the policies are heuristic.
-	memoRate     atomic.Uint64
-	memoBatchSeq atomic.Uint64
-	sortRate     atomic.Uint64
-	sortBatchSeq atomic.Uint64
-
-	// Selectivity-order effectiveness (see kernel.go step 3): kill-sorted
-	// group evaluations and early exits taken. Accumulated per Scratch,
-	// flushed by EndBatch like the cache counters above.
-	orderSorts atomic.Int64
-	earlyExits atomic.Int64
-
 	// scratch backs the plain MatchAppend entry point (single-threaded
 	// use); parallel callers bring their own via NewScratch/MatchWith.
 	scratch *Scratch
@@ -189,10 +157,6 @@ func New(cfg Config) *Matcher {
 		clusters: make(map[*betree.Pool]*clusterState),
 	}
 	m.scratch = m.NewScratch()
-	// Optimistic: arm memoization and locality sorting until measured
-	// useless for the workload actually seen.
-	m.memoRate.Store(memoRateOne)
-	m.sortRate.Store(memoRateOne)
 	return m
 }
 
@@ -224,8 +188,8 @@ func (m *Matcher) Insert(x *expr.Expression) error {
 // failure; it returns the number inserted. It is Insert amortized for
 // bulk restores: appended members are bucketed per destination pool and
 // each compiled cluster incorporates its whole batch with a single
-// generation check and revision bump (tryAppendBatch) instead of one
-// per subscription. Same write contract as Insert.
+// generation check (tryAppendBatch) instead of one per subscription.
+// Same write contract as Insert.
 func (m *Matcher) InsertBulk(xs []*expr.Expression) (int, error) {
 	maintain := m.cfg.Mode != ModeUncompressed
 	if maintain {
@@ -321,6 +285,7 @@ func (m *Matcher) NewScratch() *Scratch { return &Scratch{} }
 //
 //apcm:hotpath
 func (m *Matcher) MatchWith(s *Scratch, dst []expr.ID, e *expr.Event) []expr.ID {
+	s.kern.vt.forget()
 	s.pools = m.tree.CollectPoolsAppend(s.pools[:0], e)
 	for _, p := range s.pools {
 		dst = m.matchPool(s, dst, p, e)
@@ -390,10 +355,6 @@ type Stats struct {
 	Probes              int64 // events served by both kernels for costing
 	FlipsToCompressed   int64 // cluster re-decisions toward the compressed kernel
 	FlipsToUncompressed int64 // cluster re-decisions toward the scan kernel
-
-	// Selectivity-order counters, flushed by EndBatch.
-	GroupOrderSorts      int64 // group loops evaluated in kill order
-	GroupOrderEarlyExits int64 // group loops exited on an emptied alive set
 }
 
 // CompressionRatio is PredicateSlots / DistinctPreds: how many predicate
@@ -415,12 +376,10 @@ func (m *Matcher) AdaptiveCounters() (probes, flipsToCompressed, flipsToUncompre
 // clusters visited by earlier matches are counted.
 func (m *Matcher) Stats() Stats {
 	st := Stats{
-		Tree:                 m.tree.Stats(),
-		Probes:               m.probes.Load(),
-		FlipsToCompressed:    m.flipsC.Load(),
-		FlipsToUncompressed:  m.flipsU.Load(),
-		GroupOrderSorts:      m.orderSorts.Load(),
-		GroupOrderEarlyExits: m.earlyExits.Load(),
+		Tree:                m.tree.Stats(),
+		Probes:              m.probes.Load(),
+		FlipsToCompressed:   m.flipsC.Load(),
+		FlipsToUncompressed: m.flipsU.Load(),
 	}
 	m.cmu.RLock()
 	defer m.cmu.RUnlock()
@@ -443,14 +402,6 @@ func (m *Matcher) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// OrderCounters reports the cumulative selectivity-order counters
-// without touching the cluster map — cheap enough for metric scrapes.
-// Like the batch cache counters they are flushed by EndBatch, so
-// in-flight batches are not yet visible.
-func (m *Matcher) OrderCounters() (sorts, earlyExits int64) {
-	return m.orderSorts.Load(), m.earlyExits.Load()
 }
 
 // ClusterInfo describes one compiled cluster for diagnostics.

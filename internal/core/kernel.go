@@ -7,11 +7,6 @@ import (
 	"github.com/streammatch/apcm/internal/bitset"
 )
 
-// eligCacheMinWork gates the eligibility cache: for clusters whose
-// eligibility sweep is under this many words the map probe costs as much
-// as the sweep it would save.
-const eligCacheMinWork = 64
-
 // kernelScratch holds reusable per-goroutine kernel state. Survivor and
 // satisfied bitsets must match the cluster's member count exactly, so
 // they are kept per size; distinct cluster sizes are few in practice.
@@ -37,26 +32,7 @@ type kernelScratch struct {
 	// selective case skips the bitset entirely).
 	eligIds []int32
 
-	vt   valueTable // dense attr → value table for the current event
-	memo predMemo   // cross-event predicate memo, armed per batch
-	elig eligCache  // per-cluster eligibility cache keyed (rev, present)
-
-	memoOn bool
-	eligOn bool // set for locality-sorted batches (see MatchBatchAppend)
-
-	// batchEvents is the size of the batch in flight; EndBatch uses it to
-	// turn the reuse counters below into the sort-arming ratio.
-	batchEvents int64
-
-	// Cache effectiveness counters, accumulated locally (the hot path
-	// must stay atomic-free) and flushed to the Matcher by EndBatch on
-	// the batch path or FlushOrderCounters on scratch release.
-	memoHits, memoLookups int64
-	eligHits, eligLookups int64
-	dedups                int64
-	// Selectivity-order counters: kill-sorted group evaluations and
-	// early exits taken before the group loop finished.
-	orderSorts, earlyExits int64
+	vt valueTable // dense attr → value table for the current event
 }
 
 type buffers struct {
@@ -73,7 +49,6 @@ type buffers struct {
 type groupHit struct {
 	local int32
 	val   expr.Value
-	kill  uint32 // groupKill estimate loaded for the kill-order sort
 }
 
 func (s *kernelScratch) get(n int) *buffers {
@@ -102,28 +77,6 @@ func (s *kernelScratch) get(n int) *buffers {
 	return b
 }
 
-// predMatches evaluates one distinct dictionary predicate against the
-// event value, going through the per-batch memo when armed. The memo key
-// is (cluster revision, entry sequence, value): revisions change on every
-// cluster mutation, so a hit can never be stale.
-//
-//apcm:hotpath
-func (s *kernelScratch) predMatches(rev uint64, e *dictEntry, val expr.Value) bool {
-	if !s.memoOn {
-		return e.pred.Matches(val)
-	}
-	s.memoLookups++
-	key := uint64(e.seq)<<32 | uint64(uint32(val))
-	if res, ok, slot := s.memo.find(rev, key); ok {
-		s.memoHits++
-		return res
-	} else {
-		res = e.pred.Matches(val)
-		s.memo.put(slot, rev, key, res)
-		return res
-	}
-}
-
 // matchCompressed runs the compressed kernel:
 //
 //  1. Resolve the event's attributes against the cluster's local
@@ -131,31 +84,17 @@ func (s *kernelScratch) predMatches(rev uint64, e *dictEntry, val expr.Value) bo
 //     build the present mask (no hashing; both sides are sorted).
 //  2. Eligibility: one masked word-compare per member kills everyone
 //     constraining an attribute the event lacks, without touching the
-//     absent groups themselves. Consecutive events with the same
-//     attribute set — the common case after OSR — hit the per-cluster
-//     eligibility cache and skip the sweep entirely.
-//  3. Per present group, in descending estimated-kill order (groupKill):
-//     one equality probe (flat table, else binary search of eq) plus
-//     evaluation of the distinct non-equality predicates (memoized
-//     across the batch) yields the satisfied union; alive &= satisfied
-//     | ^attrBits, where sparse groups touch only their listed members.
-//     Failed strict predicates AND-NOT out individually. Dense ops
-//     report emptiness exactly, so the loop exits as soon as alive hits
-//     zero — the kill order exists to make that happen in as few groups
-//     as possible.
+//     absent groups themselves.
+//  3. Per present group, in attribute order: one equality probe (flat
+//     table, else binary search of eq) plus evaluation of the distinct
+//     non-equality predicates yields the satisfied union;
+//     alive &= satisfied | ^attrBits, where sparse groups touch only
+//     their listed members. Failed strict predicates AND-NOT out
+//     individually. Dense ops report emptiness exactly, so the loop
+//     exits as soon as alive hits zero.
 //
 //apcm:hotpath
 func (c *compiled) matchCompressed(s *kernelScratch, e *expr.Event, dst []expr.ID) []expr.ID {
-	return c.matchHybrid(s, e, dst, false)
-}
-
-// matchHybrid is matchCompressed with an optional measurement mode:
-// adaptive probes pass measure=true, which counts the members each
-// present group actually killed and folds them into the groupKill EWMAs.
-// The popcounts are paid only on probe events.
-//
-//apcm:hotpath
-func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, measure bool) []expr.ID {
 	bufs := s.get(c.capN)
 	alive, sat := bufs.alive, bufs.sat
 
@@ -210,134 +149,89 @@ func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, m
 	// Step 2: eligibility. A member survives iff its attribute mask is
 	// covered by the present mask. An empty eligible set exits at once,
 	// and a sparse one makes the group loop's early exit bite sooner.
-	// The cache is only consulted for locality-sorted batches (eligOn):
-	// without sorted adjacency the entry almost never matches, and the
-	// probe-plus-store would be pure overhead on every visit.
-	var ce *eligEntry
-	cached := false
-	if s.eligOn && c.n*c.awords >= eligCacheMinWork {
-		s.eligLookups++
-		ce = s.elig.entry(c.rev)
-		if ce.matches(present) {
-			s.eligHits++
-			if !ce.any {
-				return dst
-			}
-			copy(alive.Words(), ce.words)
-			cached = true
-			ce = nil // nothing to store
+	//
+	// Candidate-driven eligibility: an eligible member has every one of
+	// its attributes present, so it appears in the attrBits posting of
+	// each present group. When those postings are all sparse and their
+	// combined membership is smaller than the full mask sweep,
+	// enumerating them visits only members that can possibly survive —
+	// on heterogeneous clusters (many rare attributes) that is a handful
+	// of counter bumps instead of n mask checks.
+	cand := 0
+	for i := range s.hits {
+		ab := c.groups[s.hits[i].local].attrBits
+		if !ab.IsSparse() {
+			cand = -1
+			break
 		}
+		cand += ab.Count()
 	}
-	if !cached {
-		// Candidate-driven eligibility: an eligible member has every one
-		// of its attributes present, so it appears in the attrBits posting
-		// of each present group. When those postings are all sparse and
-		// their combined membership is smaller than the full mask sweep,
-		// enumerating them visits only members that can possibly survive —
-		// on heterogeneous clusters (many rare attributes) that is a
-		// handful of counter bumps instead of n mask checks.
-		cand := 0
-		for i := range s.hits {
-			ab := c.groups[s.hits[i].local].attrBits
-			if !ab.IsSparse() {
-				cand = -1
-				break
+	aw := alive.Words()
+	if cand >= 0 && cand*(c.awords+2) < c.n*c.awords {
+		// Count occurrences instead of re-checking masks: a member is
+		// eligible exactly when every one of its groups was visited, i.e.
+		// when its occurrence count reaches its distinct
+		// constrained-attribute count. Tombstoned members carry an
+		// unreachable count and can never trip the equality.
+		bufs.epoch++
+		if bufs.epoch&0xFFFF == 0 { // 16-bit stamp wrapped: clear stale marks
+			for i := range bufs.mark {
+				bufs.mark[i] = 0
 			}
-			cand += ab.Count()
-		}
-		anyAlive := false
-		if cand >= 0 && cand*(c.awords+2) < c.n*c.awords {
-			// Count occurrences instead of re-checking masks: a member is
-			// eligible exactly when every one of its groups was visited,
-			// i.e. when its occurrence count reaches its distinct
-			// constrained-attribute count. Tombstoned members carry an
-			// unreachable count and can never trip the equality.
 			bufs.epoch++
-			if bufs.epoch&0xFFFF == 0 { // 16-bit stamp wrapped: clear stale marks
-				for i := range bufs.mark {
-					bufs.mark[i] = 0
+		}
+		stamp := bufs.epoch << 16
+		mark, ac := bufs.mark, c.attrCnt
+		elig := s.eligIds[:0]
+		for i := range s.hits {
+			for _, id := range c.groups[s.hits[i].local].attrBits.Ids() {
+				v := mark[id]
+				if v&0xFFFF0000 == stamp {
+					v++
+				} else {
+					v = stamp | 1
 				}
-				bufs.epoch++
-			}
-			stamp := bufs.epoch << 16
-			mark, ac := bufs.mark, c.attrCnt
-			elig := s.eligIds[:0]
-			for i := range s.hits {
-				for _, id := range c.groups[s.hits[i].local].attrBits.Ids() {
-					v := mark[id]
-					if v&0xFFFF0000 == stamp {
-						v++
-					} else {
-						v = stamp | 1
-					}
-					mark[id] = v
-					if uint16(v) == ac[id] {
-						elig = append(elig, id)
-					}
-				}
-			}
-			s.eligIds = elig
-			anyAlive = len(elig) > 0
-			if !anyAlive && ce == nil {
-				return dst
-			}
-			alive.ClearAll()
-			aw := alive.Words()
-			for _, id := range elig {
-				aw[id>>6] |= 1 << (uint(id) & 63)
-			}
-		} else {
-			alive.ClearAll()
-			aw := alive.Words()
-			for m := 0; m < c.n; m++ {
-				mask := c.masks[m*c.awords : (m+1)*c.awords]
-				ok := true
-				for w := range mask {
-					if mask[w]&^present[w] != 0 {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					aw[m>>6] |= 1 << (uint(m) & 63)
-					anyAlive = true
+				mark[id] = v
+				if uint16(v) == ac[id] {
+					elig = append(elig, id)
 				}
 			}
 		}
-		if ce != nil {
-			ce.store(present, alive.Words(), anyAlive)
+		s.eligIds = elig
+		if len(elig) == 0 {
+			return dst
+		}
+		alive.ClearAll()
+		for _, id := range elig {
+			aw[id>>6] |= 1 << (uint(id) & 63)
+		}
+	} else {
+		alive.ClearAll()
+		anyAlive := false
+		for m := 0; m < c.n; m++ {
+			mask := c.masks[m*c.awords : (m+1)*c.awords]
+			ok := true
+			for w := range mask {
+				if mask[w]&^present[w] != 0 {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				aw[m>>6] |= 1 << (uint(m) & 63)
+				anyAlive = true
+			}
 		}
 		if !anyAlive {
 			return dst
 		}
 	}
 
-	// Step 3: present groups, highest estimated kill first. Group effects
-	// commute (each is alive &= f(group)), so any order yields the same
-	// survivors; the sort only decides how soon alive can hit zero.
-	// Insertion sort in place: hits are few and nearly sorted is common.
-	if hits := s.hits; !c.lo.noOrder && len(hits) > 1 {
-		for i := range hits {
-			hits[i].kill = c.groupKill[hits[i].local].Load()
-		}
-		for i := 1; i < len(hits); i++ {
-			h := hits[i]
-			j := i
-			for j > 0 && hits[j-1].kill < h.kill {
-				hits[j] = hits[j-1]
-				j--
-			}
-			hits[j] = h
-		}
-		s.orderSorts++
-	}
-
+	// Step 3: present groups, in attribute order. Group effects commute
+	// (each is alive &= f(group)), so any order yields the same
+	// survivors.
 	for _, h := range s.hits {
 		g := &c.groups[h.local]
-		before := 0
-		if measure {
-			before = alive.Count()
-		}
 
 		// Satisfied union inputs: the equality probe (flat table when
 		// compiled, binary search of the sorted eq union otherwise) and
@@ -352,7 +246,7 @@ func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, m
 		}
 		fh := s.firstHits[:0]
 		for ei := range g.first {
-			if s.predMatches(c.rev, &g.first[ei], h.val) {
+			if g.first[ei].pred.Matches(h.val) {
 				fh = append(fh, g.first[ei].bits)
 			}
 		}
@@ -404,31 +298,19 @@ func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, m
 			emptied = alive.AndUnion(sat, ab.Dense())
 		}
 		if emptied {
-			s.earlyExits++
-			if measure {
-				c.noteKills(h.local, before)
-			}
 			return dst
 		}
 		for ei := range g.strict {
-			if !s.predMatches(c.rev, &g.strict[ei], h.val) {
+			if !g.strict[ei].pred.Matches(h.val) {
 				if g.strict[ei].bits.AndNotInto(alive) {
-					s.earlyExits++
-					if measure {
-						c.noteKills(h.local, before)
-					}
 					return dst
 				}
 			}
-		}
-		if measure {
-			c.noteKills(h.local, before-alive.Count())
 		}
 	}
 
 	// Collect survivors word-by-word (a ForEach closure would force dst
 	// to escape and allocate on every call).
-	aw := alive.Words()
 	for wi, w := range aw {
 		base := wi << 6
 		for w != 0 {
@@ -437,6 +319,73 @@ func (c *compiled) matchHybrid(s *kernelScratch, e *expr.Event, dst []expr.ID, m
 		}
 	}
 	return dst
+}
+
+// valueTable is a dense attr → value index over the current event:
+// epoch-stamped arrays indexed by attribute id, replacing the per-lookup
+// linear scan of the event's pair list in the scan kernel. The first
+// scan-kernel pool of an event loads it and the event's other pools
+// reuse it. It is valid for one MatchWith call only, which begins with
+// forget: an event's pairs can be rewritten in place between calls
+// (json.Unmarshal into the same *expr.Event), so the event pointer alone
+// does not prove the loaded values current.
+type valueTable struct {
+	ev     *expr.Event // the event loaded, nil after forget
+	usable bool
+	vals   []expr.Value
+	stamp  []uint32
+	epoch  uint32
+}
+
+// maxDenseAttr bounds the table; events carrying larger attribute ids
+// fall back to Event.Lookup.
+const maxDenseAttr = 1 << 16
+
+// forget invalidates the loaded event.
+func (t *valueTable) forget() { t.ev = nil }
+
+// ensure loads e into the table unless it is already loaded, reporting
+// whether the table is usable for it.
+func (t *valueTable) ensure(e *expr.Event) bool {
+	if t.ev == e {
+		return t.usable
+	}
+	t.ev = e
+	t.usable = true
+	t.epoch++
+	if t.epoch == 0 {
+		for i := range t.stamp {
+			t.stamp[i] = 0
+		}
+		t.epoch = 1
+	}
+	for _, p := range e.Pairs() {
+		a := int(p.Attr)
+		if a >= len(t.vals) {
+			if a >= maxDenseAttr {
+				t.usable = false
+				return false
+			}
+			n := 1 << bits.Len(uint(a))
+			vals := make([]expr.Value, n)
+			stamp := make([]uint32, n)
+			copy(vals, t.vals)
+			copy(stamp, t.stamp)
+			t.vals, t.stamp = vals, stamp
+		}
+		t.vals[a] = p.Val
+		t.stamp[a] = t.epoch
+	}
+	return true
+}
+
+//apcm:hotpath
+func (t *valueTable) lookup(a expr.AttrID) (expr.Value, bool) {
+	i := int(a)
+	if i < len(t.stamp) && t.stamp[i] == t.epoch {
+		return t.vals[i], true
+	}
+	return 0, false
 }
 
 // scanPool runs the uncompressed kernel: short-circuiting interpretation

@@ -8,6 +8,7 @@ import (
 
 	"github.com/streammatch/apcm/expr"
 	"github.com/streammatch/apcm/internal/betree"
+	"github.com/streammatch/apcm/internal/osr"
 	"github.com/streammatch/apcm/workload"
 )
 
@@ -127,4 +128,46 @@ func sameIDs(a, b []expr.ID) bool {
 		}
 	}
 	return true
+}
+
+// TestMatchBatchAppendEquivalence matches a batch the way MatchBatchInto
+// does — every event in turn on one reused Scratch — over
+// locality-ordered events with duplicates, and checks each result
+// against a fresh Scratch: no kernel state may carry from one event to
+// the next.
+func TestMatchBatchAppendEquivalence(t *testing.T) {
+	p := workload.Default()
+	p.Seed = 7
+	p.NumAttrs, p.Cardinality, p.EventAttrs = 25, 50, 8
+	p.PredsMin, p.PredsMax = 1, 4
+	p.MatchFraction = 0.3
+	g := workload.MustNew(p)
+	m := New(DefaultConfig())
+	for _, x := range g.Expressions(4000) {
+		if err := m.Insert(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.PrepareAll()
+	rng := rand.New(rand.NewSource(99))
+	events := g.Events(192)
+	for i := 0; i < 64; i++ {
+		events = append(events, events[rng.Intn(192)])
+	}
+	osr.Reorder(events)
+
+	s := m.NewScratch()
+	var ids []expr.ID
+	matched := 0
+	for i, ev := range events {
+		ids = m.MatchWith(s, ids[:0], ev)
+		want := m.MatchWith(m.NewScratch(), nil, ev)
+		if !sameIDs(ids, want) {
+			t.Fatalf("event %d: reused scratch %v, fresh scratch %v", i, ids, want)
+		}
+		matched += len(ids)
+	}
+	if matched == 0 {
+		t.Fatal("workload matched nothing")
+	}
 }

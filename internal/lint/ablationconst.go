@@ -20,8 +20,6 @@ import (
 var ablationSwitches = map[string]bool{
 	"DisableHybridPostings": true,
 	"DisableFlatEq":         true,
-	"DisableGroupOrder":     true,
-	"DisableMemo":           true,
 }
 
 // AblationConst enforces that reading a Disable* ablation switch is a

@@ -11,7 +11,7 @@ import (
 )
 
 // HotPathAlloc checks functions annotated //apcm:hotpath — the core and
-// bitset kernels, the batch memo, the posting ops — for constructs that
+// bitset kernels, the posting ops — for constructs that
 // heap-allocate or defeat the zero-alloc contract gated by alloc_test.go:
 //
 //   - function literals (closures capture and escape),

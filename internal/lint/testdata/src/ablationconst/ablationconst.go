@@ -5,7 +5,6 @@ package ablationconst
 type config struct {
 	DisableHybridPostings bool
 	DisableFlatEq         bool
-	DisableGroupOrder     bool
 }
 
 type layout struct{ noHybrid bool }
@@ -33,7 +32,7 @@ func hotRead(e *engine) bool {
 func loopRead(e *engine, events []int) int {
 	n := 0
 	for range events {
-		if e.cfg.DisableGroupOrder { // want `ablation switch DisableGroupOrder read inside a loop in loopRead`
+		if e.cfg.DisableHybridPostings { // want `ablation switch DisableHybridPostings read inside a loop in loopRead`
 			n++
 		}
 	}

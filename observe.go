@@ -28,7 +28,6 @@ type engineMetrics struct {
 	streamFlushFull     *metrics.Counter
 	streamFlushDeadline *metrics.Counter
 	streamFlushManual   *metrics.Counter
-	streamDedupHits     *metrics.Counter
 	streamFill          *metrics.Histogram // window fill at flush, percent
 	streamReorder       *metrics.Histogram // OSR displacement per flushed event
 	streamFlushLatency  *metrics.Histogram // match+deliver time per flush
@@ -51,7 +50,6 @@ func (e *Engine) attachMetrics(reg *metrics.Registry) {
 		streamFlushFull:     reg.Counter("apcm_stream_flush_full_total", "window flushes triggered by a full window"),
 		streamFlushDeadline: reg.Counter("apcm_stream_flush_deadline_total", "window flushes triggered by the MaxDelay deadline"),
 		streamFlushManual:   reg.Counter("apcm_stream_flush_manual_total", "window flushes triggered by Flush/Close"),
-		streamDedupHits:     reg.Counter("apcm_stream_dedup_hits_total", "events served from a window neighbour's match result"),
 		streamFill:          reg.HistogramShaped("apcm_stream_window_fill_pct", "window fill ratio at flush, percent", 1, 1.25, 24),
 		streamReorder:       reg.HistogramShaped("apcm_stream_reorder_distance", "OSR displacement per flushed event", 1, 2, 20),
 		streamFlushLatency:  reg.Histogram("apcm_stream_flush_latency_ns", "per-flush match+deliver latency"),
@@ -99,41 +97,6 @@ func (e *Engine) attachMetrics(reg *metrics.Registry) {
 	})
 	reg.GaugeFunc("apcm_posting_eq_flat_slots", "total value slots across flat equality tables", func() float64 {
 		return float64(e.Stats().EqFlatSlots)
-	})
-	reg.CounterFunc("apcm_group_order_sorts_total", "group loops evaluated in kill-rate order (flushed at batch end)", func() float64 {
-		s, _ := e.cm.OrderCounters()
-		return float64(s)
-	})
-	reg.CounterFunc("apcm_group_order_early_exit_total", "group loops exited early on an emptied survivor set (flushed at batch end)", func() float64 {
-		_, x := e.cm.OrderCounters()
-		return float64(x)
-	})
-	reg.CounterFunc("apcm_batch_memo_lookups_total", "cross-event predicate memo lookups", func() float64 {
-		_, l, _, _, _ := e.cm.BatchCounters()
-		return float64(l)
-	})
-	reg.CounterFunc("apcm_batch_memo_hits_total", "cross-event predicate memo hits", func() float64 {
-		h, _, _, _, _ := e.cm.BatchCounters()
-		return float64(h)
-	})
-	reg.GaugeFunc("apcm_batch_memo_hit_ratio", "memo hits per lookup over the batch path", func() float64 {
-		h, l, _, _, _ := e.cm.BatchCounters()
-		if l == 0 {
-			return 0
-		}
-		return float64(h) / float64(l)
-	})
-	reg.CounterFunc("apcm_batch_elig_lookups_total", "per-cluster eligibility cache lookups", func() float64 {
-		_, _, _, l, _ := e.cm.BatchCounters()
-		return float64(l)
-	})
-	reg.CounterFunc("apcm_batch_elig_hits_total", "per-cluster eligibility cache hits", func() float64 {
-		_, _, h, _, _ := e.cm.BatchCounters()
-		return float64(h)
-	})
-	reg.CounterFunc("apcm_batch_dedup_total", "batch events answered from an adjacent equal event's result", func() float64 {
-		_, _, _, _, d := e.cm.BatchCounters()
-		return float64(d)
 	})
 	reg.CounterFunc("apcm_scratch_gets_total", "match scratch pool fetches", func() float64 {
 		return float64(e.scratchGets.Load())

@@ -129,10 +129,9 @@ func (j *batchJob) matchShard(s int) {
 }
 
 // MatchBatchInto matches a batch of events against every shard into r,
-// replacing its previous contents. Each shard runs its own batch kernel
-// over the whole batch — locality sorting and cross-event caches apply
-// per shard exactly as on a single engine — and the per-shard segments
-// are merged per event by apcm.MergeBatchResults. A steady-state call
+// replacing its previous contents. Each shard runs its own batch path
+// over the whole batch, exactly as a single engine does, and the
+// per-shard segments are merged per event by apcm.MergeBatchResults. A steady-state call
 // with a reused r performs no heap allocation.
 func (g *Group) MatchBatchInto(events []*expr.Event, r *apcm.BatchResult) {
 	g.mu.RLock()

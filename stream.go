@@ -257,16 +257,12 @@ func (s *Stream) process(batch []*expr.Event, dist int) {
 		}
 		m.streamReorder.Observe(float64(dist))
 	}
-	// The batch kernel matches each distinct event once (adjacent equal
-	// events share a result segment) and memoizes predicate evaluations
-	// across the locality-ordered window.
 	r := batchResults.Get().(*BatchResult)
 	s.eng.MatchBatchInto(batch, r)
 	for i, ev := range batch {
 		s.deliver(ev, r.For(i))
 	}
 	if m != nil {
-		m.streamDedupHits.Add(int64(r.Dedups()))
 		m.streamFlushLatency.ObserveDuration(time.Since(start))
 	}
 	batchResults.Put(r)
