@@ -78,13 +78,21 @@ lint-json:
 	@cat apcm-lint.json
 
 # Prove the gate fires: the smoke package seeds one violation per
-# analyzer behind a build tag; this target FAILS if apcm-lint passes it.
+# analyzer behind a build tag; this target FAILS unless every analyzer
+# apcm-lint -list names has a finding in the smoke run's -json output,
+# so one analyzer that stops firing cannot hide behind the others.
 lint-smoke:
-	@if $(GO) run ./cmd/apcm-lint -tags apcmlint_smoke ./internal/lint/smoke; then \
-		echo "lint-smoke: apcm-lint did not flag the seeded violations" >&2; exit 1; \
-	else \
-		echo "lint-smoke: gate fires as expected"; \
-	fi
+	@names=$$($(GO) run ./cmd/apcm-lint -list) || exit 1; \
+	[ -n "$$names" ] || { echo "lint-smoke: apcm-lint -list named no analyzer" >&2; exit 1; }; \
+	out=$$($(GO) run ./cmd/apcm-lint -json -tags apcmlint_smoke ./internal/lint/smoke); \
+	missing=; \
+	for a in $$names; do \
+		printf '%s\n' "$$out" | grep -q "\"analyzer\": \"$$a\"" || missing="$$missing $$a"; \
+	done; \
+	if [ -n "$$missing" ]; then \
+		echo "lint-smoke: no finding from:$$missing" >&2; exit 1; \
+	fi; \
+	echo "lint-smoke: all $$(echo $$names | wc -w) analyzers fire"
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/commitlog/

@@ -392,14 +392,6 @@ type Stats struct {
 	// kernel re-decisions they triggered, both directions, cumulative.
 	Probes      int64
 	KernelFlips int64
-	// Density-adaptive layout tallies across compiled clusters: posting
-	// representations chosen at compile time, sparse id volume, and flat
-	// equality tables.
-	DensePostings     int
-	SparsePostings    int
-	SparseMemberSlots int
-	EqFlatTables      int
-	EqFlatSlots       int
 	// ScratchGets/ScratchNews describe scratch-pool recycling (recorded
 	// only with metrics attached): recycle rate = 1 − News/Gets.
 	ScratchGets int64
@@ -428,11 +420,6 @@ func (e *Engine) Stats() Stats {
 	st.CompressedServing = cs.CompressedServing
 	st.Probes = cs.Probes
 	st.KernelFlips = cs.FlipsToCompressed + cs.FlipsToUncompressed
-	st.DensePostings = cs.DensePostings
-	st.SparsePostings = cs.SparsePostings
-	st.SparseMemberSlots = cs.SparseMemberSlots
-	st.EqFlatTables = cs.EqFlatTables
-	st.EqFlatSlots = cs.EqFlatSlots
 	return st
 }
 
@@ -457,14 +444,11 @@ type ClusterInfo struct {
 	// Cost estimates from adaptive probes, ns/event (0 before any probe).
 	EwmaCompressedNs float64
 	EwmaScanNs       float64
-	// Density-adaptive layout decisions for this cluster: posting counts
-	// by chosen representation, total sparse ids, flat equality tables
-	// and their value-slot volume.
+	// Posting counts by the representation the density rule chose, and
+	// the member ids the sparse ones hold.
 	DensePostings     int
 	SparsePostings    int
 	SparseMemberSlots int
-	EqFlatTables      int
-	EqFlatSlots       int
 	// PostingHist is a log2-bucketed posting-density histogram: bucket i
 	// counts postings with member count in [2^(i-1), 2^i).
 	PostingHist [12]int
@@ -494,8 +478,6 @@ func (e *Engine) Clusters() []ClusterInfo {
 			DensePostings:     c.DensePostings,
 			SparsePostings:    c.SparsePostings,
 			SparseMemberSlots: c.SparseMemberSlots,
-			EqFlatTables:      c.EqFlatTables,
-			EqFlatSlots:       c.EqFlatSlots,
 			PostingHist:       c.PostingHist,
 		}
 	}

@@ -1,6 +1,6 @@
 // Command apcm-bench regenerates the evaluation's tables and figures
 // (experiments E1–E14, see DESIGN.md §4 and EXPERIMENTS.md), the
-// beyond-paper ablations (E15–E18) and the sharded-tier scaling sweep
+// beyond-paper ablations (E15, E16) and the sharded-tier scaling sweep
 // (E19, tuned with -shards).
 //
 // Usage:

@@ -107,16 +107,14 @@ func main() {
 		fmt.Printf("  <=%-6d %4d  %s\n", b, sizeBuckets[b], bar(sizeBuckets[b], len(clusters)))
 	}
 
-	// Density-adaptive layout: how compilation actually chose to lay the
-	// postings out, so layout decisions are auditable in the field.
+	// Posting representations: how compilation actually chose to lay the
+	// postings out, so the density rule is auditable in the field.
 	var hist [12]int
-	var dense, sparse, sparseSlots, eqTables, eqSlots, totalPostings int
+	var dense, sparse, sparseSlots, totalPostings int
 	for _, c := range clusters {
 		dense += c.DensePostings
 		sparse += c.SparsePostings
 		sparseSlots += c.SparseMemberSlots
-		eqTables += c.EqFlatTables
-		eqSlots += c.EqFlatSlots
 		for i, n := range c.PostingHist {
 			hist[i] += n
 			totalPostings += n
@@ -124,12 +122,6 @@ func main() {
 	}
 	fmt.Printf("\nposting layout: %d dense, %d sparse (%d ids held sparse)\n",
 		dense, sparse, sparseSlots)
-	if eqTables > 0 {
-		fmt.Printf("flat equality tables: %d groups, %d value slots (avg %.1f slots/table)\n",
-			eqTables, eqSlots, float64(eqSlots)/float64(eqTables))
-	} else {
-		fmt.Println("flat equality tables: none (spans too wide or disabled)")
-	}
 	fmt.Println("\nposting density histogram (members per posting):")
 	for i, n := range hist {
 		if n == 0 {

@@ -1,6 +1,6 @@
 // Command apcm-lint runs the repo's go/analysis suite (internal/lint):
-// hotpathalloc, scratchrelease, atomicfield, ablationconst, metricname,
-// lockorder, goroutinelife, fsyncorder, atomicpublish.
+// hotpathalloc, scratchrelease, atomicfield, metricname, lockorder,
+// goroutinelife, fsyncorder, atomicpublish.
 //
 // It is dual-mode:
 //
@@ -25,7 +25,9 @@
 // Flags: -json (normalized machine-readable findings on stdout, for the
 // CI artifact), -tags (build tags, forwarded to go vet — used by the
 // seeded-violation smoke test), -baseline (alternate baseline path),
-// -write-baseline (rewrite the baseline from current findings).
+// -write-baseline (rewrite the baseline from current findings), -list
+// (print the suite's analyzer names, one a line, and exit — the smoke
+// test checks each of them fires).
 package main
 
 import (
@@ -101,6 +103,11 @@ func standalone(args []string) int {
 			jsonOut = true
 		case a == "-write-baseline" || a == "--write-baseline":
 			writeBaseline = true
+		case a == "-list" || a == "--list":
+			for _, an := range lint.Analyzers() {
+				fmt.Println(an.Name)
+			}
+			return 0
 		case a == "-baseline" || a == "--baseline":
 			if i+1 < len(args) {
 				i++
@@ -321,12 +328,14 @@ func saveBaseline(path string, findings []finding) error {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage: apcm-lint [-json] [-tags taglist] [-baseline file] [-write-baseline] [packages]
+       apcm-lint -list
 
 Runs the apcm analyzer suite over the given packages (default ./...).
 Findings matching the baseline file (default `+defaultBaseline+`) are
 reported but do not affect the exit status; exit is nonzero iff any
 non-baselined finding remains. -write-baseline rewrites the baseline
-from the current findings. Also usable as a vettool:
+from the current findings. -list prints the analyzer names. Also usable
+as a vettool:
 go vet -vettool=$(command -v apcm-lint) ./...
 `)
 }

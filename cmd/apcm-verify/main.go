@@ -1,6 +1,6 @@
 // Command apcm-verify cross-validates the Engine and every reference
-// matcher of the experiment harness (the paper's baselines and A-PCM's
-// ablation variants) on a workload: each indexes the same
+// matcher of the experiment harness (the paper's baselines, PCM and
+// A-PCM) on a workload: each indexes the same
 // subscriptions, every event is matched by each, and any divergence from
 // the reference semantics is reported with a reproducer. Use it after
 // modifying matcher internals, or to validate a workload trace before a

@@ -99,7 +99,7 @@ var registry []Experiment
 
 func register(e Experiment) { registry = append(registry, e) }
 
-// All returns every experiment in numeric id order (E1, E2, ... E18),
+// All returns every experiment in numeric id order (E1, E2, ... E20),
 // regardless of registration order across files.
 func All() []Experiment {
 	out := make([]Experiment, len(registry))

@@ -51,7 +51,7 @@ func e1() Experiment {
 			cfg.sanitize()
 			n := cfg.n(20000, 200)
 			xs, events := gen(baseParams(cfg.Seed), n, cfg.n(2000, 100))
-			rows := refs(paperRows...)
+			rows := References()
 			rates, err := measureRows(rows, xs, events, cfg.MinMeasure)
 			if err != nil {
 				return err
@@ -81,7 +81,7 @@ func e2() Experiment {
 		Expect: "every algorithm degrades as the database grows; the compressed matchers degrade slowest, so the gap widens with size",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
-			rows := refs(paperRows...)
+			rows := References()
 			t := NewTable("E2: throughput vs subscription count",
 				append([]string{"subscriptions"}, rowHeaders(rows)...)...)
 			for _, base := range []int{1000, 2000, 5000, 10000, 20000} {
@@ -108,7 +108,7 @@ func e3() Experiment {
 		Expect: "per-predicate algorithms (Scan, Counting) degrade linearly; compression amortises shared predicates so the compressed matchers flatten",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
-			rows := refs(paperRows...)
+			rows := References()
 			t := NewTable("E3: throughput vs predicates/expression",
 				append([]string{"preds/expr"}, rowHeaders(rows)...)...)
 			for _, k := range []int{3, 5, 7, 9, 12} {
@@ -139,7 +139,7 @@ func e4() Experiment {
 		Expect: "low dimensionality concentrates predicates on few attributes (hard to partition); higher dimensionality improves pruning for the tree-based matchers",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
-			rows := refs(paperRows...)
+			rows := References()
 			t := NewTable("E4: throughput vs number of attributes",
 				append([]string{"attributes"}, rowHeaders(rows)...)...)
 			for _, d := range []int{50, 100, 200, 400, 800} {
@@ -167,7 +167,7 @@ func e5() Experiment {
 		Expect: "higher match rates cost every algorithm (more candidates survive); the compressed kernels keep their advantage across the range",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
-			rows := refs(paperRows...)
+			rows := References()
 			t := NewTable("E5: throughput vs planted match fraction",
 				append([]string{"match frac"}, rowHeaders(rows)...)...)
 			for _, mf := range []float64{0, 0.01, 0.05, 0.10, 0.25} {
@@ -339,7 +339,7 @@ func e9() Experiment {
 		Expect: "the compressed index stays within a small constant of the tree baseline while replacing several predicate evaluations per dictionary entry",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
-			rows := refs(paperRows...)
+			rows := References()
 			headers := []string{"subscriptions"}
 			for _, ref := range rows {
 				headers = append(headers, ref.Name+" mem")
@@ -414,7 +414,7 @@ func e11() Experiment {
 			xs, events := gen(baseParams(cfg.Seed), cfg.n(15000, 200), cfg.n(1000, 100))
 			t := NewTable("E11: per-event match latency",
 				"algorithm", "p50", "p95", "p99", "max")
-			for _, ref := range refs(paperRows...) {
+			for _, ref := range References() {
 				m, err := build(ref, 0, xs)
 				if err != nil {
 					return err
@@ -458,7 +458,7 @@ func e12() Experiment {
 			churn := n / 5
 			t := NewTable("E12: update throughput",
 				"algorithm", "inserts/s", "deletes/s", "match ev/s during churn")
-			for _, ref := range refs(paperRows...) {
+			for _, ref := range References() {
 				p := baseParams(cfg.Seed)
 				g := workload.MustNew(p)
 				xs := g.Expressions(n + churn)

@@ -23,9 +23,8 @@ type Reference struct {
 }
 
 // References lists every matcher the comparison tables measure: the
-// paper's baselines, A-PCM itself, and the ablation variants of A-PCM
-// (E18) — each a core.Config with one lever switched off, or all
-// of them. The order is table order.
+// paper's five baselines and A-PCM, the rows of its comparison figures
+// (E1–E5, E9, E11, E12). The order is table order.
 func References() []Reference {
 	return []Reference{
 		{"Scan", func(int) match.Matcher { return scan.New() }},
@@ -40,17 +39,8 @@ func References() []Reference {
 		}},
 		{"PCM", compressed(func(c *core.Config) { c.Mode = core.ModeCompressed })},
 		{"A-PCM", compressed(nil)},
-		{"A-PCM no-hybrid", compressed(func(c *core.Config) { c.DisableHybridPostings = true })},
-		{"A-PCM no-flateq", compressed(func(c *core.Config) { c.DisableFlatEq = true })},
-		{"A-PCM all-off", compressed(func(c *core.Config) {
-			c.DisableHybridPostings, c.DisableFlatEq = true, true
-		})},
 	}
 }
-
-// paperRows are the rows of the paper's comparison figures (E1–E5, E9,
-// E11, E12): the five baselines and A-PCM.
-var paperRows = []string{"Scan", "Counting", "k-index", "BE-Tree", "PCM", "A-PCM"}
 
 // compressed returns the constructor of a core.Matcher in the default
 // configuration with adjust applied.

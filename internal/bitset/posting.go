@@ -28,8 +28,8 @@ func SparseMaxFor(n int) int {
 }
 
 // Posting is a hybrid membership set over a fixed capacity of member
-// slots. The zero value is unusable; create with NewPosting or
-// DensePosting.
+// slots. The zero value is unusable; create with NewPosting, or
+// initialize in place with InitSparse or InitDense.
 type Posting struct {
 	b   *Bitset // non-nil iff dense
 	ids []int32 // sorted member ids when sparse
@@ -38,9 +38,6 @@ type Posting struct {
 
 // NewPosting returns an empty sparse posting with capacity n.
 func NewPosting(n int) *Posting { return &Posting{n: n} }
-
-// DensePosting wraps an existing dense bitset as a posting.
-func DensePosting(b *Bitset) *Posting { return &Posting{b: b, n: b.Len()} }
 
 // Len returns the capacity in bits (member slots).
 func (p *Posting) Len() int { return p.n }
@@ -129,24 +126,6 @@ func (p *Posting) Promote() {
 		b.Set(int(id))
 	}
 	p.b, p.ids = b, nil
-}
-
-// Demote converts p to the sparse representation, reporting whether it
-// did; it refuses (returning false) when the popcount exceeds
-// SparseMaxFor. Tests use it to probe the demotion boundary.
-func (p *Posting) Demote() bool {
-	if p.b == nil {
-		return true
-	}
-	if p.b.Count() > SparseMaxFor(p.n) {
-		return false
-	}
-	ids := make([]int32, 0, p.b.Count())
-	for it := p.b.IterStart(); it.Valid(); it.Next() {
-		ids = append(ids, int32(it.Index()))
-	}
-	p.b, p.ids = nil, ids
-	return true
 }
 
 // InitDense initializes p — typically a zero struct inside an arena's

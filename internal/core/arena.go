@@ -5,13 +5,13 @@ import "github.com/streammatch/apcm/internal/bitset"
 // clusterArena is the single backing store of one compiled cluster.
 // Before the arena, a compiled cluster scattered its state across
 // thousands of heap objects — one *Posting and one backing array per
-// dictionary entry, per-group dictEntry slices, flat tables, masks,
-// counters — which cost compile-time allocations, GC scan work
-// proportional to the subscription count, and cache misses in the group
-// loop as the kernel chased pointers across the heap.
+// dictionary entry, per-group dictEntry slices, masks, counters — which
+// cost compile-time allocations, GC scan work proportional to the
+// subscription count, and cache misses in the group loop as the kernel
+// chased pointers across the heap.
 //
 // finalize now sizes everything in a pre-pass and carves the whole
-// cluster out of eight typed slabs, one allocation each (Go's type
+// cluster out of seven typed slabs, one allocation each (Go's type
 // system rules out a single untyped block without unsafe; typed
 // contiguous slabs capture almost all of the locality win at none of
 // the risk):
@@ -19,14 +19,13 @@ import "github.com/streammatch/apcm/internal/bitset"
 //	words  []uint64          member attribute masks ++ every dense
 //	                         posting's backing words
 //	ids    []int32           every sparse posting's member ids (with
-//	                         per-posting append slack) ++ the flat
-//	                         attr-direct table
+//	                         per-posting append slack) ++ the
+//	                         attrDirect table
 //	posts  []bitset.Posting  every posting struct, group-ordered
 //	bsets  []bitset.Bitset   backing structs for the dense postings
 //	eq     []eqEntry         equality-union entries, group-ordered and
 //	                         sorted by value within a group
 //	dict   []dictEntry       first/strict dictionary entries, group-ordered
-//	flat   []*bitset.Posting value-indexed equality-table slots
 //	cnt    []uint16          per-member distinct-attribute counts
 //
 // Sub-slices handed out of a slab are capacity-clamped, so incremental
@@ -45,16 +44,15 @@ type clusterArena struct {
 	bsets []bitset.Bitset
 	eq    []eqEntry
 	dict  []dictEntry
-	flat  []*bitset.Posting
 	cnt   []uint16
 
 	// carve cursors; only used during finalize.
-	wo, io, po, bo, eo, do, fo int
+	wo, io, po, bo, eo, do int
 }
 
 // arenaSizes is the pre-pass result that sizes a clusterArena.
 type arenaSizes struct {
-	words, ids, posts, bsets, eq, dict, flat, cnt int
+	words, ids, posts, bsets, eq, dict, cnt int
 }
 
 func newClusterArena(s arenaSizes) *clusterArena {
@@ -65,7 +63,6 @@ func newClusterArena(s arenaSizes) *clusterArena {
 		bsets: make([]bitset.Bitset, s.bsets),
 		eq:    make([]eqEntry, s.eq),
 		dict:  make([]dictEntry, s.dict),
-		flat:  make([]*bitset.Posting, s.flat),
 		cnt:   make([]uint16, s.cnt),
 	}
 }
@@ -96,6 +93,5 @@ func (a *clusterArena) bytes() int64 {
 		int64(len(a.bsets))*bitsetSize +
 		int64(len(a.eq))*eqEntrySize +
 		int64(len(a.dict))*dictSize +
-		int64(len(a.flat))*8 +
 		int64(len(a.cnt))*2
 }

@@ -8,14 +8,6 @@ import (
 	"github.com/streammatch/apcm/internal/bitset"
 )
 
-// layoutOpts gates the density-adaptive layout machinery, per matcher.
-// Each switch disables one independently measurable piece (the E18
-// ablation axes); all off reproduces the pre-hybrid layout exactly.
-type layoutOpts struct {
-	forceDense bool // compile every posting dense (no sparse representation)
-	noEqFlat   bool // keep equality unions in the sorted slice only
-}
-
 // compiled is the compressed form of one BE-Tree pool. Three structures
 // carry the match:
 //
@@ -33,8 +25,14 @@ type layoutOpts struct {
 //   - membership postings per dictionary entry. A posting is hybrid
 //     (bitset.Posting): dense entries combine word-wide, sparse ones —
 //     the common case on selective workloads — touch only their listed
-//     members. finalize chooses the representation per entry by popcount
-//     and re-homes all posting storage into the cluster's arena.
+//     members. Set chooses the representation per entry by popcount, and
+//     finalize re-homes all posting storage into the cluster's arena.
+//
+// Each cluster has one layout, chosen only from its input: a posting is
+// sparse or dense by the density rule (bitset.SparseMaxFor), the
+// attribute universe gets a direct table (attrDirect) by the span rule
+// (attrDirectMaxSpan and friends), and an equality probe is a binary
+// search of the sorted eq slice.
 //
 // A compiled cluster holds no Go map: attributes resolve by localOf, and
 // building and maintenance scan the small per-group dictionaries and the
@@ -56,7 +54,6 @@ type compiled struct {
 	n     int // member slots in use (live + tombstoned)
 	tombs int // tombstoned members
 	capN  int // member capacity of every bitset and of masks
-	lo    layoutOpts
 
 	// ids maps member slot → subscription id. Tombstoned slots keep
 	// their id; tryTombstone skips them when it scans for a member.
@@ -78,7 +75,9 @@ type compiled struct {
 	attrCnt []uint16
 	// attrDirect, when non-nil, maps attr - attrLo directly to the local
 	// attribute index (-1 = not in the universe): step 1 indexes it per
-	// event pair instead of joining against the sorted universe.
+	// event pair instead of joining against the sorted universe. finalize
+	// builds it when the universe's id span is small (see
+	// attrDirectMaxSpan); wider universes take the merge-join.
 	attrDirect []int32
 	attrLo     expr.AttrID
 
@@ -95,8 +94,8 @@ type compiled struct {
 
 	// arena owns the cluster's backing storage after finalize: masks,
 	// posting structs and their words/ids, equality unions, dictionary
-	// entries, flat tables and counters all live in its
-	// slabs (see arena.go). Nil only before finalize runs.
+	// entries, the attribute table and counters all live in its slabs
+	// (see arena.go). Nil only before finalize runs.
 	arena *clusterArena
 }
 
@@ -110,16 +109,9 @@ type attrGroup struct {
 	// attribute; members outside it are unaffected by this group.
 	attrBits *bitset.Posting
 	// eq is the equality union, sorted by value: entry v holds the
-	// members whose first predicate on this attribute is "== v". Always
-	// authoritative; the kernel probes eqFlat when it exists and
-	// binary-searches eq otherwise.
+	// members whose first predicate on this attribute is "== v". The
+	// kernel finds an event value in it by binary search (eqSearch).
 	eq []eqEntry
-	// eqFlat is a value-indexed view of eq covering [eqLo, eqLo+len):
-	// one bounds check and an array load replace the search. Built by
-	// finalize when the observed value range is small; dropped (nil) if
-	// an incremental append brings a value outside the compiled range.
-	eqFlat []*bitset.Posting
-	eqLo   expr.Value
 	// first holds the distinct non-equality first predicates.
 	first []dictEntry
 	// strict holds the distinct additional predicates; a member already
@@ -177,13 +169,13 @@ func slackCapacity(n int) int {
 	return (c + 63) &^ 63
 }
 
-// eqFlat sizing: a flat table spends one pointer per value in the span,
-// so it is built only when the span is bounded in absolute terms and not
-// grossly larger than the number of distinct values it indexes.
+// attrDirect sizing: the table spends one int32 per attribute id in the
+// universe's span, so it is built only when the span is bounded in
+// absolute terms and not grossly larger than the universe it indexes.
 const (
-	eqFlatMaxSpan    = 4096 // never spend more than 32 KiB of pointers per group
-	eqFlatSpanFactor = 32   // allow up to this many empty slots per distinct value
-	eqFlatMinSpan    = 64   // spans this small are always acceptable
+	attrDirectMaxSpan    = 4096 // never spend more than 16 KiB per cluster
+	attrDirectSpanFactor = 32   // allow up to this many empty slots per attribute
+	attrDirectMinSpan    = 64   // spans this small are always acceptable
 )
 
 // sparseSlabSlack is the per-posting append headroom finalize leaves in
@@ -192,19 +184,12 @@ const (
 // never clobbered.
 const sparseSlabSlack = 2
 
-// compile builds the compressed form of p at its current generation with
-// the default layout (hybrid postings, flat equality tables). Tests use
-// it directly; the matcher goes through compileOpts to apply its
-// configured layout switches.
-func compile(p *betree.Pool) *compiled { return compileOpts(p, layoutOpts{}) }
-
-// compileOpts builds the compressed form of p under the given layout.
-func compileOpts(p *betree.Pool, lo layoutOpts) *compiled {
+// compile builds the compressed form of p at its current generation.
+func compile(p *betree.Pool) *compiled {
 	n := len(p.Exprs)
 	c := &compiled{
 		gen:  p.Gen,
 		capN: slackCapacity(n),
-		lo:   lo,
 		ids:  make([]expr.ID, 0, n),
 	}
 
@@ -229,22 +214,16 @@ func compileOpts(p *betree.Pool, lo layoutOpts) *compiled {
 		c.append(x)
 	}
 
-	// Pass 3: density-aware layout (slabs, flat eq tables).
+	// Pass 3: the arena and the attribute table.
 	c.finalize()
 	return c
 }
 
-// newPosting allocates an empty posting in the configured representation.
-// Hybrid postings start sparse; Set promotes them past the density
-// boundary (member indexes only grow during a build, so the sorted-list
-// appends are O(1)).
+// newPosting allocates an empty posting. Postings start sparse; Set
+// promotes them past the density boundary (member indexes only grow
+// during a build, so the sorted-list appends are O(1)).
 func (c *compiled) newPosting() *bitset.Posting {
-	var p *bitset.Posting
-	if c.lo.forceDense {
-		p = bitset.DensePosting(bitset.New(c.capN))
-	} else {
-		p = bitset.NewPosting(c.capN)
-	}
+	p := bitset.NewPosting(c.capN)
 	c.held += postingHeld(p)
 	return p
 }
@@ -297,9 +276,7 @@ func (c *compiled) append(x *expr.Expression) {
 }
 
 // eqAdd returns g's equality-union posting for v, inserting a new
-// entry at its sorted position when v is new. A new value is also
-// entered into eqFlat, or drops the flat table when it falls outside
-// the table's span (eq stays authoritative).
+// entry at its sorted position when v is new.
 func (c *compiled) eqAdd(g *attrGroup, v expr.Value) *bitset.Posting {
 	i, ok := g.eqSearch(v)
 	if ok {
@@ -310,13 +287,6 @@ func (c *compiled) eqAdd(g *attrGroup, v expr.Value) *bitset.Posting {
 	g.eq = slices.Insert(g.eq, i, eqEntry{val: v, bits: u})
 	c.held += int64(cap(g.eq)-oldCap) * eqEntrySize
 	c.distinctPreds++
-	if g.eqFlat != nil {
-		if d := int64(v) - int64(g.eqLo); uint64(d) < uint64(len(g.eqFlat)) {
-			g.eqFlat[d] = u
-		} else {
-			g.eqFlat = nil
-		}
-	}
 	return u
 }
 
@@ -356,21 +326,16 @@ func (c *compiled) forEachPosting(fn func(p *bitset.Posting)) {
 	}
 }
 
-// finalize runs the density-aware layout pass after all members are in:
-//
-//  1. Arena build: a pre-pass sizes every slab class — posting structs,
-//     dense words, sparse ids, equality-union entries, dictionary
-//     entries, flat-table slots, masks, counters — and the whole
-//     cluster is re-homed into one clusterArena (see arena.go), so the
-//     group loop walks a handful of contiguous arrays instead of
-//     chasing per-entry heap objects, and recompile-and-swap frees the
-//     old cluster as a few slabs.
-//  2. Flat equality tables: groups whose observed equality-value span is
-//     small get a value-indexed eqFlat view over the sorted eq slice.
+// finalize runs after all members are in. A pre-pass sizes every slab
+// class — posting structs, dense words, sparse ids, equality-union
+// entries, dictionary entries, the attribute table, masks, counters —
+// and the whole cluster is re-homed into one clusterArena (see
+// arena.go), so the group loop walks a handful of contiguous arrays
+// instead of chasing per-entry heap objects, and recompile-and-swap
+// frees the old cluster as a few slabs.
 func (c *compiled) finalize() {
 	// Pre-pass A: posting and dictionary volumes. Representations are
-	// already settled (Set promotes at the density boundary; forceDense
-	// builds dense outright).
+	// already settled (Set promotes at the density boundary).
 	words := c.capN / 64 // per dense posting
 	nPost, nDense, denseWords, sparseIds, nDict, nEq := 0, 0, 0, 0, 0, 0
 	c.forEachPosting(func(p *bitset.Posting) {
@@ -388,42 +353,17 @@ func (c *compiled) finalize() {
 		nEq += len(g.eq)
 	}
 
-	// Pre-pass B: flat attribute-dictionary span (the table is carved
-	// from the id slab). A direct value-indexed attr → local index table
-	// replaces the step-1 merge-join/search against c.attrs when the
-	// universe's id span is bounded (same sizing logic as the flat
-	// equality tables). tryAppend never grows the universe, so the table
-	// stays coherent across incremental maintenance.
+	// Pre-pass B: attribute-table span (the table is carved from the id
+	// slab). A direct attr → local index table replaces the step-1
+	// merge-join against c.attrs when the universe's id span is bounded.
+	// tryAppend never grows the universe, so the table stays coherent
+	// across incremental maintenance.
 	attrSpan := 0
-	if !c.lo.noEqFlat && c.nAttrs > 0 {
+	if c.nAttrs > 0 {
 		lo, hi := c.attrs[0], c.attrs[len(c.attrs)-1]
 		span := int64(hi) - int64(lo) + 1
-		if span <= eqFlatMaxSpan && span <= int64(eqFlatSpanFactor*c.nAttrs+eqFlatMinSpan) {
+		if span <= attrDirectMaxSpan && span <= int64(attrDirectSpanFactor*c.nAttrs+attrDirectMinSpan) {
 			attrSpan = int(span)
-		}
-	}
-
-	// Pre-pass C: per-group equality spans, deciding each flat table
-	// before any allocation so the flat slab can be sized exactly.
-	type eqSpan struct {
-		lo, hi expr.Value
-		span   int // flat-table slots; 0 = search eq only
-	}
-	spans := make([]eqSpan, len(c.groups))
-	flatSlots := 0
-	for gi := range c.groups {
-		g := &c.groups[gi]
-		if len(g.eq) == 0 {
-			continue
-		}
-		sp := &spans[gi]
-		sp.lo, sp.hi = g.eq[0].val, g.eq[len(g.eq)-1].val
-		if !c.lo.noEqFlat {
-			span := int64(sp.hi) - int64(sp.lo) + 1
-			if span <= eqFlatMaxSpan && span <= int64(eqFlatSpanFactor*len(g.eq)+eqFlatMinSpan) {
-				sp.span = int(span)
-				flatSlots += sp.span
-			}
 		}
 	}
 
@@ -435,7 +375,6 @@ func (c *compiled) finalize() {
 		bsets: nDense,
 		dict:  nDict,
 		eq:    nEq,
-		flat:  flatSlots,
 		cnt:   c.capN,
 	})
 	c.arena = ar
@@ -466,10 +405,9 @@ func (c *compiled) finalize() {
 		return np
 	}
 
-	// Re-home every posting, equality union, dictionary entry and flat
-	// table, group by group, in forEachPosting order so consumption
-	// matches pre-pass A exactly. eqFlat is built from the re-homed eq
-	// entries, so the two views alias the same arena posting structs.
+	// Re-home every posting, equality union and dictionary entry, group
+	// by group, in forEachPosting order so consumption matches pre-pass
+	// A exactly.
 	for gi := range c.groups {
 		g := &c.groups[gi]
 		if g.attrBits != nil {
@@ -486,13 +424,6 @@ func (c *compiled) finalize() {
 		g.strict = carveCopy(ar.dict, &ar.do, g.strict)
 		for i := range g.strict {
 			g.strict[i].bits = rehome(g.strict[i].bits)
-		}
-		if sp := &spans[gi]; sp.span > 0 {
-			flat := carve(ar.flat, &ar.fo, sp.span, 0)
-			for _, e := range g.eq {
-				flat[int64(e.val)-int64(sp.lo)] = e.bits
-			}
-			g.eqFlat, g.eqLo = flat, sp.lo
 		}
 	}
 
@@ -595,16 +526,14 @@ func (c *compiled) needsRebuild() bool { return c.tombs*2 > c.n }
 // live returns the number of live members.
 func (c *compiled) live() int { return c.n - c.tombs }
 
-// postingTally summarises the cluster's layout decisions for
-// diagnostics: chosen representations, sparse volume, flat-table sizes
-// and a log2-bucketed posting-density histogram (bucket i counts
-// postings with member count in [2^(i-1), 2^i)).
+// postingTally summarises the cluster's posting representations for
+// diagnostics: chosen representations, sparse volume and a log2-bucketed
+// posting-density histogram (bucket i counts postings with member count
+// in [2^(i-1), 2^i)).
 type postingTally struct {
 	Dense         int
 	Sparse        int
 	SparseMembers int
-	EqFlatTables  int
-	EqFlatSlots   int
 	Hist          [12]int
 }
 
@@ -627,25 +556,19 @@ func (c *compiled) tally() postingTally {
 		}
 		t.Hist[b]++
 	})
-	for gi := range c.groups {
-		if f := c.groups[gi].eqFlat; f != nil {
-			t.EqFlatTables++
-			t.EqFlatSlots += len(f)
-		}
-	}
 	return t
 }
 
 // Struct sizes on 64-bit platforms, for byte accounting without unsafe
 // (TestAccountedStructSizes pins them to unsafe.Sizeof).
 const (
-	compiledSize = 248
-	groupSize    = 112
+	compiledSize = 240
+	groupSize    = 80
 	eqEntrySize  = 16
 	dictSize     = 16
 	postingSize  = 40
 	bitsetSize   = 32
-	arenaSize    = 248
+	arenaSize    = 216
 )
 
 // postingHeld is what one posting holds: its struct, its bitset struct

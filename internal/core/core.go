@@ -4,11 +4,10 @@
 // The matcher clusters subscriptions with a BE-Tree (internal/betree)
 // and compiles every sufficiently large pool into a compressed cluster:
 // per-member attribute masks for a one-pass eligibility test,
-// per-attribute equality unions (one probe of a value-sorted slice or
-// its flat table evaluates every distinct equality predicate on an
-// attribute at once) and dictionaries
-// of distinct non-equality predicates, each entry carrying a bitset of
-// the members that contain it. Matching an event is then word-wide
+// per-attribute equality unions (one probe of a value-sorted slice
+// evaluates every distinct equality predicate on an attribute at once)
+// and dictionaries of distinct non-equality predicates, each entry
+// carrying a bitset of the members that contain it. Matching an event is then word-wide
 // Boolean algebra over the whole cluster instead of per-subscription
 // interpretation; see kernel.go for the exact steps. Updates maintain
 // compiled clusters incrementally (appends into slack capacity,
@@ -83,21 +82,6 @@ type Config struct {
 	// Decay is the weight kept by the old cost estimate at each probe,
 	// in (0,1). Default 0.8.
 	Decay float64
-	// DisableHybridPostings compiles every posting dense, as before the
-	// density-adaptive layout (ablation switch, see E18).
-	DisableHybridPostings bool
-	// DisableFlatEq keeps equality unions in their sorted slice only
-	// (binary search), never building the value-indexed flat tables
-	// (ablation switch).
-	DisableFlatEq bool
-}
-
-// layout derives the compile-time layout switches from the config.
-func (c *Config) layout() layoutOpts {
-	return layoutOpts{
-		forceDense: c.DisableHybridPostings,
-		noEqFlat:   c.DisableFlatEq,
-	}
 }
 
 // DefaultConfig returns the configuration used by the benchmarks.
@@ -327,7 +311,7 @@ func (m *Matcher) clusterFor(p *betree.Pool) *clusterState {
 		m.clusters[p] = cs
 	}
 	if c := cs.compiled.Load(); c == nil || c.gen != p.Gen || c.needsRebuild() {
-		cs.compiled.Store(compileOpts(p, m.cfg.layout()))
+		cs.compiled.Store(compile(p))
 	}
 	return cs
 }
@@ -342,14 +326,6 @@ type Stats struct {
 	CompressedBytes   int64
 	ArenaBytes        int64 // Σ cluster arena slab bytes (see internal/core/arena.go)
 	CompressedServing int   // clusters currently routed to the compressed kernel
-
-	// Density-adaptive layout tallies (see compile.go finalize): chosen
-	// posting representations, sparse volume, and flat equality tables.
-	DensePostings     int
-	SparsePostings    int
-	SparseMemberSlots int // Σ ids held by sparse postings
-	EqFlatTables      int
-	EqFlatSlots       int // Σ value slots across flat tables
 
 	// Adaptive-policy counters, cumulative since matcher creation.
 	Probes              int64 // events served by both kernels for costing
@@ -373,7 +349,8 @@ func (m *Matcher) AdaptiveCounters() (probes, flipsToCompressed, flipsToUncompre
 }
 
 // Stats returns current compression statistics. It compiles nothing; only
-// clusters visited by earlier matches are counted.
+// clusters visited by earlier matches are counted. Its cost is per
+// cluster, not per posting: the posting census is in Clusters.
 func (m *Matcher) Stats() Stats {
 	st := Stats{
 		Tree:                m.tree.Stats(),
@@ -391,12 +368,6 @@ func (m *Matcher) Stats() Stats {
 		st.DistinctPreds += c.distinctPreds
 		st.CompressedBytes += c.memoryBytes()
 		st.ArenaBytes += c.arena.bytes()
-		t := c.tally()
-		st.DensePostings += t.Dense
-		st.SparsePostings += t.Sparse
-		st.SparseMemberSlots += t.SparseMembers
-		st.EqFlatTables += t.EqFlatTables
-		st.EqFlatSlots += t.EqFlatSlots
 		if cs.mode.Load() == int32(kernelCompressed) {
 			st.CompressedServing++
 		}
@@ -417,12 +388,11 @@ type ClusterInfo struct {
 	// Cost estimates from adaptive probes, ns/event (0 before any probe).
 	EwmaCompressedNs float64
 	EwmaScanNs       float64
-	// Density-adaptive layout decisions (see compile.go finalize).
+	// Posting representations chosen by the density rule (see
+	// bitset.SparseMaxFor) and the ids held by the sparse ones.
 	DensePostings     int
 	SparsePostings    int
 	SparseMemberSlots int
-	EqFlatTables      int
-	EqFlatSlots       int
 	// PostingHist is a log2-bucketed posting-density histogram: bucket i
 	// counts postings with member count in [2^(i-1), 2^i).
 	PostingHist [12]int
@@ -451,8 +421,6 @@ func (m *Matcher) Clusters() []ClusterInfo {
 			DensePostings:     t.Dense,
 			SparsePostings:    t.Sparse,
 			SparseMemberSlots: t.SparseMembers,
-			EqFlatTables:      t.EqFlatTables,
-			EqFlatSlots:       t.EqFlatSlots,
 			PostingHist:       t.Hist,
 		})
 	}
@@ -502,9 +470,8 @@ func (m *Matcher) PrepareAllWith(run func(n int, fn func(idx int))) {
 		return
 	}
 	built := make([]*compiled, len(todo))
-	lo := m.cfg.layout()
 	run(len(todo), func(i int) {
-		built[i] = compileOpts(todo[i], lo)
+		built[i] = compile(todo[i])
 	})
 	m.cmu.Lock()
 	for i, p := range todo {

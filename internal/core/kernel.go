@@ -80,13 +80,14 @@ func (s *kernelScratch) get(n int) *buffers {
 // matchCompressed runs the compressed kernel:
 //
 //  1. Resolve the event's attributes against the cluster's local
-//     universe with a merge-join of the two sorted attribute lists and
-//     build the present mask (no hashing; both sides are sorted).
+//     universe — through attrDirect when the cluster has one, else by a
+//     merge-join of the two sorted attribute lists — and build the
+//     present mask (no hashing).
 //  2. Eligibility: one masked word-compare per member kills everyone
 //     constraining an attribute the event lacks, without touching the
 //     absent groups themselves.
-//  3. Per present group, in attribute order: one equality probe (flat
-//     table, else binary search of eq) plus evaluation of the distinct
+//  3. Per present group, in attribute order: one equality probe (binary
+//     search of the sorted eq union) plus evaluation of the distinct
 //     non-equality predicates yields the satisfied union;
 //     alive &= satisfied | ^attrBits, where sparse groups touch only
 //     their listed members. Failed strict predicates AND-NOT out
@@ -98,7 +99,7 @@ func (c *compiled) matchCompressed(s *kernelScratch, e *expr.Event, dst []expr.I
 	bufs := s.get(c.capN)
 	alive, sat := bufs.alive, bufs.sat
 
-	// Step 1: present mask and group hits, by merge-join.
+	// Step 1: present mask and group hits.
 	if cap(s.present) < c.awords {
 		s.present = make([]uint64, c.awords)
 	}
@@ -109,8 +110,8 @@ func (c *compiled) matchCompressed(s *kernelScratch, e *expr.Event, dst []expr.I
 	s.hits = s.hits[:0]
 	pairs := e.Pairs()
 	if dir := c.attrDirect; dir != nil {
-		// Flat attribute dictionary: one bounds check and an array load
-		// per event pair, independent of the universe width.
+		// Direct attribute table: one bounds check and an array load per
+		// event pair, independent of the universe width.
 		lo0 := int64(c.attrLo)
 		for i := range pairs {
 			d := int64(pairs[i].Attr) - lo0
@@ -233,15 +234,11 @@ func (c *compiled) matchCompressed(s *kernelScratch, e *expr.Event, dst []expr.I
 	for _, h := range s.hits {
 		g := &c.groups[h.local]
 
-		// Satisfied union inputs: the equality probe (flat table when
-		// compiled, binary search of the sorted eq union otherwise) and
-		// the matched non-equality first predicates.
+		// Satisfied union inputs: the equality probe (binary search of
+		// the sorted eq union) and the matched non-equality first
+		// predicates.
 		var u *bitset.Posting
-		if g.eqFlat != nil {
-			if d := int64(h.val) - int64(g.eqLo); uint64(d) < uint64(len(g.eqFlat)) {
-				u = g.eqFlat[d]
-			}
-		} else if i, ok := g.eqSearch(h.val); ok {
+		if i, ok := g.eqSearch(h.val); ok {
 			u = g.eq[i].bits
 		}
 		fh := s.firstHits[:0]

@@ -16,9 +16,6 @@
 //     scratch release path was missed).
 //   - atomicfield: a variable or field accessed through sync/atomic
 //     free functions must never also be read or written plainly.
-//   - ablationconst: the Disable* ablation switches may be read at
-//     compile/arming sites only — never in //apcm:hotpath functions and
-//     never inside loops.
 //   - metricname: metric registrations use literal, unique,
 //     apcm_-prefixed snake_case names, outside hot paths, with label
 //     values drawn from compile-time-bounded sets.
@@ -66,7 +63,6 @@ func Analyzers() []*analysis.Analyzer {
 		HotPathAlloc,
 		ScratchRelease,
 		AtomicField,
-		AblationConst,
 		MetricName,
 		LockOrder,
 		GoroutineLife,
@@ -104,8 +100,8 @@ func hasDirective(doc *ast.CommentGroup, name string) bool {
 }
 
 // isTestFile reports whether pos lies in a _test.go file. Analyzers that
-// encode production-only conventions (metric naming, ablation reads)
-// skip test files.
+// encode production-only conventions (metric naming, goroutine joins,
+// durable delivery order) skip test files.
 func isTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.File(pos).Name(), "_test.go")
 }

@@ -6,10 +6,12 @@
 //
 //	go run ./cmd/apcm-lint -tags apcmlint_smoke ./internal/lint/smoke
 //
-// must exit nonzero with ten diagnostics — one per analyzer, plus a
-// second fsyncorder seed for the staged-commit shape. CI runs
-// that as a required step (see .github/workflows/ci.yml): a lint gate
-// that cannot fail is indistinguishable from no gate.
+// must exit nonzero with nine diagnostics — one from each of the eight
+// analyzers, plus a second fsyncorder seed for the staged-commit shape.
+// `make lint-smoke` checks that every analyzer apcm-lint -list names
+// appears among the findings, and CI runs it as a required step (see
+// .github/workflows/ci.yml): a lint gate that cannot fail is
+// indistinguishable from no gate.
 package smoke
 
 import (
@@ -30,8 +32,6 @@ var pool sync.Pool
 type Registry struct{}
 
 func (r *Registry) Counter(name, help string) {}
-
-type config struct{ DisableFlatEq bool }
 
 // hotDefer seeds a hotpathalloc violation: defer in a hot path.
 //
@@ -56,18 +56,6 @@ func leakScratch(cond bool) int {
 func mixedAccess(t *thing) int64 {
 	atomic.AddInt64(&t.n, 1)
 	return t.n
-}
-
-// loopSwitch seeds an ablationconst violation: an ablation switch
-// consulted per iteration instead of at arming time.
-func loopSwitch(cfg *config, events []int) int {
-	n := 0
-	for range events {
-		if cfg.DisableFlatEq {
-			n++
-		}
-	}
-	return n
 }
 
 // badMetric seeds a metricname violation: a registration without the

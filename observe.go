@@ -83,21 +83,6 @@ func (e *Engine) attachMetrics(reg *metrics.Registry) {
 		_, _, u := e.cm.AdaptiveCounters()
 		return float64(u)
 	})
-	reg.GaugeFunc("apcm_posting_dense", "cluster postings compiled dense", func() float64 {
-		return float64(e.Stats().DensePostings)
-	})
-	reg.GaugeFunc("apcm_posting_sparse", "cluster postings compiled sparse (sorted id list)", func() float64 {
-		return float64(e.Stats().SparsePostings)
-	})
-	reg.GaugeFunc("apcm_posting_sparse_member_slots", "total member ids held by sparse postings", func() float64 {
-		return float64(e.Stats().SparseMemberSlots)
-	})
-	reg.GaugeFunc("apcm_posting_eq_flat_tables", "equality groups served by value-indexed flat tables", func() float64 {
-		return float64(e.Stats().EqFlatTables)
-	})
-	reg.GaugeFunc("apcm_posting_eq_flat_slots", "total value slots across flat equality tables", func() float64 {
-		return float64(e.Stats().EqFlatSlots)
-	})
 	reg.CounterFunc("apcm_scratch_gets_total", "match scratch pool fetches", func() float64 {
 		return float64(e.scratchGets.Load())
 	})
