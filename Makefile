@@ -16,8 +16,9 @@ build:
 test:
 	$(GO) test ./...
 
-# The same package list as CI's race job. The second pass races the
-# restore loop at one core and with its insert lanes on their own cores.
+# CI's race job runs this target in both kernel modes (GOFLAGS carries
+# the build tag). The second pass races the restore loop at one core and
+# with its insert lanes on their own cores.
 race:
 	$(GO) test -race -timeout 20m . ./shard/ ./broker/ ./metrics/ ./internal/sched/ ./internal/osr/ ./internal/core/ ./internal/bitset/ ./internal/coldstart/
 	$(GO) test -race -cpu 1,2,4 -run 'Load|Restore|Checkpoint' . ./shard/

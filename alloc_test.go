@@ -6,7 +6,6 @@ import (
 
 	"github.com/streammatch/apcm"
 	"github.com/streammatch/apcm/expr"
-	"github.com/streammatch/apcm/internal/osr"
 )
 
 // Allocation regression gates for the zero-allocation hot path. The
@@ -99,24 +98,5 @@ func TestMatchBatchIntoSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if avg > allocTolerance {
 		t.Fatalf("MatchBatchInto allocates %.2f/op in steady state, want 0", avg)
-	}
-}
-
-func TestOSRFlushRecycleZeroAllocs(t *testing.T) {
-	skipUnderRace(t)
-	g := testWorkload(41)
-	events := g.Events(64)
-	b := osr.NewBuffer(len(events))
-	fill := func() {
-		for _, ev := range events {
-			if batch := b.Add(ev); batch != nil {
-				b.Recycle(batch)
-			}
-		}
-	}
-	fill() // warm the slab pools
-	avg := testing.AllocsPerRun(200, fill)
-	if avg > allocTolerance {
-		t.Fatalf("OSR fill+flush+recycle allocates %.2f/window, want 0", avg)
 	}
 }

@@ -47,10 +47,6 @@ type Options struct {
 	// matching prefers larger clusters. 0 means default (256).
 	ClusterSize int
 
-	// ProbeInterval is how many events a cluster serves between A-PCM
-	// cost probes. 0 means default (64).
-	ProbeInterval int
-
 	// Normalize canonicalises subscriptions on Subscribe (merging
 	// redundant predicates per attribute; see expr.Expression.Normalize)
 	// and rejects provably unsatisfiable ones with ErrUnsatisfiable.
@@ -58,8 +54,8 @@ type Options struct {
 	Normalize bool
 
 	// Metrics, when non-nil, receives engine instrumentation: match
-	// latency histograms, batch sizes, subscription churn, adaptive
-	// kernel flips, worker-pool depth and stream window behaviour (see
+	// latency histograms, batch sizes, subscription churn, cold-start
+	// restore progress, adaptive kernel flips and worker-pool depth (see
 	// DESIGN.md §6). Nil — the default — disables instrumentation at the
 	// cost of a single pointer check per operation.
 	Metrics *metrics.Registry
@@ -109,9 +105,6 @@ func New(opts Options) (*Engine, error) {
 	cfg := core.DefaultConfig()
 	if opts.ClusterSize > 0 {
 		cfg.Tree.MaxPool = opts.ClusterSize
-	}
-	if opts.ProbeInterval > 0 {
-		cfg.ProbeInterval = opts.ProbeInterval
 	}
 	e := &Engine{opts: opts, cm: core.New(cfg)}
 	e.scratches.New = func() any {

@@ -317,7 +317,7 @@ func TestNormalizeOption(t *testing.T) {
 
 func TestClustersDiagnostics(t *testing.T) {
 	g := testWorkload(9)
-	e := apcm.MustNew(apcm.Options{Workers: 1, ProbeInterval: 4})
+	e := apcm.MustNew(apcm.Options{Workers: 1})
 	defer e.Close()
 	for _, x := range g.Expressions(2000) {
 		if err := e.Subscribe(x); err != nil {

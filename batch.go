@@ -83,8 +83,8 @@ func MergeBatchResults(dst *BatchResult, parts []*BatchResult) {
 	}
 }
 
-// batchResults recycles BatchResult values for internal callers (the
-// MatchBatch compatibility wrapper and the stream layer).
+// batchResults recycles BatchResult values for the MatchBatch
+// compatibility wrapper.
 var batchResults = sync.Pool{New: func() any { return new(BatchResult) }}
 
 // minChunkEvents is the smallest per-worker chunk worth fanning a batch

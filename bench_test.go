@@ -185,17 +185,6 @@ func BenchmarkE12Updates(b *testing.B) {
 	}
 }
 
-// ---- E15 (ablation): probe interval ----------------------------------------------------------
-
-func BenchmarkE15ProbeInterval(b *testing.B) {
-	xs, events := benchWorkload(b, benchParams(), 10000, 1000)
-	for _, pi := range []int{4, 64, 1024} {
-		b.Run("probe="+itoa(pi), func(b *testing.B) {
-			matchLoop(b, benchEngine(b, apcm.Options{ProbeInterval: pi}, xs), events)
-		})
-	}
-}
-
 // ---- Observability: metrics overhead ---------------------------------------------------------
 
 // BenchmarkMetricsOverhead measures the match hot path with the metrics

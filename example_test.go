@@ -2,7 +2,6 @@ package apcm_test
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/streammatch/apcm"
 	"github.com/streammatch/apcm/expr"
@@ -58,28 +57,4 @@ func ExampleEngine_SubscribeAny() {
 		len(eng.Match(dull)),
 	)
 	// Output: true true 0
-}
-
-// The streaming front end buffers a window, re-orders it for index
-// locality, and delivers matches through a callback.
-func ExampleEngine_NewStream() {
-	eng, _ := apcm.New(apcm.Options{Workers: 1})
-	defer eng.Close()
-	for v := expr.Value(0); v < 3; v++ {
-		eng.SubscribePreds(expr.Eq(0, v))
-	}
-
-	var got []int
-	stream := eng.NewStream(apcm.StreamOptions{Window: 3, MaxDelay: time.Second},
-		func(ev *expr.Event, matches []expr.ID) {
-			got = append(got, len(matches))
-		})
-	stream.Publish(expr.MustEvent(expr.P(0, 2)))
-	stream.Publish(expr.MustEvent(expr.P(0, 9))) // matches nothing
-	stream.Publish(expr.MustEvent(expr.P(0, 0)))
-	stream.Close()
-	// OSR delivered the window in locality order (0, 2, 9), so the
-	// non-matching event comes last.
-	fmt.Println(got)
-	// Output: [1 1 0]
 }

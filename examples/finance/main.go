@@ -3,9 +3,8 @@
 //
 // Trading strategies register alert conditions over market ticks
 // (symbol, price bucket, volume, percentage move, venue). Ticks arrive
-// out of order across thousands of symbols; the engine's streaming
-// front end applies online stream re-ordering (OSR) inside a bounded
-// latency window before matching, improving index locality.
+// across thousands of symbols and are matched in batches of 256, the
+// way a feed handler drains what its socket has buffered.
 //
 //	go run ./examples/finance
 package main
@@ -14,7 +13,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"github.com/streammatch/apcm"
@@ -94,34 +92,36 @@ func main() {
 	}
 	eng.Prepare()
 
-	var alerts atomic.Int64
-	var maxAlertsPerTick atomic.Int64
-	stream := eng.NewStream(apcm.StreamOptions{
-		Window:   256,
-		MaxDelay: 5 * time.Millisecond,
-	}, func(_ *expr.Event, matches []expr.ID) {
-		n := int64(len(matches))
-		alerts.Add(n)
-		for {
-			cur := maxAlertsPerTick.Load()
-			if n <= cur || maxAlertsPerTick.CompareAndSwap(cur, n) {
-				break
-			}
+	const batchSize = 256
+	var alerts, maxAlertsPerTick int
+	var r apcm.BatchResult
+	batch := make([]*expr.Event, 0, batchSize)
+	match := func() {
+		eng.MatchBatchInto(batch, &r)
+		for i := range batch {
+			n := len(r.For(i))
+			alerts += n
+			maxAlertsPerTick = max(maxAlertsPerTick, n)
 		}
-	})
+		batch = batch[:0]
+	}
 
-	fmt.Printf("streaming %d ticks through a %d-tick OSR window...\n", nTicks, 256)
+	fmt.Printf("matching %d ticks in batches of %d...\n", nTicks, batchSize)
 	start := time.Now()
 	for i := 0; i < nTicks; i++ {
-		stream.Publish(tick(rng))
+		if batch = append(batch, tick(rng)); len(batch) == batchSize {
+			match()
+		}
 	}
-	stream.Close()
+	if len(batch) > 0 {
+		match()
+	}
 	el := time.Since(start)
 
 	fmt.Printf("\nprocessed %d ticks in %s (%.0f ticks/s)\n",
 		nTicks, el.Round(time.Millisecond), float64(nTicks)/el.Seconds())
 	fmt.Printf("fired %d alerts (max %d strategies on one tick)\n",
-		alerts.Load(), maxAlertsPerTick.Load())
+		alerts, maxAlertsPerTick)
 	st := eng.Stats()
 	fmt.Printf("engine: %d compiled clusters, %d serving compressed, %.1f preds/entry\n",
 		st.CompiledClusters, st.CompressedServing, st.CompressionRatio)

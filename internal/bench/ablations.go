@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"github.com/streammatch/apcm"
+	"github.com/streammatch/apcm/internal/core"
 )
 
 // Ablations beyond the paper's figures: sweeps over the two design
@@ -29,18 +29,11 @@ func e15() Experiment {
 			t := NewTable("E15: A-PCM throughput vs probe interval",
 				"probe interval", "A-PCM ev/s")
 			for _, pi := range []int{2, 8, 32, 64, 256, 1024} {
-				e, err := apcm.New(apcm.Options{Workers: cfg.Workers, ProbeInterval: pi})
+				ref := Reference{Name: "A-PCM", New: compressed(func(c *core.Config) { c.ProbeInterval = pi })}
+				_, r, err := measureRow(ref, 0, xs, events, cfg.MinMeasure)
 				if err != nil {
 					return err
 				}
-				for _, x := range xs {
-					if err := e.Subscribe(x); err != nil {
-						return err
-					}
-				}
-				e.Prepare()
-				r := engineThroughput(e, events, cfg.MinMeasure)
-				e.Close()
 				t.AddRow(fmt.Sprintf("%d", pi), FormatRate(r))
 			}
 			emit(cfg, t)

@@ -7,8 +7,9 @@
 // Comparison tables (A-PCM against its baselines and ablation variants)
 // are built from References and measured by one sequential loop;
 // experiments whose subject is the Engine itself (its worker scaling,
-// batching, OSR window, probe interval, broker, sharding and restore)
-// drive apcm.Engine.
+// batching, OSR window, broker, sharding and restore) drive
+// apcm.Engine. The probe-interval sweep (E15) is a comparison row with
+// its core.Config adjusted, like the cluster-size sweep (E16).
 //
 // Sizes are expressed at Scale=1 (seconds-per-experiment on a laptop)
 // and multiply with Config.Scale; the paper's absolute sizes (millions

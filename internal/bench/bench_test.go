@@ -235,3 +235,25 @@ func TestReferencesAgreeWithOracle(t *testing.T) {
 		}
 	}
 }
+
+func TestQuartiles(t *testing.T) {
+	for _, c := range []struct {
+		in          []float64
+		q1, med, q3 float64
+	}{
+		{[]float64{4, 1, 3, 2, 5}, 2, 3, 4},
+		{[]float64{1, 2, 3, 4}, 1.75, 2.5, 3.25},
+		{[]float64{7}, 7, 7, 7},
+	} {
+		in := append([]float64(nil), c.in...)
+		q1, med, q3 := quartiles(in)
+		if q1 != c.q1 || med != c.med || q3 != c.q3 {
+			t.Errorf("quartiles(%v) = %v, %v, %v; want %v, %v, %v", c.in, q1, med, q3, c.q1, c.med, c.q3)
+		}
+		for i := range in {
+			if in[i] != c.in[i] {
+				t.Fatalf("quartiles reordered its input: %v", in)
+			}
+		}
+	}
+}

@@ -289,23 +289,25 @@ func (t *Tree) Size() int { return len(t.loc) }
 
 // Insert adds x to the tree.
 func (t *Tree) Insert(x *expr.Expression) error {
-	_, err := t.InsertPool(x)
+	_, _, err := t.InsertPool(x)
 	return err
 }
 
 // InsertPool is Insert but additionally returns the pool the expression
 // came to rest in, which derived structures (compressed clusters) use
-// for incremental maintenance. Note that an insertion can overflow the
-// pool and trigger a split, relocating other expressions; the returned
-// pool's generation reflects every change, so a derived structure that
-// is more than one generation behind must recompile.
-func (t *Tree) InsertPool(x *expr.Expression) (*Pool, error) {
+// for incremental maintenance. An insertion can overflow a pool and
+// split it, moving members into a new partition below; split is that
+// pool, or nil when none split. Pools the split creates are new, so
+// split is the only existing pool an insertion can shrink. Every pool's
+// generation reflects every change, so a derived structure that is
+// more than one generation behind must recompile.
+func (t *Tree) InsertPool(x *expr.Expression) (pool, split *Pool, err error) {
 	if _, dup := t.loc[x.ID]; dup {
-		return nil, fmt.Errorf("betree: duplicate expression id %d", x.ID)
+		return nil, nil, fmt.Errorf("betree: duplicate expression id %d", x.ID)
 	}
-	t.insert(t.root, x, nil)
+	split = t.insert(t.root, x, nil)
 	t.exprBytes += x.MemBytes()
-	return &t.loc[x.ID].pool, nil
+	return &t.loc[x.ID].pool, split, nil
 }
 
 // used tracks partition attributes on the path as a small linked list;
@@ -324,7 +326,8 @@ func (u *used) has(a expr.AttrID) bool {
 	return false
 }
 
-func (t *Tree) insert(n *node, x *expr.Expression, u *used) {
+// insert places x at or below n and returns the pool it split, if any.
+func (t *Tree) insert(n *node, x *expr.Expression, u *used) *Pool {
 	// Route into an existing partition when one of the expression's
 	// indexable attributes already has one here.
 	if len(n.parts) > 0 {
@@ -334,17 +337,17 @@ func (t *Tree) insert(n *node, x *expr.Expression, u *used) {
 				continue
 			}
 			if part := n.part(p.Attr); part != nil {
-				t.insertIntoPartition(part, x, u)
-				return
+				return t.insertIntoPartition(part, x, u)
 			}
 		}
 	}
 	n.pool.Exprs = append(n.pool.Exprs, x)
 	n.pool.Gen++
 	t.loc[x.ID] = n
-	if len(n.pool.Exprs) > t.cfg.MaxPool && len(n.pool.Exprs) > n.splitFailAt+n.splitFailAt/2 {
-		t.split(n, u)
+	if len(n.pool.Exprs) > t.cfg.MaxPool && len(n.pool.Exprs) > n.splitFailAt+n.splitFailAt/2 && t.split(n, u) {
+		return &n.pool
 	}
+	return nil
 }
 
 // bestPredOn returns x's most selective indexable predicate on attr.
@@ -365,7 +368,7 @@ func bestPredOn(x *expr.Expression, attr expr.AttrID) *expr.Predicate {
 	return best
 }
 
-func (t *Tree) insertIntoPartition(part *partition, x *expr.Expression, u *used) {
+func (t *Tree) insertIntoPartition(part *partition, x *expr.Expression, u *used) *Pool {
 	p := bestPredOn(x, part.attr)
 	u2 := &used{attr: part.attr, prev: u}
 	lo, hi := p.Span()
@@ -376,8 +379,7 @@ func (t *Tree) insertIntoPartition(part *partition, x *expr.Expression, u *used)
 			t.numNodes++
 			part.eq.put(lo, bn)
 		}
-		t.insert(bn, x, u2)
-		return
+		return t.insert(bn, x, u2)
 	}
 	// Descend the compressed tree toward the span's resting range,
 	// materialising at most two cnodes (a branch point and the target).
@@ -428,7 +430,7 @@ func (t *Tree) insertIntoPartition(part *partition, x *expr.Expression, u *used)
 		c.n = &node{}
 		t.numNodes++
 	}
-	t.insert(c.n, x, u2)
+	return t.insert(c.n, x, u2)
 }
 
 // midpoint halves [lo,hi] without int32 overflow.
@@ -438,14 +440,16 @@ func midpoint(lo, hi expr.Value) expr.Value {
 
 // split moves pooled expressions into a new partition on the attribute
 // that covers the most of them. It repeats until the pool fits or no
-// attribute helps.
-func (t *Tree) split(n *node, u *used) {
+// attribute helps, and reports whether it moved any.
+func (t *Tree) split(n *node, u *used) bool {
+	shrunk := false
 	for len(n.pool.Exprs) > t.cfg.MaxPool {
 		attr, count := t.choosePartitionAttr(n, u)
 		if count < 2 {
 			n.splitFailAt = len(n.pool.Exprs)
-			return
+			return shrunk
 		}
+		shrunk = true
 		part := &partition{
 			attr: attr,
 			root: &cnode{lo: expr.MinValue, hi: expr.MaxValue},
@@ -474,6 +478,7 @@ func (t *Tree) split(n *node, u *used) {
 			t.insertIntoPartition(part, x, u)
 		}
 	}
+	return shrunk
 }
 
 // choosePartitionAttr scores pool expressions by indexable attribute and

@@ -226,8 +226,8 @@ func (b *Bitset) NextSet(i int) int {
 
 // AppendSet appends the indexes of all set bits to dst and returns it.
 // Zero words are skipped by nextNonzeroWord and set words drained with
-// the same branch-free trailing-zeros strip loop Iter uses, so sparse
-// and dense sets both pay only for what is actually set.
+// the branch-free trailing-zeros strip loop, so sparse and dense sets
+// both pay only for what is actually set.
 //
 //apcm:hotpath
 func (b *Bitset) AppendSet(dst []int) []int {
@@ -235,56 +235,6 @@ func (b *Bitset) AppendSet(dst []int) []int {
 		dst = appendSetBits(dst, wi<<wordShift, b.words[wi])
 	}
 	return dst
-}
-
-// Iter is an allocation-free forward iterator over set bits. Unlike a
-// NextSet(i+1) loop — which re-loads and re-shifts the current word on
-// every call, an O(words) rescan on dense sets — Iter caches the word it
-// is standing in and strips bits off it with trailing-zero iteration, so
-// a full sweep touches each word exactly once.
-//
-//	for it := b.IterStart(); it.Valid(); it.Next() { use(it.Index()) }
-//
-// The iterator snapshot is taken word-by-word: mutating the bitset while
-// iterating yields unspecified (but memory-safe) results.
-type Iter struct {
-	b   *Bitset
-	wi  int    // current word index
-	w   uint64 // remaining bits of the current word
-	idx int    // index of the current set bit, -1 when exhausted
-}
-
-// IterStart returns an iterator positioned on the first set bit (Valid
-// reports false immediately for an empty set).
-func (b *Bitset) IterStart() Iter {
-	it := Iter{b: b, idx: -1}
-	if wi := nextNonzeroWord(b.words, 0); wi >= 0 {
-		it.wi = wi
-		it.w = b.words[wi]
-		it.idx = wi<<wordShift + bits.TrailingZeros64(it.w)
-	}
-	return it
-}
-
-// Valid reports whether the iterator is positioned on a set bit.
-func (it *Iter) Valid() bool { return it.idx >= 0 }
-
-// Index returns the bit the iterator is positioned on.
-func (it *Iter) Index() int { return it.idx }
-
-// Next advances to the next set bit, clearing Valid at the end.
-func (it *Iter) Next() {
-	it.w &= it.w - 1 // strip the bit we are standing on
-	if it.w == 0 {
-		wi := nextNonzeroWord(it.b.words, it.wi+1)
-		if wi < 0 {
-			it.idx = -1
-			return
-		}
-		it.wi = wi
-		it.w = it.b.words[wi]
-	}
-	it.idx = it.wi<<wordShift + bits.TrailingZeros64(it.w)
 }
 
 // ForEach calls fn for every set bit in ascending order. If fn returns

@@ -325,47 +325,6 @@ func BenchmarkNextSetSparse(b *testing.B) {
 	}
 }
 
-func TestIterMatchesForEach(t *testing.T) {
-	f := func(seed int64, nRaw uint16) bool {
-		n := int(nRaw%700) + 1
-		a := randomSet(n, seed)
-		var want []int
-		a.ForEach(func(i int) bool { want = append(want, i); return true })
-		var got []int
-		for it := a.IterStart(); it.Valid(); it.Next() {
-			got = append(got, it.Index())
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIterEmptyAndFull(t *testing.T) {
-	if it := New(256).IterStart(); it.Valid() {
-		t.Fatal("iterator over empty set reports Valid")
-	}
-	n := 0
-	for it := NewFull(130).IterStart(); it.Valid(); it.Next() {
-		if it.Index() != n {
-			t.Fatalf("full-set iteration: got %d, want %d", it.Index(), n)
-		}
-		n++
-	}
-	if n != 130 {
-		t.Fatalf("full-set iteration visited %d bits, want 130", n)
-	}
-}
-
 // denseSet fills every other bit: the worst case for NextSet-loop
 // iteration (every call rescans its word from the start).
 func denseSet(n int) *Bitset {
@@ -384,16 +343,6 @@ func BenchmarkIterationDense(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j := x.NextSet(0); j >= 0; j = x.NextSet(j + 1) {
 				sum += j
-			}
-		}
-		sinkInt = sum
-	})
-	b.Run("Iter", func(b *testing.B) {
-		b.ReportAllocs()
-		sum := 0
-		for i := 0; i < b.N; i++ {
-			for it := x.IterStart(); it.Valid(); it.Next() {
-				sum += it.Index()
 			}
 		}
 		sinkInt = sum

@@ -202,7 +202,7 @@ func sparseAndUnionWordsGeneric(dst, sat []uint64, ids []int32) {
 
 // --- shared set-bit scan helpers -------------------------------------
 //
-// NextSet, AppendSet, Iter and ForEach all walk set bits the same way:
+// NextSet, AppendSet and ForEach all walk set bits the same way:
 // find the next nonzero word, then strip bits off it low-to-high with
 // the branch-free trailing-zeros idiom (w &= w-1 removes the bit just
 // visited; no per-bit test-and-shift). The helpers below are that loop,

@@ -165,26 +165,3 @@ func BenchmarkNextSet(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkIter(b *testing.B) {
-	for _, d := range []struct {
-		name    string
-		density float64
-	}{
-		{"density=low", 0.01},
-		{"density=high", 0.60},
-	} {
-		b.Run(d.name, func(b *testing.B) {
-			set := densitySet(d.density)
-			b.ReportAllocs()
-			b.ResetTimer()
-			acc := 0
-			for i := 0; i < b.N; i++ {
-				for it := set.IterStart(); it.Valid(); it.Next() {
-					acc += it.Index()
-				}
-			}
-			sinkInt = acc
-		})
-	}
-}

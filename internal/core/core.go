@@ -147,15 +147,19 @@ func New(cfg Config) *Matcher {
 // Insert adds x to the index. If the destination pool's cluster is
 // compiled and has slack, the new member is appended incrementally;
 // otherwise the cluster goes stale and is recompiled lazily on its next
-// match. Insert must not run concurrently with matching (see the package
-// contract).
+// match. A pool that the insert split below MinCompressSize loses its
+// cluster. Insert must not run concurrently with matching (see the
+// package contract).
 func (m *Matcher) Insert(x *expr.Expression) error {
-	pool, err := m.tree.InsertPool(x)
+	pool, split, err := m.tree.InsertPool(x)
 	if err != nil {
 		return err
 	}
 	if m.cfg.Mode == ModeUncompressed {
 		return nil
+	}
+	if split != nil {
+		m.dropShrunk(split)
 	}
 	m.cmu.RLock()
 	cs := m.clusters[pool]
@@ -185,7 +189,7 @@ func (m *Matcher) InsertBulk(xs []*expr.Expression) (int, error) {
 	}
 	if !maintain {
 		for i, x := range xs {
-			if _, err := m.tree.InsertPool(x); err != nil {
+			if _, _, err := m.tree.InsertPool(x); err != nil {
 				return i, err
 			}
 		}
@@ -193,17 +197,24 @@ func (m *Matcher) InsertBulk(xs []*expr.Expression) (int, error) {
 	}
 	inserted, ierr := len(xs), error(nil)
 	var pools []*betree.Pool // distinct destination pools, first-touch order
+	var splits []*betree.Pool
 	byPool := make(map[*betree.Pool][]*expr.Expression)
 	for i, x := range xs {
-		p, err := m.tree.InsertPool(x)
+		p, split, err := m.tree.InsertPool(x)
 		if err != nil {
 			inserted, ierr = i, err
 			break
+		}
+		if split != nil {
+			splits = append(splits, split)
 		}
 		if _, ok := byPool[p]; !ok {
 			pools = append(pools, p)
 		}
 		byPool[p] = append(byPool[p], x)
+	}
+	if len(splits) > 0 {
+		m.dropShrunk(splits...)
 	}
 	m.cmu.RLock()
 	for _, p := range pools {
@@ -218,7 +229,8 @@ func (m *Matcher) InsertBulk(xs []*expr.Expression) (int, error) {
 }
 
 // Delete removes the expression with the given id. A compiled cluster
-// tombstones the member in place when possible instead of recompiling.
+// tombstones the member in place when possible instead of recompiling;
+// a pool that falls below MinCompressSize loses its cluster.
 func (m *Matcher) Delete(id expr.ID) bool {
 	pool, ok := m.tree.DeletePool(id)
 	if !ok {
@@ -228,13 +240,32 @@ func (m *Matcher) Delete(id expr.ID) bool {
 		m.cmu.RLock()
 		cs := m.clusters[pool]
 		m.cmu.RUnlock()
-		if cs != nil {
+		switch {
+		case cs == nil:
+		case len(pool.Exprs) < m.cfg.MinCompressSize:
+			m.dropShrunk(pool)
+		default:
 			if c := cs.compiled.Load(); c != nil {
 				c.tryTombstone(pool, id)
 			}
 		}
 	}
 	return true
+}
+
+// dropShrunk forgets the compiled clusters of the given pools that now
+// hold fewer than MinCompressSize members. matchPool scans those pools
+// and never reads their cluster again, so keeping it would only pin its
+// memory and inflate Stats, Clusters and MemBytes. A pool that grows
+// back compiles afresh.
+func (m *Matcher) dropShrunk(pools ...*betree.Pool) {
+	m.cmu.Lock()
+	for _, p := range pools {
+		if len(p.Exprs) < m.cfg.MinCompressSize {
+			delete(m.clusters, p)
+		}
+	}
+	m.cmu.Unlock()
 }
 
 // Size returns the number of indexed expressions.

@@ -235,3 +235,87 @@ func TestIncrementalChurnStaysCorrect(t *testing.T) {
 		}
 	}
 }
+
+// staleClusters counts compiled clusters whose pool no longer holds
+// MinCompressSize members. matchPool scans such pools and never reads
+// their cluster, so every one is memory that Stats, Clusters and
+// MemBytes count but nothing serves.
+func staleClusters(m *Matcher) int {
+	live := make(map[*betree.Pool]bool)
+	m.tree.Pools(func(p *betree.Pool) {
+		if len(p.Exprs) >= m.cfg.MinCompressSize {
+			live[p] = true
+		}
+	})
+	m.cmu.RLock()
+	defer m.cmu.RUnlock()
+	n := 0
+	for p := range m.clusters {
+		if !live[p] {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSplitAndShrunkPoolsDropTheirClusters compiles the root pool, lets
+// a split empty it, then deletes most members so that 45 of the 50
+// equality pools fall below MinCompressSize. Neither the split pool
+// nor the shrunk ones may keep a compiled cluster.
+func TestSplitAndShrunkPoolsDropTheirClusters(t *testing.T) {
+	const n, vals = 2200, 50
+	xs := make([]*expr.Expression, n)
+	for i := range xs {
+		xs[i] = expr.MustNew(expr.ID(i+1), expr.Eq(1, expr.Value(i%vals)))
+	}
+	check := func(t *testing.T, m *Matcher, phase string, wantClusters, wantSlots int) {
+		t.Helper()
+		m.PrepareAll()
+		if s := staleClusters(m); s != 0 {
+			t.Fatalf("%s: %d compiled clusters belong to pools below MinCompressSize", phase, s)
+		}
+		if st := m.Stats(); st.CompiledClusters != wantClusters || st.MemberSlots != wantSlots {
+			t.Fatalf("%s: Stats counts %d clusters and %d member slots, want %d and %d",
+				phase, st.CompiledClusters, st.MemberSlots, wantClusters, wantSlots)
+		}
+	}
+	for _, bulk := range []bool{false, true} {
+		name := "Insert"
+		if bulk {
+			name = "InsertBulk"
+		}
+		t.Run(name, func(t *testing.T) {
+			m := New(DefaultConfig())
+			// Fill the root pool to its bound and compile it: the next
+			// insert splits it on attribute 1 and moves every member out.
+			root := m.cfg.Tree.MaxPool
+			for _, x := range xs[:root] {
+				if err := m.Insert(x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.PrepareAll()
+			if bulk {
+				if k, err := m.InsertBulk(xs[root:]); err != nil || k != n-root {
+					t.Fatalf("InsertBulk = %d, %v", k, err)
+				}
+			} else {
+				for _, x := range xs[root:] {
+					if err := m.Insert(x); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			check(t, m, "after the split", vals, n)
+
+			// Keep every member of values 45..49 and a tenth of the rest:
+			// 4 or 5 members each, below MinCompressSize.
+			for i := range xs {
+				if i%vals < 45 && (i/vals)%10 != 0 {
+					m.Delete(xs[i].ID)
+				}
+			}
+			check(t, m, "after the deletes", 5, 5*n/vals)
+		})
+	}
+}

@@ -21,8 +21,8 @@ import (
 //	r := pool.Get().(*T)           → pool.Put(r) for any sync.Pool
 //
 // plus, release-wise, any method named release/Release called on the
-// acquired variable. A release on any sync.Pool counts (the OSR slab
-// recycler legitimately moves boxes between two pools).
+// acquired variable. A release on any sync.Pool counts (a recycler may
+// legitimately move boxes between two pools).
 //
 // Deliberately exempt, to stay honest without interprocedural analysis:
 //

@@ -63,8 +63,8 @@ func escapeByReturn() *thing {
 	return t
 }
 
-// Cross-pool recycling (the OSR slab pattern): Put on a different pool
-// still counts as a release.
+// Cross-pool recycling (a box moved between two pools): Put on a
+// different pool still counts as a release.
 func crossPool() {
 	t := pool.Get().(*thing)
 	boxes.Put(t)

@@ -1,19 +1,15 @@
-// Package osr implements online stream re-ordering (OSR): buffering a
-// bounded window of incoming events and releasing them ordered by index
-// locality, so that consecutive events traverse the same partitions and
-// clusters. Re-ordering improves cache residency of the compressed
-// bitsets and stabilises the adaptive matcher's per-cluster estimates.
+// Package osr implements online stream re-ordering (OSR): sorting a
+// bounded window of incoming events by index locality, so that
+// consecutive events traverse the same partitions and clusters.
 //
 // Locality order is lexicographic over the event's sorted
 // (attribute, value) pairs: events sharing an attribute-set prefix — and
-// therefore an index descent prefix — become adjacent. The window bounds
-// added latency; the engine's streaming layer adds a wall-clock flush on
-// top.
+// therefore an index descent prefix — become adjacent. The caller picks
+// the window by the slices it passes to Reorder.
 package osr
 
 import (
 	"sort"
-	"sync"
 
 	"github.com/streammatch/apcm/expr"
 )
@@ -37,180 +33,8 @@ func Less(a, b *expr.Event) bool {
 	return len(ap) < len(bp)
 }
 
-// eventSorter is a concrete sort.Interface over an event slice; unlike
-// sort.SliceStable it needs no reflection swapper, and embedded in a
-// Buffer it makes the flush sort allocation-free.
-type eventSorter struct{ evs []*expr.Event }
-
-func (s *eventSorter) Len() int           { return len(s.evs) }
-func (s *eventSorter) Less(i, j int) bool { return Less(s.evs[i], s.evs[j]) }
-func (s *eventSorter) Swap(i, j int)      { s.evs[i], s.evs[j] = s.evs[j], s.evs[i] }
-
-// distSorter co-sorts the events with their arrival indexes so the
-// displacement can be read off afterwards.
-type distSorter struct {
-	evs []*expr.Event
-	idx []int32
-}
-
-func (s *distSorter) Len() int           { return len(s.evs) }
-func (s *distSorter) Less(i, j int) bool { return Less(s.evs[i], s.evs[j]) }
-func (s *distSorter) Swap(i, j int) {
-	s.evs[i], s.evs[j] = s.evs[j], s.evs[i]
-	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
-}
-
 // Reorder sorts events in place into locality order. The sort is stable
 // so equal-signature events keep their arrival order.
 func Reorder(events []*expr.Event) {
-	s := eventSorter{evs: events}
-	sort.Stable(&s)
-}
-
-// ReorderDistance sorts events in place into locality order (stable,
-// like Reorder) and additionally returns the total displacement
-// Σ|new index − arrival index| — 0 for an already-ordered stream, large
-// for heavily shuffled arrivals. The streaming layer reports it as the
-// "reorder distance" metric: how much work OSR is actually doing.
-func ReorderDistance(events []*expr.Event) int {
-	var s distSorter
-	return reorderDistance(&s, events, make([]int32, len(events)))
-}
-
-// reorderDistance is ReorderDistance with caller-provided scratch: s is
-// the sorter to (re)use and idx an index buffer of len(events).
-func reorderDistance(s *distSorter, events []*expr.Event, idx []int32) int {
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	s.evs, s.idx = events, idx
-	sort.Stable(s)
-	s.evs, s.idx = nil, nil
-	dist := 0
-	for i, from := range idx {
-		if d := i - int(from); d < 0 {
-			dist -= d
-		} else {
-			dist += d
-		}
-	}
-	return dist
-}
-
-// slab wraps a recycled window backing array; the pool stores pointers
-// so Put does not allocate an interface box for the slice header. The
-// emptied boxes circulate through slabBoxes so that the steady-state
-// Flush/Recycle cycle allocates nothing at all.
-type slab struct{ evs []*expr.Event }
-
-var (
-	slabs     sync.Pool
-	slabBoxes = sync.Pool{New: func() any { return new(slab) }}
-)
-
-// newSlab returns an empty window backing array of at least the given
-// capacity, recycled when one is available.
-func newSlab(window int) []*expr.Event {
-	if s, _ := slabs.Get().(*slab); s != nil {
-		evs := s.evs
-		s.evs = nil
-		slabBoxes.Put(s)
-		if cap(evs) >= window {
-			return evs[:0]
-		}
-	}
-	return make([]*expr.Event, 0, window)
-}
-
-// Buffer is a bounded re-ordering window. Add events; when the window
-// fills, Add returns the reordered batch (and retains nothing). The
-// caller owns flushing any tail via Flush, and may hand the finished
-// batch back with Recycle. Buffer is not safe for concurrent use (except
-// Recycle, which is).
-type Buffer struct {
-	window    int
-	buf       []*expr.Event
-	trackDist bool
-	lastDist  int
-
-	// Reused flush scratch: the sorters and the distance index buffer.
-	sorter  eventSorter
-	dsorter distSorter
-	idx     []int32
-}
-
-// TrackDistance enables reorder-displacement measurement: after each
-// flush, LastDistance reports Σ|new index − arrival index| for the
-// flushed batch. Off by default (it costs one index pass per flush).
-func (b *Buffer) TrackDistance(on bool) { b.trackDist = on }
-
-// LastDistance returns the displacement of the most recent flush
-// (0 unless TrackDistance is enabled).
-func (b *Buffer) LastDistance() int { return b.lastDist }
-
-// NewBuffer returns a buffer that flushes every window events. A window
-// of zero or one disables re-ordering: every Add flushes immediately.
-func NewBuffer(window int) *Buffer {
-	if window < 1 {
-		window = 1
-	}
-	return &Buffer{window: window, buf: newSlab(window)}
-}
-
-// Window returns the configured window size.
-func (b *Buffer) Window() int { return b.window }
-
-// Pending returns the number of buffered events.
-func (b *Buffer) Pending() int { return len(b.buf) }
-
-// Add buffers e. When the window is full it returns the reordered batch
-// and resets; otherwise it returns nil.
-func (b *Buffer) Add(e *expr.Event) []*expr.Event {
-	b.buf = append(b.buf, e)
-	if len(b.buf) >= b.window {
-		return b.Flush()
-	}
-	return nil
-}
-
-// Flush returns the buffered events in locality order and resets the
-// buffer. It returns nil when empty. The returned slice is owned by the
-// caller until it passes it to Recycle; the next window draws its
-// backing array from the recycle pool (or allocates when none fits).
-func (b *Buffer) Flush() []*expr.Event {
-	if len(b.buf) == 0 {
-		return nil
-	}
-	out := b.buf
-	if b.trackDist {
-		if cap(b.idx) < len(out) {
-			b.idx = make([]int32, len(out))
-		}
-		b.lastDist = reorderDistance(&b.dsorter, out, b.idx[:len(out)])
-	} else {
-		b.sorter.evs = out
-		sort.Stable(&b.sorter)
-		b.sorter.evs = nil
-	}
-	b.buf = newSlab(b.window)
-	return out
-}
-
-// Recycle hands a batch obtained from Add or Flush back for reuse by a
-// later window. The caller must be completely done with the slice (and
-// anything aliasing it). Event references are cleared so the pool does
-// not pin them. Safe to call concurrently with other Buffer methods:
-// delivery pipelines recycle after the lock protecting the buffer has
-// been released.
-func (b *Buffer) Recycle(batch []*expr.Event) {
-	if cap(batch) == 0 {
-		return
-	}
-	batch = batch[:cap(batch)]
-	for i := range batch {
-		batch[i] = nil
-	}
-	s := slabBoxes.Get().(*slab)
-	s.evs = batch[:0]
-	slabs.Put(s)
+	sort.SliceStable(events, func(i, j int) bool { return Less(events[i], events[j]) })
 }

@@ -86,69 +86,3 @@ func TestReorderStable(t *testing.T) {
 		t.Fatal("Reorder not stable for equal events")
 	}
 }
-
-func TestBufferWindowing(t *testing.T) {
-	b := NewBuffer(3)
-	if b.Window() != 3 {
-		t.Fatalf("Window = %d", b.Window())
-	}
-	if out := b.Add(ev(expr.P(2, 1))); out != nil {
-		t.Fatal("premature flush")
-	}
-	if out := b.Add(ev(expr.P(1, 1))); out != nil {
-		t.Fatal("premature flush")
-	}
-	if b.Pending() != 2 {
-		t.Fatalf("Pending = %d", b.Pending())
-	}
-	out := b.Add(ev(expr.P(3, 1)))
-	if len(out) != 3 {
-		t.Fatalf("flush returned %d events", len(out))
-	}
-	if out[0].Pairs()[0].Attr != 1 || out[2].Pairs()[0].Attr != 3 {
-		t.Fatalf("flush not reordered: %v %v %v", out[0], out[1], out[2])
-	}
-	if b.Pending() != 0 {
-		t.Fatal("buffer not reset after flush")
-	}
-}
-
-func TestBufferFlushTail(t *testing.T) {
-	b := NewBuffer(10)
-	b.Add(ev(expr.P(1, 1)))
-	b.Add(ev(expr.P(1, 0)))
-	out := b.Flush()
-	if len(out) != 2 {
-		t.Fatalf("Flush returned %d", len(out))
-	}
-	if out[0].Pairs()[0].Val != 0 {
-		t.Fatal("tail flush not reordered")
-	}
-	if b.Flush() != nil {
-		t.Fatal("empty Flush should return nil")
-	}
-}
-
-func TestDegenerateWindowFlushesImmediately(t *testing.T) {
-	for _, w := range []int{0, 1, -5} {
-		b := NewBuffer(w)
-		out := b.Add(ev(expr.P(1, 1)))
-		if len(out) != 1 {
-			t.Fatalf("window %d: Add returned %d events", w, len(out))
-		}
-	}
-}
-
-func TestFlushReturnsOwnedSlice(t *testing.T) {
-	b := NewBuffer(2)
-	out := func() []*expr.Event {
-		b.Add(ev(expr.P(1, 2)))
-		return b.Add(ev(expr.P(1, 1)))
-	}()
-	// Filling the buffer again must not clobber the earlier batch.
-	b.Add(ev(expr.P(9, 9)))
-	got := b.Add(ev(expr.P(8, 8)))
-	if out[0].Pairs()[0].Attr != 1 || got[0].Pairs()[0].Attr != 8 {
-		t.Fatal("flushed batches alias each other")
-	}
-}

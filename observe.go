@@ -22,15 +22,6 @@ type engineMetrics struct {
 	// Cold-start restore instruments (LoadSubscriptions and
 	// RestoreSubscriptions over it), recorded by the restore loop.
 	coldstart *coldstart.Metrics
-
-	// Stream instruments, shared by every Stream over this engine.
-	streamEvents        *metrics.Counter
-	streamFlushFull     *metrics.Counter
-	streamFlushDeadline *metrics.Counter
-	streamFlushManual   *metrics.Counter
-	streamFill          *metrics.Histogram // window fill at flush, percent
-	streamReorder       *metrics.Histogram // OSR displacement per flushed event
-	streamFlushLatency  *metrics.Histogram // match+deliver time per flush
 }
 
 // attachMetrics registers the engine's instruments and read-time gauges
@@ -45,14 +36,6 @@ func (e *Engine) attachMetrics(reg *metrics.Registry) {
 		unsubscribes:    reg.Counter("apcm_unsubscribe_total", "successful Unsubscribe calls"),
 
 		coldstart: coldstart.NewMetrics(reg),
-
-		streamEvents:        reg.Counter("apcm_stream_events_total", "events published through streams"),
-		streamFlushFull:     reg.Counter("apcm_stream_flush_full_total", "window flushes triggered by a full window"),
-		streamFlushDeadline: reg.Counter("apcm_stream_flush_deadline_total", "window flushes triggered by the MaxDelay deadline"),
-		streamFlushManual:   reg.Counter("apcm_stream_flush_manual_total", "window flushes triggered by Flush/Close"),
-		streamFill:          reg.HistogramShaped("apcm_stream_window_fill_pct", "window fill ratio at flush, percent", 1, 1.25, 24),
-		streamReorder:       reg.HistogramShaped("apcm_stream_reorder_distance", "OSR displacement per flushed event", 1, 2, 20),
-		streamFlushLatency:  reg.Histogram("apcm_stream_flush_latency_ns", "per-flush match+deliver latency"),
 	}
 	e.met = m
 
