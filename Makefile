@@ -48,14 +48,19 @@ fault:
 fault-repl:
 	$(GO) test -race -timeout 10m -count=1 -run 'TestReplCrashMatrix|TestRepl|TestAsymmetricPartition|TestFollowerRejects|TestLeaderRetention' ./broker/
 
-# Short smoke runs of every fuzz target: decoder hardening for the wire
-# formats (expression/event frames, trace files, checkpoint files,
-# commit-log batches, server frames as the client reads them). CI runs the same; longer local sessions:
+# Short smoke runs of every decoder fuzz target: hardening for the wire
+# formats (expression/event frames, trace files read whole and record by
+# record, checkpoint files, commit-log batches, server frames as the
+# client reads them) and the text syntax that apcm-client and the
+# quickstart parse. CI runs the same; longer local sessions:
 #   go test -fuzz FuzzScanner -fuzztime 5m ./internal/commitlog/
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeExpression -fuzztime 10s ./expr/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 10s ./expr/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./expr/
+	$(GO) test -run '^$$' -fuzz FuzzParseEvent -fuzztime 10s ./expr/
 	$(GO) test -run '^$$' -fuzz FuzzReadTrace -fuzztime 10s ./trace/
+	$(GO) test -run '^$$' -fuzz FuzzStreamingReader -fuzztime 10s ./trace/
 	$(GO) test -run '^$$' -fuzz FuzzLoadSubscriptions -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzScanner -fuzztime 30s ./internal/commitlog/
 	$(GO) test -run '^$$' -fuzz FuzzClientFrame -fuzztime 10s ./broker/

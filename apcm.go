@@ -91,12 +91,6 @@ type Engine struct {
 
 	// met is non-nil iff Options.Metrics was set; see observe.go.
 	met *engineMetrics
-
-	// DNF subscription groups (see dnf.go): groups maps a group id to
-	// its member expression ids, alias maps each member back to its
-	// group. Both are nil until the first SubscribeAny.
-	groups map[expr.ID][]expr.ID
-	alias  map[expr.ID]expr.ID
 }
 
 // New builds an Engine.
@@ -221,35 +215,29 @@ func (e *Engine) SubscribePreds(preds ...expr.Predicate) (expr.ID, error) {
 	return x.ID, nil
 }
 
-// Unsubscribe removes the subscription with the given id — a plain
-// subscription or a whole DNF group — reporting whether it was present.
+// Unsubscribe removes the subscription with the given id, reporting
+// whether it was present.
 func (e *Engine) Unsubscribe(id expr.ID) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return false
 	}
-	removed := false
-	if wasGroup, ok := e.unsubscribeGroupLocked(id); wasGroup {
-		removed = ok
-	} else {
-		removed = e.cm.Delete(id)
-	}
+	removed := e.cm.Delete(id)
 	if removed && e.met != nil {
 		e.met.unsubscribes.Inc()
 	}
 	return removed
 }
 
-// Len returns the number of live subscriptions. A DNF group counts as
-// one subscription regardless of its number of conjunctions.
+// Len returns the number of live subscriptions.
 func (e *Engine) Len() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		return 0
 	}
-	return e.cm.Size() - (len(e.alias) - len(e.groups))
+	return e.cm.Size()
 }
 
 // Match returns the ids of all subscriptions matching ev (order
@@ -259,8 +247,7 @@ func (e *Engine) Match(ev *expr.Event) []expr.ID {
 }
 
 // MatchAppend appends the ids of all subscriptions matching ev to dst
-// and returns it. With live DNF groups, matched group ids are reported
-// once even when several disjuncts match.
+// and returns it.
 func (e *Engine) MatchAppend(dst []expr.ID, ev *expr.Event) []expr.ID {
 	if m := e.met; m != nil {
 		head := len(dst)
@@ -278,13 +265,6 @@ func (e *Engine) matchAppendUninstrumented(dst []expr.ID, ev *expr.Event) []expr
 	defer e.mu.RUnlock()
 	if e.closed {
 		return dst
-	}
-	if e.hasAliases() {
-		// Match into a fresh tail so only this event's ids are rewritten.
-		head := len(dst)
-		dst = e.matchAppendLocked(dst, ev)
-		rewritten := e.translate(dst[head:])
-		return dst[:head+len(rewritten)]
 	}
 	return e.matchAppendLocked(dst, ev)
 }
@@ -381,14 +361,6 @@ type Stats struct {
 	// CompressedServing counts clusters currently routed to the
 	// compressed kernel (A-PCM adaptivity visibility).
 	CompressedServing int
-	// Probes counts dual-kernel cost probes and KernelFlips the cluster
-	// kernel re-decisions they triggered, both directions, cumulative.
-	Probes      int64
-	KernelFlips int64
-	// ScratchGets/ScratchNews describe scratch-pool recycling (recorded
-	// only with metrics attached): recycle rate = 1 − News/Gets.
-	ScratchGets int64
-	ScratchNews int64
 }
 
 // Stats returns a snapshot of engine statistics.
@@ -402,8 +374,6 @@ func (e *Engine) Stats() Stats {
 	if e.closed {
 		return st
 	}
-	st.ScratchGets = e.scratchGets.Load()
-	st.ScratchNews = e.scratchNews.Load()
 	st.Subscriptions = e.cm.Size()
 	st.MemBytes = e.cm.MemBytes()
 	cs := e.cm.Stats()
@@ -411,16 +381,13 @@ func (e *Engine) Stats() Stats {
 	st.ArenaBytes = cs.ArenaBytes
 	st.CompressionRatio = cs.CompressionRatio()
 	st.CompressedServing = cs.CompressedServing
-	st.Probes = cs.Probes
-	st.KernelFlips = cs.FlipsToCompressed + cs.FlipsToUncompressed
 	return st
 }
 
 // ClusterInfo describes one compiled compressed cluster, for
 // diagnostics and capacity planning (see cmd/apcm-inspect).
 type ClusterInfo struct {
-	// Members is the number of member slots in use (live + tombstoned).
-	Members    int
+	// Live and Tombstones count the member slots in use.
 	Live       int
 	Tombstones int
 	// Attrs is the number of distinct attributes the cluster constrains.
@@ -458,7 +425,6 @@ func (e *Engine) Clusters() []ClusterInfo {
 	out := make([]ClusterInfo, len(raw))
 	for i, c := range raw {
 		out[i] = ClusterInfo{
-			Members:           c.Members,
 			Live:              c.Live,
 			Tombstones:        c.Tombstones,
 			Attrs:             c.Attrs,

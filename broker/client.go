@@ -105,11 +105,6 @@ func DialOpts(addr string, opts ClientOptions) (*Client, error) {
 	return NewClientOpts(nc, opts), nil
 }
 
-// NewClient wraps an established connection with default options.
-func NewClient(nc net.Conn) *Client {
-	return NewClientOpts(nc, ClientOptions{})
-}
-
 // NewClientOpts wraps an established connection. It sends the protocol
 // hello immediately; the server's answer is verified asynchronously by
 // the read loop, and a version mismatch fails the connection (visible
@@ -320,10 +315,6 @@ func (c *Client) waitHello() error {
 		return err
 	}
 }
-
-// ServerVersion reports the negotiated protocol version (0 before the
-// handshake completes).
-func (c *Client) ServerVersion() int { return int(c.version.Load()) }
 
 // Resume attaches this connection to the named durable consumer. The
 // broker replays every logged delivery for the consumer from

@@ -106,7 +106,7 @@ func TestDurableDeliveryBasics(t *testing.T) {
 	if start != 0 {
 		t.Fatalf("fresh consumer start = %d, want 0", start)
 	}
-	if v := c.ServerVersion(); v != ProtocolVersion {
+	if v := c.version.Load(); v != ProtocolVersion {
 		t.Fatalf("negotiated version %d, want %d", v, ProtocolVersion)
 	}
 	for i := 0; i < 3; i++ {

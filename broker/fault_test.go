@@ -561,7 +561,7 @@ func TestHeartbeatReapsSilentConnection(t *testing.T) {
 	if _, err := readFrame(mute, nil); err == nil {
 		t.Fatal("mute connection survived past the heartbeat deadline")
 	}
-	waitFor(t, "heartbeat timeout to be counted", func() bool { return srv.HeartbeatTimeouts() >= 1 })
+	waitFor(t, "heartbeat timeout to be counted", func() bool { return srv.heartbeatTimeouts.Load() >= 1 })
 	if got := metricValue(t, reg, "apcm_broker_heartbeat_timeouts_total"); got < 1 {
 		t.Fatalf("apcm_broker_heartbeat_timeouts_total = %g, want >= 1", got)
 	}

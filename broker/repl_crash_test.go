@@ -220,7 +220,7 @@ func runLeaderKill(t *testing.T, plan replCrashPlan, leader *Server, leaderDir s
 	}
 
 	waitFor(t, "follower promotion", func() bool { return follower.Role() == "leader" })
-	if e := follower.Epoch(); e != 1 {
+	if e := follower.epoch.Load(); e != 1 {
 		t.Fatalf("promoted follower at epoch %d, want 1", e)
 	}
 	at, ok := follower.PromotedAt()
@@ -337,7 +337,7 @@ func runFollowerCrash(t *testing.T, plan replCrashPlan, leader *Server, lAddr st
 	if lr, fr := leader.Role(), follower2.Role(); lr != "leader" || fr != "follower" {
 		t.Fatalf("roles = %s/%s after follower crash-restart, want leader/follower", lr, fr)
 	}
-	if le, fe := leader.Epoch(), follower2.Epoch(); le != 0 || fe != 0 {
+	if le, fe := leader.epoch.Load(), follower2.epoch.Load(); le != 0 || fe != 0 {
 		t.Fatalf("epochs advanced to %d/%d without a failover", le, fe)
 	}
 	assertPrefixEqual(t, onlineRecords(t, leader.log, total), onlineRecords(t, follower2.log, total), total)
@@ -356,7 +356,7 @@ func runStalePartition(t *testing.T, plan replCrashPlan, leader, follower *Serve
 	dialer.conn().BlackholeIn()
 
 	waitFor(t, "follower promotion", func() bool { return follower.Role() == "leader" })
-	if e := follower.Epoch(); e != 1 {
+	if e := follower.epoch.Load(); e != 1 {
 		t.Fatalf("promoted follower at epoch %d, want 1", e)
 	}
 	at, ok := follower.PromotedAt()
@@ -364,7 +364,7 @@ func runStalePartition(t *testing.T, plan replCrashPlan, leader, follower *Serve
 		t.Fatalf("PromotedAt = %d,%v, want [%d,%d]", at, ok, plan.killAt, total)
 	}
 	waitFor(t, "stale leader fenced", func() bool { return leader.Role() == "fenced" })
-	if le, fe := leader.Epoch(), follower.Epoch(); le != fe {
+	if le, fe := leader.epoch.Load(), follower.epoch.Load(); le != fe {
 		t.Fatalf("fenced leader at epoch %d, promoted follower at %d", le, fe)
 	}
 

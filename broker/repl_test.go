@@ -159,7 +159,7 @@ func TestReplicationCatchUpAndLiveTail(t *testing.T) {
 	if lead, foll := leader.Role(), follower.Role(); lead != "leader" || foll != "follower" {
 		t.Fatalf("roles = %s/%s, want leader/follower", lead, foll)
 	}
-	if e := follower.Epoch(); e != 0 {
+	if e := follower.epoch.Load(); e != 0 {
 		t.Fatalf("epoch advanced to %d without a failover", e)
 	}
 }
@@ -299,7 +299,7 @@ func TestAsymmetricPartitionFencesStaleLeader(t *testing.T) {
 	dialer.conn().BlackholeIn()
 
 	waitFor(t, "follower promotion", func() bool { return follower.Role() == "leader" })
-	if e := follower.Epoch(); e < 1 {
+	if e := follower.epoch.Load(); e < 1 {
 		t.Fatalf("promoted follower at epoch %d, want >= 1", e)
 	}
 	at, ok := follower.PromotedAt()
@@ -308,7 +308,7 @@ func TestAsymmetricPartitionFencesStaleLeader(t *testing.T) {
 	}
 	// The fence flows follower→leader, which the partition spares.
 	waitFor(t, "stale leader fenced", func() bool { return leader.Role() == "fenced" })
-	if le, fe := leader.Epoch(), follower.Epoch(); le != fe {
+	if le, fe := leader.epoch.Load(), follower.epoch.Load(); le != fe {
 		t.Fatalf("fenced leader at epoch %d, promoted follower at %d", le, fe)
 	}
 	// The fenced node rejects clients exactly like a follower.

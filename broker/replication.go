@@ -37,9 +37,6 @@ func roleName(r int32) string {
 // "follower", or "fenced".
 func (s *Server) Role() string { return roleName(s.role.Load()) }
 
-// Epoch reports the server's current replication epoch.
-func (s *Server) Epoch() uint64 { return s.epoch.Load() }
-
 // PromotedAt reports the commit-log offset at which this server
 // promoted itself from follower to leader, and whether it ever did.
 // Offsets below it were ingested from the old leader (a verbatim

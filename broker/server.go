@@ -216,10 +216,6 @@ func (s *Server) Stats() (published, delivered int64) {
 // stalling past SlowConsumerTimeout.
 func (s *Server) SlowConsumerDrops() int64 { return s.slowDrops.Load() }
 
-// HeartbeatTimeouts reports how many connections were reaped for
-// missing their heartbeat deadline.
-func (s *Server) HeartbeatTimeouts() int64 { return s.heartbeatTimeouts.Load() }
-
 // readDeadline is the per-frame read deadline: HeartbeatInterval ×
 // MissedHeartbeats, or 0 (no deadline) when reaping is disabled.
 func (s *Server) readDeadline() time.Duration {

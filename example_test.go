@@ -37,24 +37,3 @@ func ExampleEngine_SubscribePreds() {
 	fmt.Println(eng.Match(ev)[0] == id)
 	// Output: true
 }
-
-// A DNF subscription matches when any of its conjunctions does, and is
-// reported once per event.
-func ExampleEngine_SubscribeAny() {
-	eng, _ := apcm.New(apcm.Options{Workers: 1})
-	defer eng.Close()
-
-	gid, _ := eng.SubscribeAny(
-		[]expr.Predicate{expr.Eq(0, 1)},                // laptops ...
-		[]expr.Predicate{expr.Eq(0, 2), expr.Ge(1, 9)}, // ... or highly-rated phones
-	)
-	laptop := expr.MustEvent(expr.P(0, 1), expr.P(1, 3))
-	phone := expr.MustEvent(expr.P(0, 2), expr.P(1, 9))
-	dull := expr.MustEvent(expr.P(0, 2), expr.P(1, 2))
-	fmt.Println(
-		eng.Match(laptop)[0] == gid,
-		eng.Match(phone)[0] == gid,
-		len(eng.Match(dull)),
-	)
-	// Output: true true 0
-}

@@ -66,9 +66,6 @@ func (e *Event) Lookup(a AttrID) (Value, bool) {
 // slice as read-only.
 func (e *Event) Pairs() []Pair { return e.pairs }
 
-// Len returns the number of attributes the event assigns.
-func (e *Event) Len() int { return len(e.pairs) }
-
 // Equal reports whether e and other assign exactly the same values to
 // the same attributes.
 func (e *Event) Equal(other *Event) bool {

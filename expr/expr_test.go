@@ -299,8 +299,8 @@ func TestEventInvariants(t *testing.T) {
 	if _, ok := e.Lookup(99); ok {
 		t.Error("Lookup(99) should miss")
 	}
-	if e.Len() != 3 {
-		t.Errorf("Len = %d", e.Len())
+	if n := len(e.Pairs()); n != 3 {
+		t.Errorf("len(Pairs) = %d", n)
 	}
 }
 

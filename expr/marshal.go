@@ -206,10 +206,3 @@ func DecodeEvent(b []byte) (*Event, int, error) {
 	// Pairs were encoded sorted, so construct directly.
 	return &Event{pairs: pairs}, off, nil
 }
-
-// Key returns the canonical identity key of p, suitable as a map key for
-// predicate-dictionary de-duplication: two predicates have the same Key
-// iff Equal reports true.
-func (p *Predicate) Key() string {
-	return string(AppendPredicate(make([]byte, 0, 16), p))
-}

@@ -14,9 +14,9 @@ func TestParseBasic(t *testing.T) {
 	if x.ID != 42 || len(x.Preds) != 3 {
 		t.Fatalf("parsed %s", x)
 	}
-	price, _ := s.Lookup("price")
-	brand, _ := s.Lookup("brand")
-	rating, _ := s.Lookup("rating")
+	price := s.Attr("price")
+	brand := s.Attr("brand")
+	rating := s.Attr("rating")
 	ev := MustEvent(Pair{price, 300}, Pair{brand, 7}, Pair{rating, 5})
 	if !x.MatchesEvent(ev) {
 		t.Error("event should match")
@@ -54,7 +54,7 @@ func TestParseAllOperators(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", c.text, err)
 		}
-		a, _ := s.Lookup("x")
+		a := s.Attr("x")
 		ev := MustEvent(Pair{a, c.val})
 		if got := x.MatchesEvent(ev); got != c.match {
 			t.Errorf("%q vs x=%d: match=%v, want %v", c.text, c.val, got, c.match)
@@ -123,10 +123,10 @@ func TestParseEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Len() != 3 {
-		t.Fatalf("Len = %d", e.Len())
+	if n := len(e.Pairs()); n != 3 {
+		t.Fatalf("len(Pairs) = %d", n)
 	}
-	brand, _ := s.Lookup("brand")
+	brand := s.Attr("brand")
 	if v, ok := e.Lookup(brand); !ok || v != 7 {
 		t.Errorf("brand = %d,%v", v, ok)
 	}

@@ -1,34 +1,19 @@
 package expr
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
-// Schema maps human-readable attribute names to dense AttrIDs, records
-// optional per-attribute domain cardinalities, and optionally interns
-// per-attribute string values into dense Values. It exists for the text
-// syntax, the examples, and the broker; the matchers themselves operate
-// purely on ids. Schema is safe for concurrent use.
+// Schema maps human-readable attribute names to dense AttrIDs. It exists
+// for the text syntax, the examples, and the broker; the matchers
+// themselves operate purely on ids. Schema is safe for concurrent use.
 type Schema struct {
 	mu     sync.RWMutex
 	names  []string
 	byName map[string]AttrID
-	card   []Value // 0 means "unknown"
-	vals   map[AttrID]*valueDict
-}
-
-type valueDict struct {
-	names  []string
-	byName map[string]Value
 }
 
 // NewSchema returns an empty schema.
 func NewSchema() *Schema {
-	return &Schema{
-		byName: make(map[string]AttrID),
-		vals:   make(map[AttrID]*valueDict),
-	}
+	return &Schema{byName: make(map[string]AttrID)}
 }
 
 // Attr returns the id for name, interning it on first use.
@@ -46,18 +31,7 @@ func (s *Schema) Attr(name string) AttrID {
 	}
 	id = AttrID(len(s.names))
 	s.names = append(s.names, name)
-	s.card = append(s.card, 0)
 	s.byName[name] = id
-	return id
-}
-
-// DeclareAttr interns name and records the domain cardinality (values are
-// assumed to be 0..card-1). A zero card leaves the domain unknown.
-func (s *Schema) DeclareAttr(name string, card Value) AttrID {
-	id := s.Attr(name)
-	s.mu.Lock()
-	s.card[id] = card
-	s.mu.Unlock()
 	return id
 }
 
@@ -69,95 +43,4 @@ func (s *Schema) Name(id AttrID) (string, bool) {
 		return "", false
 	}
 	return s.names[id], true
-}
-
-// Lookup returns the id for name without interning.
-func (s *Schema) Lookup(name string) (AttrID, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	id, ok := s.byName[name]
-	return id, ok
-}
-
-// Cardinality returns the declared domain size for id (0 if unknown).
-func (s *Schema) Cardinality(id AttrID) Value {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if int(id) >= len(s.card) {
-		return 0
-	}
-	return s.card[id]
-}
-
-// Len returns the number of interned attributes.
-func (s *Schema) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.names)
-}
-
-// ValueOf interns name in attr's string-value dictionary, assigning
-// dense Values 0, 1, 2, ... in first-use order. It lets applications
-// with categorical string domains ("color in {red, blue}") use the
-// integer-valued matcher without managing their own mapping:
-//
-//	red := schema.ValueOf(color, "red")
-//	sub := expr.MustNew(id, expr.Eq(color, red))
-func (s *Schema) ValueOf(attr AttrID, name string) Value {
-	s.mu.RLock()
-	d := s.vals[attr]
-	if d != nil {
-		if v, ok := d.byName[name]; ok {
-			s.mu.RUnlock()
-			return v
-		}
-	}
-	s.mu.RUnlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d = s.vals[attr]
-	if d == nil {
-		d = &valueDict{byName: make(map[string]Value)}
-		s.vals[attr] = d
-	}
-	if v, ok := d.byName[name]; ok {
-		return v
-	}
-	v := Value(len(d.names))
-	d.names = append(d.names, name)
-	d.byName[name] = v
-	return v
-}
-
-// LookupValue returns the interned Value for name on attr, without
-// interning it.
-func (s *Schema) LookupValue(attr AttrID, name string) (Value, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	d := s.vals[attr]
-	if d == nil {
-		return 0, false
-	}
-	v, ok := d.byName[name]
-	return v, ok
-}
-
-// ValueName returns the string interned for v on attr, if any.
-func (s *Schema) ValueName(attr AttrID, v Value) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	d := s.vals[attr]
-	if d == nil || v < 0 || int(v) >= len(d.names) {
-		return "", false
-	}
-	return d.names[v], true
-}
-
-// MustName is Name for rendering paths where the id is known to exist.
-func (s *Schema) MustName(id AttrID) string {
-	n, ok := s.Name(id)
-	if !ok {
-		return fmt.Sprintf("a%d", id)
-	}
-	return n
 }

@@ -9,7 +9,16 @@ import (
 
 // writeEventTrace writes events as a trace, for negative-path tests.
 func writeEventTrace(w io.Writer, events []*expr.Event) error {
-	return trace.WriteEvents(w, events)
+	tw, err := trace.NewWriter(w, trace.KindEvents, len(events))
+	if err != nil {
+		return err
+	}
+	for _, ev := range events {
+		if err := tw.WriteEvent(ev); err != nil {
+			return err
+		}
+	}
+	return tw.Close()
 }
 
 // writeExpressionTrace writes expressions as a trace, bypassing engine

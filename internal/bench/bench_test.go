@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/streammatch/apcm/expr"
+	"github.com/streammatch/apcm/internal/osr"
 )
 
 // tinyConfig runs experiments at minimum size: the tests verify the
@@ -172,16 +173,13 @@ func TestConfigSanitize(t *testing.T) {
 }
 
 func TestReorderWindows(t *testing.T) {
-	cfgOut := &bytes.Buffer{}
-	_ = cfgOut
-	// Covered indirectly by E8; check the copy semantics here.
-	xs, events := gen(baseParams(1), 10, 50)
-	_ = xs
+	const window = 16
+	_, events := gen(baseParams(1), 10, 50)
 	orig := make([]string, len(events))
 	for i, e := range events {
 		orig[i] = e.String()
 	}
-	out := reorderWindows(events, 16)
+	out := reorderWindows(events, window)
 	if len(out) != len(events) {
 		t.Fatal("length changed")
 	}
@@ -190,7 +188,25 @@ func TestReorderWindows(t *testing.T) {
 			t.Fatal("input slice mutated")
 		}
 	}
-	_ = out
+	for off := 0; off < len(out); off += window {
+		end := min(off+window, len(out))
+		w := out[off:end]
+		for i := 1; i < len(w); i++ {
+			if osr.Less(w[i], w[i-1]) {
+				t.Fatalf("window at %d not sorted: %s before %s", off, w[i-1], w[i])
+			}
+		}
+		// Each window is a permutation of the same input window.
+		held := make(map[*expr.Event]int, len(w))
+		for _, e := range events[off:end] {
+			held[e]++
+		}
+		for _, e := range w {
+			if held[e]--; held[e] < 0 {
+				t.Fatalf("window at %d holds an event from outside it: %s", off, e)
+			}
+		}
+	}
 }
 
 // TestReferencesAgreeWithOracle runs every row of the reference list

@@ -357,11 +357,6 @@ type Stats struct {
 	CompressedBytes   int64
 	ArenaBytes        int64 // Σ cluster arena slab bytes (see internal/core/arena.go)
 	CompressedServing int   // clusters currently routed to the compressed kernel
-
-	// Adaptive-policy counters, cumulative since matcher creation.
-	Probes              int64 // events served by both kernels for costing
-	FlipsToCompressed   int64 // cluster re-decisions toward the compressed kernel
-	FlipsToUncompressed int64 // cluster re-decisions toward the scan kernel
 }
 
 // CompressionRatio is PredicateSlots / DistinctPreds: how many predicate
@@ -383,12 +378,7 @@ func (m *Matcher) AdaptiveCounters() (probes, flipsToCompressed, flipsToUncompre
 // clusters visited by earlier matches are counted. Its cost is per
 // cluster, not per posting: the posting census is in Clusters.
 func (m *Matcher) Stats() Stats {
-	st := Stats{
-		Tree:                m.tree.Stats(),
-		Probes:              m.probes.Load(),
-		FlipsToCompressed:   m.flipsC.Load(),
-		FlipsToUncompressed: m.flipsU.Load(),
-	}
+	st := Stats{Tree: m.tree.Stats()}
 	m.cmu.RLock()
 	defer m.cmu.RUnlock()
 	for _, cs := range m.clusters {
@@ -408,7 +398,6 @@ func (m *Matcher) Stats() Stats {
 
 // ClusterInfo describes one compiled cluster for diagnostics.
 type ClusterInfo struct {
-	Members       int // slots in use (live + tombstoned)
 	Live          int
 	Tombstones    int
 	Attrs         int // cluster-local attribute universe size
@@ -439,7 +428,6 @@ func (m *Matcher) Clusters() []ClusterInfo {
 		ewmaC, ewmaU, mode := cs.estimates()
 		t := c.tally()
 		out = append(out, ClusterInfo{
-			Members:           c.n,
 			Live:              c.live(),
 			Tombstones:        c.tombs,
 			Attrs:             c.nAttrs,

@@ -323,9 +323,9 @@ func (c *compiled) matchCompressed(s *kernelScratch, e *expr.Event, dst []expr.I
 // linear scan of the event's pair list in the scan kernel. The first
 // scan-kernel pool of an event loads it and the event's other pools
 // reuse it. It is valid for one MatchWith call only, which begins with
-// forget: an event's pairs can be rewritten in place between calls
-// (json.Unmarshal into the same *expr.Event), so the event pointer alone
-// does not prove the loaded values current.
+// forget: a caller may refill the same *expr.Event with new pairs
+// between calls, so the event pointer alone does not prove the loaded
+// values current.
 type valueTable struct {
 	ev     *expr.Event // the event loaded, nil after forget
 	usable bool

@@ -60,13 +60,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
 // Add adjusts the value by delta.
 func (g *Gauge) Add(delta int64) {
 	if g != nil {
@@ -162,14 +155,6 @@ func (h *Histogram) Count() int64 {
 		return 0
 	}
 	return h.count.Load()
-}
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return float64(h.sum.Load())
 }
 
 // Mean returns the sample mean (0 with no samples).

@@ -21,7 +21,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
 	g := r.Gauge("g", "a gauge")
-	g.Set(10)
+	g.Add(10)
 	g.Add(-3)
 	if g.Value() != 7 {
 		t.Fatalf("gauge = %d, want 7", g.Value())
@@ -40,14 +40,13 @@ func TestNilSafety(t *testing.T) {
 	r.GaugeFunc("f", "", func() float64 { panic("must not be called") })
 	c.Inc()
 	c.Add(3)
-	g.Set(1)
 	g.Add(1)
 	h.Observe(5)
 	h.ObserveDuration(time.Second)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil instruments returned non-zero values")
 	}
-	if r.Snapshot() != nil || r.Names() != nil {
+	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshot not nil")
 	}
 	r.StartLogger(time.Millisecond, nil)()
@@ -207,7 +206,7 @@ func TestSnapshotCallsFuncsOutsideLock(t *testing.T) {
 func TestPrometheusFormat(t *testing.T) {
 	r := New()
 	r.Counter("apcm_published_total", "events published").Add(12)
-	r.Gauge(`apcm_pool_worker_items{worker="1"}`, "items per worker").Set(9)
+	r.Gauge(`apcm_pool_worker_items{worker="1"}`, "items per worker").Add(9)
 	h := r.Histogram("apcm_match_latency_ns", "match latency")
 	h.Observe(1000)
 	h.Observe(2000)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -311,16 +310,4 @@ func (r *Registry) StartLogger(interval time.Duration, logf func(format string, 
 		}
 	}()
 	return func() { once.Do(func() { close(done) }) }
-}
-
-// Names returns the registered metric names, sorted (for tests).
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := append([]string(nil), r.order...)
-	sort.Strings(out)
-	return out
 }

@@ -146,15 +146,14 @@ func TestPrometheusExposition(t *testing.T) {
 		}
 	}
 
-	// The registry itself must agree: Names() lists each registered
-	// metric exactly once.
-	names := reg.Names()
-	uniq := make(map[string]bool, len(names))
-	for _, n := range names {
-		if uniq[n] {
-			t.Errorf("registry.Names() lists %q twice", n)
+	// The registry itself must agree: its snapshot lists each
+	// registered metric exactly once.
+	uniq := make(map[string]bool)
+	for _, v := range reg.Snapshot() {
+		if uniq[v.Name] {
+			t.Errorf("registry snapshot lists %q twice", v.Name)
 		}
-		uniq[n] = true
+		uniq[v.Name] = true
 	}
 }
 
@@ -164,8 +163,8 @@ func waitForMetric(t *testing.T, reg *metrics.Registry, name string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		for _, n := range reg.Names() {
-			if n == name {
+		for _, v := range reg.Snapshot() {
+			if v.Name == name {
 				return
 			}
 		}

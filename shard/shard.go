@@ -136,9 +136,6 @@ func MustNew(opts Options) *Group {
 	return g
 }
 
-// Shards returns the number of engine partitions.
-func (g *Group) Shards() int { return len(g.shards) }
-
 // NewID allocates a fresh subscription id, unique within this Group.
 // Always allocate through the Group, never through a shard engine: the
 // group-wide allocator is what keeps ids collision-free across shards.

@@ -46,8 +46,8 @@ func TestGroupOptions(t *testing.T) {
 	}
 	g := shard.MustNew(shard.Options{})
 	defer g.Close()
-	if g.Shards() < 1 {
-		t.Fatalf("zero-value Options built %d shards", g.Shards())
+	if n := len(g.Stats().PerShard); n < 1 {
+		t.Fatalf("zero-value Options built %d shards", n)
 	}
 }
 
@@ -63,7 +63,7 @@ func TestRoutingSpread(t *testing.T) {
 	if st.Subscriptions != len(xs) {
 		t.Fatalf("%d subscriptions routed, want %d", st.Subscriptions, len(xs))
 	}
-	want := len(xs) / g.Shards()
+	want := len(xs) / len(st.PerShard)
 	for s, ss := range st.PerShard {
 		if ss.Subscriptions < want/2 || ss.Subscriptions > want*2 {
 			t.Errorf("shard %d occupancy %d, want ~%d", s, ss.Subscriptions, want)

@@ -15,17 +15,12 @@ import (
 
 // SaveSubscriptions writes every live subscription to w as a binary
 // trace (see package trace), so a subscription database can be persisted
-// and restored across restarts. Engines holding DNF groups cannot be
-// snapshotted (the flat trace format has no group structure); Save
-// returns an error rather than silently flattening them.
+// and restored across restarts.
 func (e *Engine) SaveSubscriptions(w io.Writer) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		return ErrClosed
-	}
-	if len(e.groups) > 0 {
-		return fmt.Errorf("apcm: cannot snapshot an engine with DNF subscriptions")
 	}
 	tw, err := trace.NewWriter(w, trace.KindExpressions, e.cm.Size())
 	if err != nil {
@@ -44,9 +39,7 @@ func (e *Engine) SaveSubscriptions(w io.Writer) error {
 
 // ForEachSubscription calls fn for every live subscription, in
 // unspecified order, until fn returns false. The engine's read lock is
-// held for the whole walk: fn must not call back into the engine. On an
-// engine holding DNF groups the walk visits the internal
-// per-conjunction expressions, not the groups.
+// held for the whole walk: fn must not call back into the engine.
 func (e *Engine) ForEachSubscription(fn func(*expr.Expression) bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -57,10 +50,9 @@ func (e *Engine) ForEachSubscription(fn func(*expr.Expression) bool) {
 }
 
 // CheckpointSubscriptions persists the live subscription set to path,
-// atomically (see WriteCheckpoint). A crash — or a Save failure such as
-// an engine holding DNF groups — at any point leaves either the
-// previous checkpoint or the new one, never a truncated or partial
-// file.
+// atomically (see WriteCheckpoint). A crash — or a Save failure — at
+// any point leaves either the previous checkpoint or the new one, never
+// a truncated or partial file.
 func (e *Engine) CheckpointSubscriptions(path string) error {
 	return WriteCheckpoint(path, e.SaveSubscriptions)
 }

@@ -2,6 +2,8 @@ package apcm_test
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -76,10 +78,10 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointFailureKeepsPrevious: a checkpoint attempt that fails
-// mid-save (here: the engine grew DNF groups, which the trace format
-// cannot represent) must leave the previous checkpoint byte-for-byte
-// intact and no temporary litter behind.
+// TestCheckpointFailureKeepsPrevious: a checkpoint attempt whose
+// content writer fails after writing part of the file must leave the
+// previous checkpoint byte-for-byte intact and no temporary litter
+// behind.
 func TestCheckpointFailureKeepsPrevious(t *testing.T) {
 	eng := apcm.MustNew(apcm.Options{Workers: 1})
 	defer eng.Close()
@@ -96,15 +98,16 @@ func TestCheckpointFailureKeepsPrevious(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Make the next save fail after the temp file is already created.
-	if _, err := eng.SubscribeAny(
-		[]expr.Predicate{expr.Eq(2, 2)},
-		[]expr.Predicate{expr.Eq(3, 3)},
-	); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.CheckpointSubscriptions(path); err == nil {
-		t.Fatal("checkpoint of a DNF-holding engine succeeded")
+	// Fail the next write after the temp file holds some bytes.
+	errWrite := errors.New("write failed")
+	err = apcm.WriteCheckpoint(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("partial")); err != nil {
+			return err
+		}
+		return errWrite
+	})
+	if !errors.Is(err, errWrite) {
+		t.Fatalf("failed checkpoint returned %v, want %v", err, errWrite)
 	}
 
 	after, err := os.ReadFile(path)
@@ -136,5 +139,94 @@ func TestRestoreMissingCheckpoint(t *testing.T) {
 	n, err := eng.RestoreSubscriptions(filepath.Join(t.TempDir(), "never-written.ckpt"))
 	if err != nil || n != 0 {
 		t.Fatalf("RestoreSubscriptions = %d, %v for a missing file, want 0, nil", n, err)
+	}
+}
+
+func TestLoadSubscriptionsPartialFailure(t *testing.T) {
+	// A duplicate id mid-trace stops the load; the error reports how far
+	// it got and earlier subscriptions remain live.
+	xs := []*expr.Expression{
+		expr.MustNew(1, expr.Eq(1, 1)),
+		expr.MustNew(2, expr.Eq(1, 2)),
+		expr.MustNew(1, expr.Eq(1, 3)), // duplicate id
+	}
+	var buf bytes.Buffer
+	if err := writeExpressionTrace(&buf, xs); err != nil {
+		t.Fatal(err)
+	}
+	e := apcm.MustNew(apcm.Options{Workers: 1})
+	defer e.Close()
+	n, err := e.LoadSubscriptions(&buf)
+	if err == nil {
+		t.Fatal("duplicate id in trace should fail the load")
+	}
+	if n != 2 {
+		t.Fatalf("loaded %d before failure, want 2", n)
+	}
+	if e.Len() != 2 {
+		t.Fatalf("Len = %d after partial load", e.Len())
+	}
+}
+
+func TestSnapshotRoundTrip(t *testing.T) {
+	g := testWorkload(11)
+	xs := g.Expressions(500)
+	events := g.Events(100)
+	src := apcm.MustNew(apcm.Options{Workers: 1})
+	defer src.Close()
+	for _, x := range xs {
+		if err := src.Subscribe(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := src.SaveSubscriptions(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range engineWorkers {
+		dst := apcm.MustNew(apcm.Options{Workers: workers})
+		n, err := dst.LoadSubscriptions(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if n != len(xs) || dst.Len() != len(xs) {
+			t.Fatalf("workers=%d: loaded %d, Len %d, want %d", workers, n, dst.Len(), len(xs))
+		}
+		for _, ev := range events {
+			a := sorted(src.Match(ev))
+			b := sorted(dst.Match(ev))
+			if !equalIDs(a, b) {
+				t.Fatalf("workers=%d: snapshot changed matching: %v vs %v", workers, b, a)
+			}
+		}
+		// NewID must not collide with restored ids.
+		if id := dst.NewID(); id <= 500 {
+			t.Fatalf("workers=%d: NewID after load = %d, may collide", workers, id)
+		}
+		dst.Close()
+	}
+}
+
+func TestLoadRejectsEventTrace(t *testing.T) {
+	var buf bytes.Buffer
+	g := testWorkload(12)
+	evs := g.Events(3)
+	if err := writeEventTrace(&buf, evs); err != nil {
+		t.Fatal(err)
+	}
+	e := apcm.MustNew(apcm.Options{Workers: 1})
+	defer e.Close()
+	if _, err := e.LoadSubscriptions(&buf); err == nil {
+		t.Fatal("event trace accepted as subscriptions")
+	}
+}
+
+func TestSaveAfterClose(t *testing.T) {
+	e := apcm.MustNew(apcm.Options{Workers: 1})
+	e.Close()
+	var buf bytes.Buffer
+	if err := e.SaveSubscriptions(&buf); err != apcm.ErrClosed {
+		t.Fatalf("SaveSubscriptions after close = %v", err)
 	}
 }

@@ -21,7 +21,7 @@ func FuzzReadTrace(f *testing.F) {
 	})
 	f.Add(xbuf.Bytes())
 	var ebuf bytes.Buffer
-	WriteEvents(&ebuf, []*expr.Event{
+	writeEvents(&ebuf, []*expr.Event{
 		expr.MustEvent(expr.P(1, 5)),
 		expr.MustEvent(expr.P(1, -5), expr.P(9, 0)),
 	})
@@ -56,7 +56,7 @@ func FuzzReadTrace(f *testing.F) {
 		}
 		if eerr == nil {
 			var buf bytes.Buffer
-			if err := WriteEvents(&buf, evs); err != nil {
+			if err := writeEvents(&buf, evs); err != nil {
 				t.Fatalf("re-encoding decoded events: %v", err)
 			}
 			back, err := ReadEvents(&buf)

@@ -284,20 +284,6 @@ func ReadExpressions(r io.Reader) ([]*expr.Expression, error) {
 	}
 }
 
-// WriteEvents writes events as a complete trace.
-func WriteEvents(w io.Writer, events []*expr.Event) error {
-	t, err := NewWriter(w, KindEvents, len(events))
-	if err != nil {
-		return err
-	}
-	for _, e := range events {
-		if err := t.WriteEvent(e); err != nil {
-			return err
-		}
-	}
-	return t.Close()
-}
-
 // ReadEvents reads a complete event trace.
 func ReadEvents(r io.Reader) ([]*expr.Event, error) {
 	t, err := NewReader(r)

@@ -10,6 +10,21 @@ import (
 	"github.com/streammatch/apcm/workload"
 )
 
+// writeEvents writes events as a complete trace through the streaming
+// Writer.
+func writeEvents(w io.Writer, events []*expr.Event) error {
+	t, err := NewWriter(w, KindEvents, len(events))
+	if err != nil {
+		return err
+	}
+	for _, e := range events {
+		if err := t.WriteEvent(e); err != nil {
+			return err
+		}
+	}
+	return t.Close()
+}
+
 func genWorkload(t *testing.T) ([]*expr.Expression, []*expr.Event) {
 	t.Helper()
 	p := workload.Default()
@@ -43,7 +58,7 @@ func TestExpressionRoundTrip(t *testing.T) {
 func TestEventRoundTrip(t *testing.T) {
 	_, events := genWorkload(t)
 	var buf bytes.Buffer
-	if err := WriteEvents(&buf, events); err != nil {
+	if err := writeEvents(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadEvents(&buf)
@@ -195,7 +210,7 @@ func TestCorruptInputs(t *testing.T) {
 
 func TestEmptyTrace(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteEvents(&buf, nil); err != nil {
+	if err := writeEvents(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadEvents(&buf)
@@ -214,7 +229,7 @@ func TestReplayedWorkloadMatchesIdentically(t *testing.T) {
 	if err := WriteExpressions(&xbuf, xs); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteEvents(&ebuf, events); err != nil {
+	if err := writeEvents(&ebuf, events); err != nil {
 		t.Fatal(err)
 	}
 	xs2, err := ReadExpressions(&xbuf)

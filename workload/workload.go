@@ -185,9 +185,6 @@ func MustNew(p Params) *Generator {
 	return g
 }
 
-// Params returns the configuration the generator was built with.
-func (g *Generator) Params() Params { return g.p }
-
 func (g *Generator) attr() expr.AttrID {
 	if g.attrZipf != nil {
 		return expr.AttrID(g.attrZipf.Uint64())
@@ -450,11 +447,6 @@ func (g *Generator) satisfyOne(p *expr.Predicate) (expr.Value, bool) {
 		return 0, false
 	}
 }
-
-// GeneratedExpressions returns the plant source: all expressions
-// generated so far, or the current reservoir sample when PlantPoolSize
-// bounds it. Callers must treat the slice as read-only.
-func (g *Generator) GeneratedExpressions() []*expr.Expression { return g.exprs }
 
 // PlantedEventFor builds an event that satisfies x (padded with random
 // attributes up to EventAttrs), for callers that need a guaranteed match

@@ -119,8 +119,8 @@ func TestEventShape(t *testing.T) {
 	g := MustNew(p)
 	g.Expressions(100)
 	for _, e := range g.Events(500) {
-		if e.Len() != p.EventAttrs {
-			t.Fatalf("event has %d attributes, want %d", e.Len(), p.EventAttrs)
+		if n := len(e.Pairs()); n != p.EventAttrs {
+			t.Fatalf("event has %d attributes, want %d", n, p.EventAttrs)
 		}
 		for _, pair := range e.Pairs() {
 			if int(pair.Attr) >= p.NumAttrs {
@@ -186,7 +186,7 @@ func TestPredPoolBoundsDistinctPredicates(t *testing.T) {
 	distinct := map[string]bool{}
 	for _, x := range g.Expressions(300) {
 		for i := range x.Preds {
-			distinct[x.Preds[i].Key()] = true
+			distinct[string(expr.AppendPredicate(nil, &x.Preds[i]))] = true
 		}
 	}
 	if max := p.NumAttrs * p.PredPoolSize; len(distinct) > max {
@@ -207,7 +207,7 @@ func TestNoPoolProducesMoreDistinctPredicates(t *testing.T) {
 		distinct := map[string]bool{}
 		for _, x := range g.Expressions(500) {
 			for i := range x.Preds {
-				distinct[x.Preds[i].Key()] = true
+				distinct[string(expr.AppendPredicate(nil, &x.Preds[i]))] = true
 			}
 		}
 		return len(distinct)
@@ -311,8 +311,8 @@ func TestPlantedEventFor(t *testing.T) {
 		if !x.MatchesEvent(ev) {
 			t.Fatalf("planted event %s does not match %s", ev, x)
 		}
-		if ev.Len() != g.Params().EventAttrs {
-			t.Fatalf("planted event has %d attrs, want %d", ev.Len(), g.Params().EventAttrs)
+		if n := len(ev.Pairs()); n != Default().EventAttrs {
+			t.Fatalf("planted event has %d attrs, want %d", n, Default().EventAttrs)
 		}
 	}
 	// Contradictory predicates cannot be planted.
@@ -328,13 +328,5 @@ func TestPlantedEventFor(t *testing.T) {
 	wide := expr.MustNew(1, expr.Eq(1, 1), expr.Eq(2, 2), expr.Eq(3, 3))
 	if _, ok := g2.PlantedEventFor(wide); ok {
 		t.Fatal("plant wider than EventAttrs should fail")
-	}
-}
-
-func TestGeneratedExpressionsAccessor(t *testing.T) {
-	g := MustNew(Default())
-	g.Expressions(5)
-	if len(g.GeneratedExpressions()) != 5 {
-		t.Fatalf("GeneratedExpressions len = %d", len(g.GeneratedExpressions()))
 	}
 }
