@@ -100,8 +100,11 @@ lint-smoke:
 	fi; \
 	echo "lint-smoke: all $$(echo $$names | wc -w) analyzers fire"
 
+# One iteration of every benchmark, in every package that has one:
+# catches benchmarks that no longer compile or crash, without measuring
+# anything. CI's bench-smoke job runs this target.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/commitlog/
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./broker/ ./internal/bitset/ ./internal/commitlog/ ./internal/itree/
 
 # Non-test Go lines: tracked .go files minus vendor/, _test.go files and
 # testdata/. Informational; code-diet changes quote this number.

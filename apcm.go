@@ -136,10 +136,17 @@ func (e *Engine) NewID() expr.ID {
 }
 
 // Subscribe indexes x. The expression's ID must be unique among live
-// subscriptions. With Options.Normalize, x is canonicalised first and
-// ErrUnsatisfiable is returned if it can never match.
+// subscriptions, and x must pass expr.Expression.Validate (as every
+// expression expr.New returns does); its error is returned otherwise.
+// With Options.Normalize, x is canonicalised first and ErrUnsatisfiable
+// is returned if it can never match.
 func (e *Engine) Subscribe(x *expr.Expression) error {
 	if e.opts.Normalize {
+		// Normalize needs a well-formed x. Without Normalize, the
+		// matcher's Insert makes the same check.
+		if err := x.Validate(); err != nil {
+			return err
+		}
 		nx, ok := x.Normalize()
 		if !ok {
 			return ErrUnsatisfiable
@@ -164,26 +171,32 @@ func (e *Engine) Subscribe(x *expr.Expression) error {
 // are not. One write lock covers the whole batch and compiled clusters
 // absorb the batch in one step where possible, so bulk restores (see
 // LoadSubscriptions) pay per-batch rather than per-subscription
-// synchronisation. With Options.Normalize each expression is
-// canonicalised first; an unsatisfiable one stops the batch with
-// ErrUnsatisfiable.
+// synchronisation. An expression that fails expr.Expression.Validate
+// stops the batch with its error. With Options.Normalize each
+// expression is canonicalised first; an unsatisfiable one stops the
+// batch with ErrUnsatisfiable.
 func (e *Engine) SubscribeBulk(xs []*expr.Expression) (int, error) {
+	var stop error
 	if e.opts.Normalize {
 		nxs := make([]*expr.Expression, 0, len(xs))
 		for _, x := range xs {
+			if stop = x.Validate(); stop != nil {
+				break
+			}
 			nx, ok := x.Normalize()
 			if !ok {
-				n, err := e.subscribeBulk(nxs)
-				if err == nil {
-					err = ErrUnsatisfiable
-				}
-				return n, err
+				stop = ErrUnsatisfiable
+				break
 			}
 			nxs = append(nxs, nx)
 		}
 		xs = nxs
 	}
-	return e.subscribeBulk(xs)
+	n, err := e.subscribeBulk(xs)
+	if err == nil {
+		err = stop
+	}
+	return n, err
 }
 
 func (e *Engine) subscribeBulk(xs []*expr.Expression) (int, error) {

@@ -161,6 +161,56 @@ func TestSubscribePredsValidates(t *testing.T) {
 	}
 }
 
+// TestSubscribeRejectsMalformedExpressions hands Subscribe and
+// SubscribeBulk expressions built without expr.New, next to a compiled
+// pool on attribute 1. Indexed, the one without predicates matched
+// {a1=500} but not {a2=5}, and the one with unsorted predicates matched
+// {a1=3, a2=2} although MatchesEvent says it does not: the compiled
+// kernel assumes attribute-sorted, non-empty predicate lists. With
+// Options.Normalize the empty one made Normalize panic.
+func TestSubscribeRejectsMalformedExpressions(t *testing.T) {
+	bad := []*expr.Expression{
+		{ID: 99},
+		{ID: 100, Preds: []expr.Predicate{expr.Eq(1, 1), expr.Eq(2, 2), expr.Le(1, 5)}},
+	}
+	events := []*expr.Event{
+		expr.MustEvent(expr.P(1, 500)),
+		expr.MustEvent(expr.P(2, 5)),
+		expr.MustEvent(expr.P(1, 3), expr.P(2, 2)),
+	}
+	for _, c := range []struct{ bulk, normalize bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		e := apcm.MustNew(apcm.Options{Normalize: c.normalize})
+		var good []*expr.Expression
+		for i := 0; i < 16; i++ {
+			good = append(good, expr.MustNew(expr.ID(i+1), expr.Ge(1, expr.Value(i))))
+		}
+		if _, err := e.SubscribeBulk(good); err != nil {
+			t.Fatal(err)
+		}
+		e.Prepare()
+		for _, x := range bad {
+			if c.bulk {
+				next := expr.MustNew(x.ID+100, expr.Ge(1, 0))
+				if n, err := e.SubscribeBulk([]*expr.Expression{next, x, next}); err == nil || n != 1 {
+					t.Fatalf("SubscribeBulk with expression %d = %d, %v; want 1 and an error", x.ID, n, err)
+				}
+				good = append(good, next)
+			} else if err := e.Subscribe(x); err == nil {
+				t.Fatalf("Subscribe accepted expression %d", x.ID)
+			}
+		}
+		if e.Len() != len(good) {
+			t.Fatalf("%+v: Len = %d, want %d", c, e.Len(), len(good))
+		}
+		for _, ev := range events {
+			if got, want := sorted(e.Match(ev)), matchOracle(good, ev); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%+v: Match(%v) = %v, want %v", c, ev, got, want)
+			}
+		}
+		e.Close()
+	}
+}
+
 func TestDuplicateSubscribe(t *testing.T) {
 	e := apcm.MustNew(apcm.Options{})
 	defer e.Close()

@@ -302,18 +302,33 @@ func (x *Expression) MemBytes() int64 {
 // New builds a validated expression. The predicate slice is copied and
 // sorted by attribute.
 func New(id ID, preds ...Predicate) (*Expression, error) {
-	if len(preds) == 0 {
-		return nil, fmt.Errorf("expr: expression %d has no predicates", id)
-	}
 	ps := make([]Predicate, len(preds))
 	copy(ps, preds)
-	for i := range ps {
-		if err := ps[i].Validate(); err != nil {
-			return nil, fmt.Errorf("expression %d: %w", id, err)
+	sort.SliceStable(ps, func(i, j int) bool { return ps[i].Attr < ps[j].Attr })
+	x := &Expression{ID: id, Preds: ps}
+	if err := x.Validate(); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// Validate reports whether x is what New builds: at least one
+// predicate, every predicate valid, and the predicates sorted by
+// attribute. Matchers rely on all three, so an expression assembled by
+// hand must pass it before it is indexed.
+func (x *Expression) Validate() error {
+	if len(x.Preds) == 0 {
+		return fmt.Errorf("expr: expression %d has no predicates", x.ID)
+	}
+	for i := range x.Preds {
+		if err := x.Preds[i].Validate(); err != nil {
+			return fmt.Errorf("expression %d: %w", x.ID, err)
+		}
+		if i > 0 && x.Preds[i].Attr < x.Preds[i-1].Attr {
+			return fmt.Errorf("expr: expression %d: predicates not sorted by attribute", x.ID)
 		}
 	}
-	sort.SliceStable(ps, func(i, j int) bool { return ps[i].Attr < ps[j].Attr })
-	return &Expression{ID: id, Preds: ps}, nil
+	return nil
 }
 
 // MustNew is New for tests and literals; it panics on invalid input.

@@ -24,6 +24,7 @@ package betree
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"github.com/streammatch/apcm/expr"
 )
@@ -59,6 +60,12 @@ func (c *Config) sanitize() {
 type Pool struct {
 	Gen   uint64
 	Exprs []*expr.Expression
+	// Derived holds the state a derived structure keeps for this pool
+	// (the compressed matcher's cluster), published atomically so that
+	// matchers read it without a lock or a map lookup. The tree never
+	// reads or writes it; its owner stores one concrete type only.
+	//apcm:publish
+	Derived atomic.Value
 }
 
 // remove takes the expression with the given id out of the pool and
@@ -709,7 +716,7 @@ func (t *Tree) Stats() Stats {
 // the expressions it keeps alive.
 func (t *Tree) MemBytes() int64 {
 	var b int64
-	b += int64(t.numNodes) * 64
+	b += int64(t.numNodes) * 80
 	b += int64(t.numParts) * 64
 	b += int64(t.numCnodes) * 48
 	b += int64(len(t.loc)) * 24

@@ -18,9 +18,12 @@ const (
 )
 
 // clusterState pairs a cluster's compiled form with its adaptive state.
-// The compiled pointer is replaced wholesale (under Matcher.cmu) when the
-// pool mutates; mode and counters survive recompilation so a cluster's
-// learned behaviour is not forgotten on every update.
+// It hangs off its pool (betree.Pool.Derived), attached once its
+// compiled value is set, so matchers reach it with one atomic load. A
+// recompile replaces the compiled pointer wholesale (serialised by
+// Matcher.cmu between matchers, or under the write contract in
+// PrepareAllWith); mode and counters survive recompilation so a
+// cluster's learned behaviour is not forgotten on every update.
 type clusterState struct {
 	// compiled is published wholesale: recompilation builds a fresh
 	// value and Stores it; the match path Loads it with no lock held.
@@ -46,8 +49,9 @@ type clusterState struct {
 func (cs *clusterState) ewmaCompressed() float64 { return math.Float64frombits(cs.ewmaC.Load()) }
 func (cs *clusterState) ewmaScan() float64       { return math.Float64frombits(cs.ewmaU.Load()) }
 
-func newClusterState() *clusterState {
+func newClusterState(c *compiled) *clusterState {
 	cs := &clusterState{}
+	cs.compiled.Store(c)
 	// Optimistic start: serve compressed until the first probe says
 	// otherwise (the first event always probes).
 	cs.mode.Store(int32(kernelCompressed))

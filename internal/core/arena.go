@@ -11,7 +11,7 @@ import "github.com/streammatch/apcm/internal/bitset"
 // chased pointers across the heap.
 //
 // finalize now sizes everything in a pre-pass and carves the whole
-// cluster out of seven typed slabs, one allocation each (Go's type
+// cluster out of six typed slabs, one allocation each (Go's type
 // system rules out a single untyped block without unsafe; typed
 // contiguous slabs capture almost all of the locality win at none of
 // the risk):
@@ -20,13 +20,13 @@ import "github.com/streammatch/apcm/internal/bitset"
 //	                         posting's backing words
 //	ids    []int32           every sparse posting's member ids (with
 //	                         per-posting append slack) ++ the
-//	                         attrDirect table
+//	                         attrDirect table ++ the lead lists
+//	                         (leadOff, leadIds)
 //	posts  []bitset.Posting  every posting struct, group-ordered
 //	bsets  []bitset.Bitset   backing structs for the dense postings
 //	eq     []eqEntry         equality-union entries, group-ordered and
 //	                         sorted by value within a group
 //	dict   []dictEntry       first/strict dictionary entries, group-ordered
-//	cnt    []uint16          per-member distinct-attribute counts
 //
 // Sub-slices handed out of a slab are capacity-clamped, so incremental
 // maintenance (tryAppend growing a sparse posting past its slack, or a
@@ -44,7 +44,6 @@ type clusterArena struct {
 	bsets []bitset.Bitset
 	eq    []eqEntry
 	dict  []dictEntry
-	cnt   []uint16
 
 	// carve cursors; only used during finalize.
 	wo, io, po, bo, eo, do int
@@ -52,7 +51,7 @@ type clusterArena struct {
 
 // arenaSizes is the pre-pass result that sizes a clusterArena.
 type arenaSizes struct {
-	words, ids, posts, bsets, eq, dict, cnt int
+	words, ids, posts, bsets, eq, dict int
 }
 
 func newClusterArena(s arenaSizes) *clusterArena {
@@ -63,7 +62,6 @@ func newClusterArena(s arenaSizes) *clusterArena {
 		bsets: make([]bitset.Bitset, s.bsets),
 		eq:    make([]eqEntry, s.eq),
 		dict:  make([]dictEntry, s.dict),
-		cnt:   make([]uint16, s.cnt),
 	}
 }
 
@@ -92,6 +90,5 @@ func (a *clusterArena) bytes() int64 {
 		int64(len(a.posts))*postingSize +
 		int64(len(a.bsets))*bitsetSize +
 		int64(len(a.eq))*eqEntrySize +
-		int64(len(a.dict))*dictSize +
-		int64(len(a.cnt))*2
+		int64(len(a.dict))*dictSize
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"github.com/streammatch/apcm/expr"
@@ -68,11 +69,13 @@ type compiled struct {
 	nAttrs int
 	awords int      // words per member attribute mask ((nAttrs+1+63)/64)
 	masks  []uint64 // capN × awords, flat
-	// attrCnt is each member's distinct constrained-attribute count; the
-	// candidate-driven eligibility pass compares occurrence counters
-	// against it. Tombstoned members are set to tombCnt, which no
-	// occurrence count reaches.
-	attrCnt []uint16
+	// Lead lists, CSR-style: the slots below n0 (the members finalize
+	// saw) whose lead attribute (see lead) is local index li are
+	// leadIds[leadOff[li]:leadOff[li+1]]. Step 2 of the kernel checks
+	// only these lists for present attributes, plus slots [n0, n).
+	n0      int
+	leadOff []int32 // nAttrs+1 offsets into leadIds
+	leadIds []int32 // n0 member slots
 	// attrDirect, when non-nil, maps attr - attrLo directly to the local
 	// attribute index (-1 = not in the universe): step 1 indexes it per
 	// event pair instead of joining against the sorted universe. finalize
@@ -94,14 +97,10 @@ type compiled struct {
 
 	// arena owns the cluster's backing storage after finalize: masks,
 	// posting structs and their words/ids, equality unions, dictionary
-	// entries, the attribute table and counters all live in its slabs
-	// (see arena.go). Nil only before finalize runs.
+	// entries, the attribute table and the lead lists all live in its
+	// slabs (see arena.go). Nil only before finalize runs.
 	arena *clusterArena
 }
-
-// tombCnt is the attrCnt of a tombstoned member: an occurrence count no
-// event can reach, so the candidate pass never finds it eligible.
-const tombCnt = 0xFFFF
 
 // attrGroup holds one attribute's compiled predicates.
 type attrGroup struct {
@@ -206,7 +205,6 @@ func compile(p *betree.Pool) *compiled {
 	c.nAttrs = len(c.attrs)
 	c.awords = (c.nAttrs + 1 + 63) / 64
 	c.masks = make([]uint64, c.capN*c.awords)
-	c.attrCnt = make([]uint16, 0, c.capN)
 	c.groups = make([]attrGroup, c.nAttrs)
 
 	// Pass 2: members.
@@ -244,7 +242,6 @@ func (c *compiled) append(x *expr.Expression) {
 	c.n++
 	c.ids = append(c.ids, x.ID)
 	mask := c.masks[idx*c.awords : (idx+1)*c.awords]
-	distinct := uint16(0)
 	var g *attrGroup
 
 	for j := range x.Preds {
@@ -254,7 +251,6 @@ func (c *compiled) append(x *expr.Expression) {
 		// "first on this attribute" is "previous predicate differs".
 		isFirst := j == 0 || x.Preds[j-1].Attr != pr.Attr
 		if isFirst {
-			distinct++
 			li, _ := c.localOf(pr.Attr)
 			g = &c.groups[li]
 			if g.attrBits == nil {
@@ -272,7 +268,6 @@ func (c *compiled) append(x *expr.Expression) {
 			c.set(g.strict[c.entry(&g.strict, pr)].bits, idx)
 		}
 	}
-	c.attrCnt = append(c.attrCnt, distinct)
 }
 
 // eqAdd returns g's equality-union posting for v, inserting a new
@@ -328,7 +323,7 @@ func (c *compiled) forEachPosting(fn func(p *bitset.Posting)) {
 
 // finalize runs after all members are in. A pre-pass sizes every slab
 // class — posting structs, dense words, sparse ids, equality-union
-// entries, dictionary entries, the attribute table, masks, counters —
+// entries, dictionary entries, the attribute table, masks, lead lists —
 // and the whole cluster is re-homed into one clusterArena (see
 // arena.go), so the group loop walks a handful of contiguous arrays
 // instead of chasing per-entry heap objects, and recompile-and-swap
@@ -370,12 +365,11 @@ func (c *compiled) finalize() {
 	maskWords := len(c.masks)
 	ar := newClusterArena(arenaSizes{
 		words: maskWords + denseWords,
-		ids:   sparseIds + attrSpan,
+		ids:   sparseIds + attrSpan + c.nAttrs + 1 + c.n,
 		posts: nPost,
 		bsets: nDense,
 		dict:  nDict,
 		eq:    nEq,
-		cnt:   c.capN,
 	})
 	c.arena = ar
 
@@ -384,9 +378,6 @@ func (c *compiled) finalize() {
 	// postings); one copy moves them into the arena for good.
 	copy(carve(ar.words, &ar.wo, maskWords, 0), c.masks)
 	c.masks = ar.words[:maskWords:maskWords]
-	cnt := ar.cnt[:len(c.attrCnt):c.capN]
-	copy(cnt, c.attrCnt)
-	c.attrCnt = cnt
 
 	// rehome moves one posting — struct and backing — into the arena.
 	rehome := func(p *bitset.Posting) *bitset.Posting {
@@ -438,8 +429,45 @@ func (c *compiled) finalize() {
 		}
 		c.attrDirect, c.attrLo = dir, lo
 	}
+	c.buildLeads(carve(ar.ids, &ar.io, c.nAttrs+1, 0), carve(ar.ids, &ar.io, c.n, 0))
 	c.held = c.heldBytes()
 	c.finalHeld = c.held
+}
+
+// buildLeads fills the lead lists of slots [0, n) into off (nAttrs+1
+// zeroed offsets) and ids (n slots) by a counting sort on each member's
+// lead, and sets n0 = n. Placing members in reverse slot order leaves
+// off[li] at the start of li's list and each list in slot order.
+func (c *compiled) buildLeads(off, ids []int32) {
+	for m := 0; m < c.n; m++ {
+		off[c.lead(m)]++
+	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	for m := c.n - 1; m >= 0; m-- {
+		li := c.lead(m)
+		off[li]--
+		ids[off[li]] = int32(m)
+	}
+	c.n0, c.leadOff, c.leadIds = c.n, off, ids
+}
+
+// lead returns the local index of member m's lead attribute: of the
+// attributes in its mask, the one whose attrBits holds the fewest
+// members (the lowest index on ties). finalize calls it before any
+// tombstone bit is set.
+func (c *compiled) lead(m int) int32 {
+	best, fewest := int32(-1), 0
+	for w, word := range c.masks[m*c.awords : (m+1)*c.awords] {
+		for ; word != 0; word &= word - 1 {
+			li := int32(w<<6 + bits.TrailingZeros64(word))
+			if k := c.groups[li].attrBits.Count(); best < 0 || k < fewest {
+				best, fewest = li, k
+			}
+		}
+	}
+	return best
 }
 
 // tryAppend incorporates a freshly inserted pool member without
@@ -494,16 +522,19 @@ func (c *compiled) tryAppendBatch(p *betree.Pool, xs []*expr.Expression) bool {
 
 // tryTombstone marks a deleted member dead without recompiling, by
 // setting the reserved tombstone bit in its attribute mask (which no
-// event can cover). The member's slot is found by scanning ids (at most
-// capN slots), skipping slots already tombstoned, so deleting an id
-// twice fails the second time. Same generation discipline as tryAppend.
+// event can cover). The member stays in its lead list. Its slot is
+// found by scanning ids (at most capN slots), skipping slots whose
+// tombstone bit is already set, so deleting an id twice fails the
+// second time and a re-inserted id is found at its new slot. Same
+// generation discipline as tryAppend.
 func (c *compiled) tryTombstone(p *betree.Pool, id expr.ID) bool {
 	if c.gen+1 != p.Gen {
 		return false
 	}
+	tw, tbit := c.nAttrs>>6, uint64(1)<<(uint(c.nAttrs)&63) // reserved local slot
 	idx := -1
 	for i, v := range c.ids {
-		if v == id && c.attrCnt[i] != tombCnt {
+		if v == id && c.masks[i*c.awords+tw]&tbit == 0 {
 			idx = i
 			break
 		}
@@ -511,9 +542,7 @@ func (c *compiled) tryTombstone(p *betree.Pool, id expr.ID) bool {
 	if idx < 0 {
 		return false
 	}
-	tomb := c.nAttrs // reserved local slot
-	c.masks[idx*c.awords+tomb>>6] |= 1 << (uint(tomb) & 63)
-	c.attrCnt[idx] = tombCnt
+	c.masks[idx*c.awords+tw] |= tbit
 	c.tombs++
 	c.gen = p.Gen
 	return true
@@ -522,6 +551,9 @@ func (c *compiled) tryTombstone(p *betree.Pool, id expr.ID) bool {
 // needsRebuild reports whether tombstones dominate the cluster; the
 // matcher recompiles such clusters on their next visit.
 func (c *compiled) needsRebuild() bool { return c.tombs*2 > c.n }
+
+// fresh reports whether c is current for p and needs no rebuild.
+func (c *compiled) fresh(p *betree.Pool) bool { return c.gen == p.Gen && !c.needsRebuild() }
 
 // live returns the number of live members.
 func (c *compiled) live() int { return c.n - c.tombs }
@@ -562,13 +594,13 @@ func (c *compiled) tally() postingTally {
 // Struct sizes on 64-bit platforms, for byte accounting without unsafe
 // (TestAccountedStructSizes pins them to unsafe.Sizeof).
 const (
-	compiledSize = 240
+	compiledSize = 272
 	groupSize    = 80
 	eqEntrySize  = 16
 	dictSize     = 16
 	postingSize  = 40
 	bitsetSize   = 32
-	arenaSize    = 216
+	arenaSize    = 192
 )
 
 // postingHeld is what one posting holds: its struct, its bitset struct

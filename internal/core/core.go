@@ -115,10 +115,9 @@ type Matcher struct {
 	cfg  Config
 	tree *betree.Tree
 
-	// cmu guards the clusters map; individual clusterState values carry
-	// their own synchronisation.
-	cmu      sync.RWMutex
-	clusters map[*betree.Pool]*clusterState
+	// cmu serialises lazy compiles between concurrent matchers (see
+	// clusterFor); the fast path takes no lock.
+	cmu sync.Mutex
 
 	// Adaptive-policy observability: probe runs and kernel flips across
 	// all clusters (see adaptive.go). Without these the adaptivity that
@@ -136,38 +135,40 @@ type Matcher struct {
 func New(cfg Config) *Matcher {
 	cfg.sanitize()
 	m := &Matcher{
-		cfg:      cfg,
-		tree:     betree.New(cfg.Tree),
-		clusters: make(map[*betree.Pool]*clusterState),
+		cfg:  cfg,
+		tree: betree.New(cfg.Tree),
 	}
 	m.scratch = m.NewScratch()
 	return m
 }
 
-// Insert adds x to the index. If the destination pool's cluster is
+// stateOf returns the cluster state attached to p, or nil.
+func stateOf(p *betree.Pool) *clusterState {
+	cs, _ := p.Derived.Load().(*clusterState)
+	return cs
+}
+
+// Insert adds x to the index, or returns x.Validate's error: the
+// compiled layout needs every member to constrain an attribute, with
+// its predicates attribute-sorted. If the destination pool's cluster is
 // compiled and has slack, the new member is appended incrementally;
 // otherwise the cluster goes stale and is recompiled lazily on its next
 // match. A pool that the insert split below MinCompressSize loses its
 // cluster. Insert must not run concurrently with matching (see the
 // package contract).
 func (m *Matcher) Insert(x *expr.Expression) error {
+	if err := x.Validate(); err != nil {
+		return err
+	}
 	pool, split, err := m.tree.InsertPool(x)
 	if err != nil {
 		return err
 	}
-	if m.cfg.Mode == ModeUncompressed {
-		return nil
-	}
 	if split != nil {
 		m.dropShrunk(split)
 	}
-	m.cmu.RLock()
-	cs := m.clusters[pool]
-	m.cmu.RUnlock()
-	if cs != nil {
-		if c := cs.compiled.Load(); c != nil {
-			c.tryAppend(pool, x)
-		}
+	if cs := stateOf(pool); cs != nil {
+		cs.compiled.Load().tryAppend(pool, x)
 	}
 	return nil
 }
@@ -177,29 +178,19 @@ func (m *Matcher) Insert(x *expr.Expression) error {
 // bulk restores: appended members are bucketed per destination pool and
 // each compiled cluster incorporates its whole batch with a single
 // generation check (tryAppendBatch) instead of one per subscription.
-// Same write contract as Insert.
+// Only pools holding a cluster are bucketed; inserts never attach one,
+// so a pool that holds one at the end has a complete bucket. Same write
+// contract as Insert.
 func (m *Matcher) InsertBulk(xs []*expr.Expression) (int, error) {
-	maintain := m.cfg.Mode != ModeUncompressed
-	if maintain {
-		// A cold matcher has nothing compiled, hence nothing to maintain;
-		// skip the bucketing entirely (the common restore case).
-		m.cmu.RLock()
-		maintain = len(m.clusters) > 0
-		m.cmu.RUnlock()
-	}
-	if !maintain {
-		for i, x := range xs {
-			if _, _, err := m.tree.InsertPool(x); err != nil {
-				return i, err
-			}
-		}
-		return len(xs), nil
-	}
 	inserted, ierr := len(xs), error(nil)
-	var pools []*betree.Pool // distinct destination pools, first-touch order
+	var pools []*betree.Pool // distinct bucketed pools, first-touch order
 	var splits []*betree.Pool
 	byPool := make(map[*betree.Pool][]*expr.Expression)
 	for i, x := range xs {
+		if err := x.Validate(); err != nil {
+			inserted, ierr = i, err
+			break
+		}
 		p, split, err := m.tree.InsertPool(x)
 		if err != nil {
 			inserted, ierr = i, err
@@ -208,23 +199,20 @@ func (m *Matcher) InsertBulk(xs []*expr.Expression) (int, error) {
 		if split != nil {
 			splits = append(splits, split)
 		}
+		if stateOf(p) == nil {
+			continue
+		}
 		if _, ok := byPool[p]; !ok {
 			pools = append(pools, p)
 		}
 		byPool[p] = append(byPool[p], x)
 	}
-	if len(splits) > 0 {
-		m.dropShrunk(splits...)
-	}
-	m.cmu.RLock()
+	m.dropShrunk(splits...)
 	for _, p := range pools {
-		if cs := m.clusters[p]; cs != nil {
-			if c := cs.compiled.Load(); c != nil {
-				c.tryAppendBatch(p, byPool[p])
-			}
+		if cs := stateOf(p); cs != nil {
+			cs.compiled.Load().tryAppendBatch(p, byPool[p])
 		}
 	}
-	m.cmu.RUnlock()
 	return inserted, ierr
 }
 
@@ -236,19 +224,12 @@ func (m *Matcher) Delete(id expr.ID) bool {
 	if !ok {
 		return false
 	}
-	if m.cfg.Mode != ModeUncompressed {
-		m.cmu.RLock()
-		cs := m.clusters[pool]
-		m.cmu.RUnlock()
-		switch {
-		case cs == nil:
-		case len(pool.Exprs) < m.cfg.MinCompressSize:
-			m.dropShrunk(pool)
-		default:
-			if c := cs.compiled.Load(); c != nil {
-				c.tryTombstone(pool, id)
-			}
-		}
+	switch cs := stateOf(pool); {
+	case cs == nil:
+	case len(pool.Exprs) < m.cfg.MinCompressSize:
+		m.dropShrunk(pool)
+	default:
+		cs.compiled.Load().tryTombstone(pool, id)
 	}
 	return true
 }
@@ -257,15 +238,13 @@ func (m *Matcher) Delete(id expr.ID) bool {
 // hold fewer than MinCompressSize members. matchPool scans those pools
 // and never reads their cluster again, so keeping it would only pin its
 // memory and inflate Stats, Clusters and MemBytes. A pool that grows
-// back compiles afresh.
+// back compiles afresh. Same write contract as Insert.
 func (m *Matcher) dropShrunk(pools ...*betree.Pool) {
-	m.cmu.Lock()
 	for _, p := range pools {
-		if len(p.Exprs) < m.cfg.MinCompressSize {
-			delete(m.clusters, p)
+		if len(p.Exprs) < m.cfg.MinCompressSize && stateOf(p) != nil {
+			p.Derived.Store((*clusterState)(nil))
 		}
 	}
-	m.cmu.Unlock()
 }
 
 // Size returns the number of indexed expressions.
@@ -324,27 +303,40 @@ func (m *Matcher) matchPool(s *Scratch, dst []expr.ID, p *betree.Pool, e *expr.E
 }
 
 // clusterFor returns an up-to-date cluster state for p, compiling it if
-// missing or stale.
+// missing or stale. The fast path is one atomic load of the pool's
+// state and a generation check. A miss takes cmu, so concurrent
+// matchers compile a pool once, and attaches a new state only after its
+// compiled value is set: a published state always holds one.
 func (m *Matcher) clusterFor(p *betree.Pool) *clusterState {
-	m.cmu.RLock()
-	cs := m.clusters[p]
-	m.cmu.RUnlock()
-	if cs != nil {
-		if c := cs.compiled.Load(); c != nil && c.gen == p.Gen && !c.needsRebuild() {
-			return cs
-		}
+	if cs := stateOf(p); cs != nil && cs.compiled.Load().fresh(p) {
+		return cs
 	}
 	m.cmu.Lock()
 	defer m.cmu.Unlock()
-	cs = m.clusters[p]
-	if cs == nil {
-		cs = newClusterState()
-		m.clusters[p] = cs
+	if cs := stateOf(p); cs == nil || !cs.compiled.Load().fresh(p) {
+		install(p, compile(p))
 	}
-	if c := cs.compiled.Load(); c == nil || c.gen != p.Gen || c.needsRebuild() {
-		cs.compiled.Store(compile(p))
+	return stateOf(p)
+}
+
+// install publishes c as p's compiled cluster, attaching a new state
+// holding c when p has none.
+func install(p *betree.Pool, c *compiled) {
+	if cs := stateOf(p); cs != nil {
+		cs.compiled.Store(c)
+		return
 	}
-	return cs
+	p.Derived.Store(newClusterState(c))
+}
+
+// forEachCluster visits the cluster state of every pool holding one. Same
+// contract as a tree walk: no concurrent writers.
+func (m *Matcher) forEachCluster(fn func(cs *clusterState)) {
+	m.tree.Pools(func(p *betree.Pool) {
+		if cs := stateOf(p); cs != nil {
+			fn(cs)
+		}
+	})
 }
 
 // Stats summarises compression across all clusters compiled so far.
@@ -379,9 +371,7 @@ func (m *Matcher) AdaptiveCounters() (probes, flipsToCompressed, flipsToUncompre
 // cluster, not per posting: the posting census is in Clusters.
 func (m *Matcher) Stats() Stats {
 	st := Stats{Tree: m.tree.Stats()}
-	m.cmu.RLock()
-	defer m.cmu.RUnlock()
-	for _, cs := range m.clusters {
+	m.forEachCluster(func(cs *clusterState) {
 		c := cs.compiled.Load()
 		st.CompiledClusters++
 		st.MemberSlots += c.live()
@@ -392,7 +382,7 @@ func (m *Matcher) Stats() Stats {
 		if cs.mode.Load() == int32(kernelCompressed) {
 			st.CompressedServing++
 		}
-	}
+	})
 	return st
 }
 
@@ -420,10 +410,8 @@ type ClusterInfo struct {
 
 // Clusters snapshots every compiled cluster's diagnostics.
 func (m *Matcher) Clusters() []ClusterInfo {
-	m.cmu.RLock()
-	defer m.cmu.RUnlock()
-	out := make([]ClusterInfo, 0, len(m.clusters))
-	for _, cs := range m.clusters {
+	var out []ClusterInfo
+	m.forEachCluster(func(cs *clusterState) {
 		c := cs.compiled.Load()
 		ewmaC, ewmaU, mode := cs.estimates()
 		t := c.tally()
@@ -442,7 +430,7 @@ func (m *Matcher) Clusters() []ClusterInfo {
 			SparseMemberSlots: t.SparseMembers,
 			PostingHist:       t.Hist,
 		})
-	}
+	})
 	return out
 }
 
@@ -472,19 +460,15 @@ func (m *Matcher) PrepareAllWith(run func(n int, fn func(idx int))) {
 		return
 	}
 	var todo []*betree.Pool
-	m.cmu.RLock()
 	m.tree.Pools(func(p *betree.Pool) {
 		if len(p.Exprs) < m.cfg.MinCompressSize {
 			return
 		}
-		if cs := m.clusters[p]; cs != nil {
-			if c := cs.compiled.Load(); c != nil && c.gen == p.Gen && !c.needsRebuild() {
-				return
-			}
+		if cs := stateOf(p); cs != nil && cs.compiled.Load().fresh(p) {
+			return
 		}
 		todo = append(todo, p)
 	})
-	m.cmu.RUnlock()
 	if len(todo) == 0 {
 		return
 	}
@@ -492,26 +476,17 @@ func (m *Matcher) PrepareAllWith(run func(n int, fn func(idx int))) {
 	run(len(todo), func(i int) {
 		built[i] = compile(todo[i])
 	})
-	m.cmu.Lock()
 	for i, p := range todo {
-		cs := m.clusters[p]
-		if cs == nil {
-			cs = newClusterState()
-			m.clusters[p] = cs
-		}
-		cs.compiled.Store(built[i])
+		install(p, built[i])
 	}
-	m.cmu.Unlock()
 }
 
 // MemBytes estimates the total heap footprint: tree plus compiled
 // clusters.
 func (m *Matcher) MemBytes() int64 {
 	b := m.tree.MemBytes()
-	m.cmu.RLock()
-	defer m.cmu.RUnlock()
-	for _, cs := range m.clusters {
+	m.forEachCluster(func(cs *clusterState) {
 		b += cs.compiled.Load().memoryBytes()
-	}
+	})
 	return b
 }

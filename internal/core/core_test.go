@@ -217,16 +217,9 @@ func TestAdaptiveTracksEstimates(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		m.MatchAppend(nil, ev)
 	}
-	m.cmu.RLock()
-	defer m.cmu.RUnlock()
-	if len(m.clusters) != 1 {
-		t.Fatalf("expected 1 cluster, have %d", len(m.clusters))
-	}
-	for _, cs := range m.clusters {
-		c, u, _ := cs.estimates()
-		if c == 0 || u == 0 {
-			t.Fatalf("estimates not populated: ewmaC=%f ewmaU=%f", c, u)
-		}
+	c, u, _ := theCluster(t, m).estimates()
+	if c == 0 || u == 0 {
+		t.Fatalf("estimates not populated: ewmaC=%f ewmaU=%f", c, u)
 	}
 }
 

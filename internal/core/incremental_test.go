@@ -23,15 +23,12 @@ func onePoolMatcher(probe int) *Matcher {
 // theCluster returns the matcher's single cluster state.
 func theCluster(t *testing.T, m *Matcher) *clusterState {
 	t.Helper()
-	m.cmu.RLock()
-	defer m.cmu.RUnlock()
-	if len(m.clusters) != 1 {
-		t.Fatalf("expected exactly 1 cluster, have %d", len(m.clusters))
+	var states []*clusterState
+	m.forEachCluster(func(cs *clusterState) { states = append(states, cs) })
+	if len(states) != 1 {
+		t.Fatalf("expected exactly 1 cluster, have %d", len(states))
 	}
-	for _, cs := range m.clusters {
-		return cs
-	}
-	return nil
+	return states[0]
 }
 
 func TestIncrementalAppendAvoidsRecompile(t *testing.T) {
@@ -236,25 +233,22 @@ func TestIncrementalChurnStaysCorrect(t *testing.T) {
 	}
 }
 
-// staleClusters counts compiled clusters whose pool no longer holds
-// MinCompressSize members. matchPool scans such pools and never reads
-// their cluster, so every one is memory that Stats, Clusters and
-// MemBytes count but nothing serves.
-func staleClusters(m *Matcher) int {
-	live := make(map[*betree.Pool]bool)
-	m.tree.Pools(func(p *betree.Pool) {
-		if len(p.Exprs) >= m.cfg.MinCompressSize {
-			live[p] = true
-		}
-	})
-	m.cmu.RLock()
-	defer m.cmu.RUnlock()
+// staleClusters counts the pools among pools, and among the tree's
+// pools, that hold a cluster state but fewer than MinCompressSize
+// members. matchPool scans such pools and never reads their cluster, so
+// every one is memory that nothing serves. The tree walk skips empty
+// pools, so a caller passes the pools a split may have emptied.
+func staleClusters(m *Matcher, pools ...*betree.Pool) int {
 	n := 0
-	for p := range m.clusters {
-		if !live[p] {
+	check := func(p *betree.Pool) {
+		if stateOf(p) != nil && len(p.Exprs) < m.cfg.MinCompressSize {
 			n++
 		}
 	}
+	for _, p := range pools {
+		check(p)
+	}
+	m.tree.Pools(check)
 	return n
 }
 
@@ -268,10 +262,10 @@ func TestSplitAndShrunkPoolsDropTheirClusters(t *testing.T) {
 	for i := range xs {
 		xs[i] = expr.MustNew(expr.ID(i+1), expr.Eq(1, expr.Value(i%vals)))
 	}
-	check := func(t *testing.T, m *Matcher, phase string, wantClusters, wantSlots int) {
+	check := func(t *testing.T, m *Matcher, root *betree.Pool, phase string, wantClusters, wantSlots int) {
 		t.Helper()
 		m.PrepareAll()
-		if s := staleClusters(m); s != 0 {
+		if s := staleClusters(m, root); s != 0 {
 			t.Fatalf("%s: %d compiled clusters belong to pools below MinCompressSize", phase, s)
 		}
 		if st := m.Stats(); st.CompiledClusters != wantClusters || st.MemberSlots != wantSlots {
@@ -295,6 +289,11 @@ func TestSplitAndShrunkPoolsDropTheirClusters(t *testing.T) {
 				}
 			}
 			m.PrepareAll()
+			var rootPool *betree.Pool
+			m.tree.Pools(func(p *betree.Pool) { rootPool = p })
+			if stateOf(rootPool) == nil {
+				t.Fatal("the full root pool compiled no cluster")
+			}
 			if bulk {
 				if k, err := m.InsertBulk(xs[root:]); err != nil || k != n-root {
 					t.Fatalf("InsertBulk = %d, %v", k, err)
@@ -306,7 +305,7 @@ func TestSplitAndShrunkPoolsDropTheirClusters(t *testing.T) {
 					}
 				}
 			}
-			check(t, m, "after the split", vals, n)
+			check(t, m, rootPool, "after the split", vals, n)
 
 			// Keep every member of values 45..49 and a tenth of the rest:
 			// 4 or 5 members each, below MinCompressSize.
@@ -315,7 +314,7 @@ func TestSplitAndShrunkPoolsDropTheirClusters(t *testing.T) {
 					m.Delete(xs[i].ID)
 				}
 			}
-			check(t, m, "after the deletes", 5, 5*n/vals)
+			check(t, m, rootPool, "after the deletes", 5, 5*n/vals)
 		})
 	}
 }

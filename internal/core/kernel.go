@@ -27,23 +27,12 @@ type kernelScratch struct {
 	// satisfied union entirely.
 	firstHits []*bitset.Posting
 
-	// eligIds collects the members found eligible by the candidate pass;
-	// alive is materialised from it only when it is non-empty (the common
-	// selective case skips the bitset entirely).
-	eligIds []int32
-
 	vt valueTable // dense attr → value table for the current event
 }
 
 type buffers struct {
 	alive *bitset.Bitset
 	sat   *bitset.Bitset
-	// mark holds the candidate-eligibility occurrence counters, packed
-	// epoch<<16 | count so one random access carries both the stamp and
-	// the count (epoch-stamping replaces a clear per event). The 16-bit
-	// epoch wraps every 64k events, at which point mark is cleared.
-	mark  []uint32
-	epoch uint32
 }
 
 type groupHit struct {
@@ -68,7 +57,6 @@ func (s *kernelScratch) get(n int) *buffers {
 		b = &buffers{
 			alive: bitset.New(n),
 			sat:   bitset.New(n),
-			mark:  make([]uint32, n),
 		}
 		s.bySize[n] = b
 	}
@@ -83,9 +71,11 @@ func (s *kernelScratch) get(n int) *buffers {
 //     universe — through attrDirect when the cluster has one, else by a
 //     merge-join of the two sorted attribute lists — and build the
 //     present mask (no hashing).
-//  2. Eligibility: one masked word-compare per member kills everyone
-//     constraining an attribute the event lacks, without touching the
-//     absent groups themselves.
+//  2. Eligibility: a member is eligible iff the event carries every
+//     attribute it constrains. Only the lead lists of the present
+//     groups and the members appended since finalize can hold one, and
+//     each of those gets one masked word-compare; absent groups and the
+//     other members are never touched.
 //  3. Per present group, in attribute order: one equality probe (binary
 //     search of the sorted eq union) plus evaluation of the distinct
 //     non-equality predicates yields the satisfied union;
@@ -148,84 +138,34 @@ func (c *compiled) matchCompressed(s *kernelScratch, e *expr.Event, dst []expr.I
 	}
 
 	// Step 2: eligibility. A member survives iff its attribute mask is
-	// covered by the present mask. An empty eligible set exits at once,
-	// and a sparse one makes the group loop's early exit bite sooner.
-	//
-	// Candidate-driven eligibility: an eligible member has every one of
-	// its attributes present, so it appears in the attrBits posting of
-	// each present group. When those postings are all sparse and their
-	// combined membership is smaller than the full mask sweep,
-	// enumerating them visits only members that can possibly survive —
-	// on heterogeneous clusters (many rare attributes) that is a handful
-	// of counter bumps instead of n mask checks.
-	cand := 0
-	for i := range s.hits {
-		ab := c.groups[s.hits[i].local].attrBits
-		if !ab.IsSparse() {
-			cand = -1
-			break
-		}
-		cand += ab.Count()
-	}
+	// covered by the present mask, and then in particular its lead
+	// attribute is present: enumerating the lead lists of the hit groups
+	// visits every member of slots [0, n0) that can survive, once each.
+	// Members appended since finalize, slots [n0, n), are in no lead
+	// list and are checked in one sweep bounded by the slack. A
+	// tombstoned member's mask carries the tombstone bit, which no
+	// present mask covers. An empty eligible set exits at once, and a
+	// sparse one makes the group loop's early exit bite sooner.
+	alive.ClearAll()
 	aw := alive.Words()
-	if cand >= 0 && cand*(c.awords+2) < c.n*c.awords {
-		// Count occurrences instead of re-checking masks: a member is
-		// eligible exactly when every one of its groups was visited, i.e.
-		// when its occurrence count reaches its distinct
-		// constrained-attribute count. Tombstoned members carry an
-		// unreachable count and can never trip the equality.
-		bufs.epoch++
-		if bufs.epoch&0xFFFF == 0 { // 16-bit stamp wrapped: clear stale marks
-			for i := range bufs.mark {
-				bufs.mark[i] = 0
-			}
-			bufs.epoch++
-		}
-		stamp := bufs.epoch << 16
-		mark, ac := bufs.mark, c.attrCnt
-		elig := s.eligIds[:0]
-		for i := range s.hits {
-			for _, id := range c.groups[s.hits[i].local].attrBits.Ids() {
-				v := mark[id]
-				if v&0xFFFF0000 == stamp {
-					v++
-				} else {
-					v = stamp | 1
-				}
-				mark[id] = v
-				if uint16(v) == ac[id] {
-					elig = append(elig, id)
-				}
-			}
-		}
-		s.eligIds = elig
-		if len(elig) == 0 {
-			return dst
-		}
-		alive.ClearAll()
-		for _, id := range elig {
-			aw[id>>6] |= 1 << (uint(id) & 63)
-		}
-	} else {
-		alive.ClearAll()
-		anyAlive := false
-		for m := 0; m < c.n; m++ {
-			mask := c.masks[m*c.awords : (m+1)*c.awords]
-			ok := true
-			for w := range mask {
-				if mask[w]&^present[w] != 0 {
-					ok = false
-					break
-				}
-			}
-			if ok {
+	anyAlive := false
+	for i := range s.hits {
+		li := s.hits[i].local
+		for _, m := range c.leadIds[c.leadOff[li]:c.leadOff[li+1]] {
+			if c.covered(int(m), present) {
 				aw[m>>6] |= 1 << (uint(m) & 63)
 				anyAlive = true
 			}
 		}
-		if !anyAlive {
-			return dst
+	}
+	for m := c.n0; m < c.n; m++ {
+		if c.covered(m, present) {
+			aw[m>>6] |= 1 << (uint(m) & 63)
+			anyAlive = true
 		}
+	}
+	if !anyAlive {
+		return dst
 	}
 
 	// Step 3: present groups, in attribute order. Group effects commute
@@ -316,6 +256,20 @@ func (c *compiled) matchCompressed(s *kernelScratch, e *expr.Event, dst []expr.I
 		}
 	}
 	return dst
+}
+
+// covered reports whether member m's attribute mask is covered by
+// present, i.e. whether the event carries every attribute m constrains.
+//
+//apcm:hotpath
+func (c *compiled) covered(m int, present []uint64) bool {
+	mask := c.masks[m*c.awords : (m+1)*c.awords]
+	for w := range mask {
+		if mask[w]&^present[w] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // valueTable is a dense attr → value index over the current event:

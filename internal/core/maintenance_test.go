@@ -143,8 +143,8 @@ func denseEqPostings(c *compiled) int {
 // first and strict predicates, equality values before, between and
 // after the compiled ones, deletes of members appended after compile,
 // repeated deletes — and after every step checks the compressed kernel
-// against the scan kernel on random events, and the running held total
-// against a walk. Each regime of maintRegimes reaches one layout: mostly
+// against the scan kernel on random events, the running held total
+// against a walk, and the lead-list invariant (checkLeads). Each regime of maintRegimes reaches one layout: mostly
 // sparse postings with an attrDirect table, dense equality unions, and a
 // universe too wide for attrDirect.
 func TestIncrementalMaintenanceDifferential(t *testing.T) {
@@ -164,6 +164,7 @@ func TestIncrementalMaintenanceDifferential(t *testing.T) {
 			check := func(step int, what string) {
 				t.Helper()
 				checkEqSorted(t, c)
+				checkLeads(t, c)
 				if h := c.heldBytes(); c.held != h {
 					t.Fatalf("regime %s seed %d step %d (%s): running held %d, walk %d",
 						rg.name, seed, step, what, c.held, h)

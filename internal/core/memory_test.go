@@ -34,7 +34,9 @@ func TestAccountedStructSizes(t *testing.T) {
 
 // compiledHeapBudget is the live heap, in bytes per member, that the
 // compiled clusters of TestCompiledClusterHeapBudget's pool set may
-// hold: the value measured for the current layout plus 15 %.
+// hold: 1 560 B, measured before the lead lists, plus 15 %. The lead
+// lists took the measured value to 1 577 B; the budget was left where
+// it was rather than raised with it.
 const compiledHeapBudget = 1560 * 1.15
 
 // TestCompiledClusterHeapBudget is the heap regression gate of the
