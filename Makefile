@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race allocs fault fault-repl fuzz lint lint-json lint-smoke lint-baseline bench-smoke loc clean
+.PHONY: all build test race allocs fault fault-repl fuzz apcm-lint lint lint-json lint-smoke bench-smoke loc clean
 
 all: build lint test
 
@@ -65,35 +65,35 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScanner -fuzztime 30s ./internal/commitlog/
 	$(GO) test -run '^$$' -fuzz FuzzClientFrame -fuzztime 10s ./broker/
 
-# The apcm analyzer suite (internal/lint) over the whole module.
-# Findings listed in .apcm-lint-baseline are reported but tolerated;
-# anything new fails. Raw (baseline-blind) equivalent:
-#   go build -o apcm-lint ./cmd/apcm-lint && go vet -vettool=$$PWD/apcm-lint ./...
-lint:
-	$(GO) run ./cmd/apcm-lint ./...
+# The apcm analyzer suite (internal/lint) as a go vet tool. Phony so it
+# always rebuilds; the build cache makes that cheap.
+apcm-lint:
+	$(GO) build -o apcm-lint ./cmd/apcm-lint
 
-# Rewrite .apcm-lint-baseline from the current findings. Deliberate,
-# local-only: CI never regenerates it, and every entry kept must carry a
-# justification in DESIGN.md §7.
-lint-baseline:
-	$(GO) run ./cmd/apcm-lint -write-baseline ./...
+# The analyzer suite over the whole module: any finding fails.
+lint: apcm-lint
+	$(GO) vet -vettool=$(CURDIR)/apcm-lint ./...
 
 # Machine-readable diagnostics (go vet -json format), for CI artifacts.
-lint-json:
-	$(GO) run ./cmd/apcm-lint -json ./... > apcm-lint.json || true
-	@cat apcm-lint.json
+# go vet -json exits 0 with findings, so this fails only when the run
+# itself breaks.
+lint-json: apcm-lint
+	$(GO) vet -vettool=$(CURDIR)/apcm-lint -json ./... 2> apcm-lint.json; \
+	status=$$?; cat apcm-lint.json; exit $$status
 
 # Prove the gate fires: the smoke package seeds one violation per
 # analyzer behind a build tag; this target FAILS unless every analyzer
-# apcm-lint -list names has a finding in the smoke run's -json output,
-# so one analyzer that stops firing cannot hide behind the others.
-lint-smoke:
-	@names=$$($(GO) run ./cmd/apcm-lint -list) || exit 1; \
-	[ -n "$$names" ] || { echo "lint-smoke: apcm-lint -list named no analyzer" >&2; exit 1; }; \
-	out=$$($(GO) run ./cmd/apcm-lint -json -tags apcmlint_smoke ./internal/lint/smoke); \
+# apcm-lint -flags names ("enable X analysis") has a finding in the
+# smoke run's -json output, so one analyzer that stops firing cannot
+# hide behind the others.
+lint-smoke: apcm-lint
+	@names=$$(./apcm-lint -flags | sed -n 's/.*"enable \(.*\) analysis".*/\1/p'); \
+	[ -n "$$names" ] || { echo "lint-smoke: apcm-lint -flags named no analyzer" >&2; exit 1; }; \
+	out=$$($(GO) vet -vettool=$(CURDIR)/apcm-lint -json -tags apcmlint_smoke ./internal/lint/smoke 2>&1) || \
+		{ printf '%s\n' "$$out" >&2; exit 1; }; \
 	missing=; \
 	for a in $$names; do \
-		printf '%s\n' "$$out" | grep -q "\"analyzer\": \"$$a\"" || missing="$$missing $$a"; \
+		printf '%s\n' "$$out" | grep -q "\"$$a\": \[" || missing="$$missing $$a"; \
 	done; \
 	if [ -n "$$missing" ]; then \
 		echo "lint-smoke: no finding from:$$missing" >&2; exit 1; \

@@ -100,3 +100,28 @@ func TestMatchBatchIntoSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatalf("MatchBatchInto allocates %.2f/op in steady state, want 0", avg)
 	}
 }
+
+// TestMatchBatchDoesNotAllocateBeyondResults gates the MatchBatch
+// wrapper: it borrows its packed BatchResult from a pool and returns it,
+// so a steady-state call allocates the outer slice and one copy per
+// non-empty segment, nothing more.
+func TestMatchBatchDoesNotAllocateBeyondResults(t *testing.T) {
+	skipUnderRace(t)
+	e, events := allocEngine(t, 41, 3000)
+	batch := events[:128]
+	want := 1.0
+	for _, ids := range e.MatchBatch(batch) {
+		if len(ids) > 0 {
+			want++
+		}
+	}
+	for k := 0; k < 8; k++ { // warm the result pool and the scratch
+		e.MatchBatch(batch)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		e.MatchBatch(batch)
+	})
+	if avg > want+allocTolerance {
+		t.Fatalf("MatchBatch allocates %.2f/op in steady state, want %.0f (1 + non-empty segments)", avg, want)
+	}
+}

@@ -25,7 +25,7 @@ import (
 //
 //   - prefix oracle: the follower's record stream is byte-identical to
 //     the leader's on the prefix both hold; promotion never fabricates
-//     or reorders history below PromotedAt,
+//     or reorders history below promotedAt,
 //   - epoch fencing: a promotion bumps the epoch exactly once, the
 //     partitioned stale leader ends fenced at the promoted epoch, and a
 //     crash-restarted follower re-follows at epoch 0 without inventing
@@ -168,7 +168,7 @@ func runReplCrashSchedule(t *testing.T, rng *rand.Rand) {
 		s.Follow = lAddr
 		s.NodeID = "f1"
 		if plan.mode == modePartition {
-			s.ReplDial = dialer.dial
+			s.replDial = dialer.dial
 		}
 		if plan.mode == modeFollowerCrash {
 			s.Log.Failpoint = followerFailpoint
@@ -223,7 +223,7 @@ func runLeaderKill(t *testing.T, plan replCrashPlan, leader *Server, leaderDir s
 	if e := follower.epoch.Load(); e != 1 {
 		t.Fatalf("promoted follower at epoch %d, want 1", e)
 	}
-	at, ok := follower.PromotedAt()
+	at, ok := uint64(follower.promotedAt.Load()), follower.promoted.Load()
 	if !ok {
 		t.Fatal("promoted follower reports no promotion offset")
 	}
@@ -231,7 +231,7 @@ func runLeaderKill(t *testing.T, plan replCrashPlan, leader *Server, leaderDir s
 		t.Fatalf("promoted at offset %d, below kill point %d", at, plan.killAt)
 	}
 
-	// Prefix oracle: everything below PromotedAt is the old regime's
+	// Prefix oracle: everything below promotedAt is the old regime's
 	// history and must match the leader's log byte for byte.
 	leaderNext, leaderRecs := offlineRecords(t, leaderDir, at)
 	if at > leaderNext {
@@ -359,16 +359,16 @@ func runStalePartition(t *testing.T, plan replCrashPlan, leader, follower *Serve
 	if e := follower.epoch.Load(); e != 1 {
 		t.Fatalf("promoted follower at epoch %d, want 1", e)
 	}
-	at, ok := follower.PromotedAt()
+	at, ok := uint64(follower.promotedAt.Load()), follower.promoted.Load()
 	if !ok || at < uint64(plan.killAt) || at > total {
-		t.Fatalf("PromotedAt = %d,%v, want [%d,%d]", at, ok, plan.killAt, total)
+		t.Fatalf("promotedAt = %d,%v, want [%d,%d]", at, ok, plan.killAt, total)
 	}
 	waitFor(t, "stale leader fenced", func() bool { return leader.Role() == "fenced" })
 	if le, fe := leader.epoch.Load(), follower.epoch.Load(); le != fe {
 		t.Fatalf("fenced leader at epoch %d, promoted follower at %d", le, fe)
 	}
 
-	// Prefix oracle: the promoted regime's history below PromotedAt is
+	// Prefix oracle: the promoted regime's history below promotedAt is
 	// the old leader's, verbatim. The fenced leader's log object is
 	// still readable in-process.
 	if leaderNext := leader.log.NextOffset(); at > leaderNext {

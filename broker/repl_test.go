@@ -282,7 +282,7 @@ func TestAsymmetricPartitionFencesStaleLeader(t *testing.T) {
 	follower, _ := startReplServer(t, t.TempDir(), func(s *Server) {
 		s.Follow = lAddr
 		s.NodeID = "f1"
-		s.ReplDial = dialer.dial
+		s.replDial = dialer.dial
 	})
 	c, rec := attachConsumer(t, lAddr, "split")
 	for seq := 0; seq < 10; seq++ {
@@ -302,9 +302,9 @@ func TestAsymmetricPartitionFencesStaleLeader(t *testing.T) {
 	if e := follower.epoch.Load(); e < 1 {
 		t.Fatalf("promoted follower at epoch %d, want >= 1", e)
 	}
-	at, ok := follower.PromotedAt()
+	at, ok := uint64(follower.promotedAt.Load()), follower.promoted.Load()
 	if !ok || at != 10 {
-		t.Fatalf("PromotedAt = %d,%v, want 10,true", at, ok)
+		t.Fatalf("promotedAt = %d,%v, want 10,true", at, ok)
 	}
 	// The fence flows follower→leader, which the partition spares.
 	waitFor(t, "stale leader fenced", func() bool { return leader.Role() == "fenced" })

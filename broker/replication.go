@@ -37,16 +37,6 @@ func roleName(r int32) string {
 // "follower", or "fenced".
 func (s *Server) Role() string { return roleName(s.role.Load()) }
 
-// PromotedAt reports the commit-log offset at which this server
-// promoted itself from follower to leader, and whether it ever did.
-// Offsets below it were ingested from the old leader (a verbatim
-// prefix); offsets at or above it are this server's own appends — the
-// boundary the crash matrix's prefix oracle compares up to.
-func (s *Server) PromotedAt() (uint64, bool) {
-	v := s.promotedAt.Load()
-	return uint64(v), s.promoted.Load()
-}
-
 // replHeartbeat is the follower→leader ping cadence and the leader's
 // offset-journal shipping cadence.
 func (s *Server) replHeartbeat() time.Duration {
@@ -213,10 +203,14 @@ func (c *conn) handleReplHello(body []byte) error {
 // caught up. One goroutine per attached replica; exits when the
 // connection dies.
 //
-// Commit ordering is inherited: everything read here is below the
-// committed watermark.
-//
-//apcm:durable
+// It carries no //apcm:durable annotation although it emits the frames
+// a follower's durability is built from: it never commits anything
+// itself, so its sends cannot be dominated by a same-function
+// Append/Sync. Commit ordering is inherited instead: ReadBatches and
+// WaitCommitted only ever surface records below the committed
+// watermark, so the shipped stream never outruns the leader's fsync.
+// The replication crash matrix (make fault-repl) checks that
+// dynamically.
 func (c *conn) replSender(next uint64) {
 	s := c.s
 	for !c.dead() {

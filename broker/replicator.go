@@ -85,8 +85,8 @@ func (s *Server) runReplicator() {
 }
 
 func (s *Server) dialLeader() (net.Conn, error) {
-	if s.ReplDial != nil {
-		return s.ReplDial(s.Follow)
+	if s.replDial != nil {
+		return s.replDial(s.Follow)
 	}
 	return net.DialTimeout("tcp", s.Follow, s.replTimeout())
 }

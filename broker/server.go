@@ -94,10 +94,10 @@ type Server struct {
 	// included) before promoting itself to leader. Defaults to 3s. Set
 	// before Serve.
 	ReplTimeout time.Duration
-	// ReplDial, when non-nil, replaces net.Dial("tcp", Follow) for the
+	// replDial, when non-nil, replaces net.Dial("tcp", Follow) for the
 	// replication connection — the fault-injection hook the partition
 	// schedules use. Set before Serve.
-	ReplDial func(addr string) (net.Conn, error)
+	replDial func(addr string) (net.Conn, error)
 
 	mu        sync.RWMutex            //apcm:lockrank=1
 	subs      map[expr.ID]*subscriber // engine id -> owner
@@ -130,6 +130,11 @@ type Server struct {
 	// Replication state. role/epoch are atomics because the frame
 	// dispatcher gates on them per frame; replica (the attached
 	// follower's connection, nil when none) is guarded by mu.
+	// promotedAt is the log offset at which this server promoted itself
+	// from follower to leader, valid once promoted is set: offsets below
+	// it were ingested from the old leader, offsets at or above it are
+	// its own appends (the boundary the crash matrix's prefix oracle
+	// checks).
 	role       atomic.Int32
 	epoch      atomic.Uint64
 	promoted   atomic.Bool

@@ -187,6 +187,12 @@ func TestDurableCommitFailureDropsFrame(t *testing.T) {
 	if r := recvDurable(t, durables); r.off != 0 {
 		t.Fatalf("healthy delivery at offset %d, want 0", r.off)
 	}
+	// writeDurable counts a frame delivered only after writing it, so
+	// the client can hold frame 0 before Stats does.
+	waitFor(t, "the healthy delivery to be counted", func() bool {
+		_, del := srv.Stats()
+		return del == 1
+	})
 	armed.Store(true)
 	if err := pub.Publish(crashEvent(1)); err != nil {
 		t.Fatal(err)

@@ -64,7 +64,6 @@ type Pool struct {
 	// (the compressed matcher's cluster), published atomically so that
 	// matchers read it without a lock or a map lookup. The tree never
 	// reads or writes it; its owner stores one concrete type only.
-	//apcm:publish
 	Derived atomic.Value
 }
 

@@ -35,13 +35,6 @@ func New(n int) *Bitset {
 	return &Bitset{words: make([]uint64, wordsFor(n)), n: n}
 }
 
-// NewFull returns a Bitset with capacity n and all n bits set.
-func NewFull(n int) *Bitset {
-	b := New(n)
-	b.SetAll()
-	return b
-}
-
 // InitView points an existing Bitset value at words without allocating
 // or copying: len(words) must equal wordsFor(n), and the caller keeps
 // ownership of the backing array. The cluster arena uses it to lay a
@@ -83,26 +76,10 @@ func (b *Bitset) Test(i int) bool {
 	return b.words[i>>wordShift]&(1<<(uint(i)&wordMask)) != 0
 }
 
-// SetAll sets every bit in [0, Len).
-func (b *Bitset) SetAll() {
-	for i := range b.words {
-		b.words[i] = ^uint64(0)
-	}
-	b.trim()
-}
-
 // ClearAll clears every bit.
 func (b *Bitset) ClearAll() {
 	for i := range b.words {
 		b.words[i] = 0
-	}
-}
-
-// trim zeroes the unused high bits of the last word so that popcounts and
-// equality stay exact.
-func (b *Bitset) trim() {
-	if rem := uint(b.n) & wordMask; rem != 0 && len(b.words) > 0 {
-		b.words[len(b.words)-1] &= (1 << rem) - 1
 	}
 }
 
@@ -128,13 +105,6 @@ func (b *Bitset) None() bool {
 // Any reports whether at least one bit is set.
 func (b *Bitset) Any() bool { return !b.None() }
 
-// And sets b = b AND other in place.
-//
-//apcm:hotpath
-func (b *Bitset) And(other *Bitset) {
-	andWords(b.words, other.words)
-}
-
 // AndNot sets b = b AND NOT other in place. This is the kernel of
 // compressed matching: killing every subscription that contains a failed
 // predicate. It returns true when b became empty, enabling early exit.
@@ -159,16 +129,6 @@ func (b *Bitset) AndUnion(sat, mask *Bitset) bool {
 //apcm:hotpath
 func (b *Bitset) Or(other *Bitset) {
 	orWords(b.words, other.words)
-}
-
-// Xor sets b = b XOR other in place.
-func (b *Bitset) Xor(other *Bitset) {
-	bw := b.words
-	ow := other.words[:len(bw)]
-	for i := range bw {
-		bw[i] ^= ow[i]
-	}
-	b.trim()
 }
 
 // CopyFrom overwrites b with other. Capacities must match.
@@ -198,43 +158,6 @@ func (b *Bitset) Equal(other *Bitset) bool {
 		}
 	}
 	return true
-}
-
-// NextSet returns the index of the first set bit at or after i, or -1 if
-// none exists. Use it for allocation-free iteration:
-//
-//	for i := b.NextSet(0); i >= 0; i = b.NextSet(i + 1) { ... }
-//
-//apcm:hotpath
-func (b *Bitset) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= b.n {
-		return -1
-	}
-	wi := i >> wordShift
-	if w := b.words[wi] >> (uint(i) & wordMask); w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	wi = nextNonzeroWord(b.words, wi+1)
-	if wi < 0 {
-		return -1
-	}
-	return wi<<wordShift + bits.TrailingZeros64(b.words[wi])
-}
-
-// AppendSet appends the indexes of all set bits to dst and returns it.
-// Zero words are skipped by nextNonzeroWord and set words drained with
-// the branch-free trailing-zeros strip loop, so sparse and dense sets
-// both pay only for what is actually set.
-//
-//apcm:hotpath
-func (b *Bitset) AppendSet(dst []int) []int {
-	for wi := nextNonzeroWord(b.words, 0); wi >= 0; wi = nextNonzeroWord(b.words, wi+1) {
-		dst = appendSetBits(dst, wi<<wordShift, b.words[wi])
-	}
-	return dst
 }
 
 // ForEach calls fn for every set bit in ascending order. If fn returns

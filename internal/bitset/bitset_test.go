@@ -11,9 +11,10 @@ func TestNewEmpty(t *testing.T) {
 	if b.Len() != 0 || b.Count() != 0 || !b.None() {
 		t.Fatalf("zero-capacity bitset not empty: len=%d count=%d", b.Len(), b.Count())
 	}
-	if got := b.NextSet(0); got != -1 {
-		t.Fatalf("NextSet on empty = %d, want -1", got)
-	}
+	b.ForEach(func(i int) bool {
+		t.Fatalf("ForEach on empty visited %d", i)
+		return false
+	})
 }
 
 func TestSetTestClear(t *testing.T) {
@@ -41,29 +42,18 @@ func TestSetTestClear(t *testing.T) {
 	}
 }
 
-func TestSetAllTrims(t *testing.T) {
-	for _, n := range []int{1, 63, 64, 65, 100, 128, 129} {
-		b := New(n)
-		b.SetAll()
-		if b.Count() != n {
-			t.Errorf("n=%d: SetAll count = %d", n, b.Count())
-		}
+// full returns a Bitset with capacity n and all n bits set.
+func full(n int) *Bitset {
+	b := New(n)
+	for i := 0; i < n; i++ {
+		b.Set(i)
 	}
-}
-
-func TestNewFull(t *testing.T) {
-	b := NewFull(70)
-	if b.Count() != 70 {
-		t.Fatalf("NewFull(70).Count() = %d", b.Count())
-	}
-	if !b.Test(69) || b.Test(69) != true {
-		t.Fatal("high bit not set")
-	}
+	return b
 }
 
 func TestAndNotEarlyZero(t *testing.T) {
-	a := NewFull(130)
-	k := NewFull(130)
+	a := full(130)
+	k := full(130)
 	if !a.AndNot(k) {
 		t.Fatal("AndNot against full mask should report empty")
 	}
@@ -71,7 +61,7 @@ func TestAndNotEarlyZero(t *testing.T) {
 		t.Fatal("expected empty result")
 	}
 
-	a = NewFull(130)
+	a = full(130)
 	k = New(130)
 	k.Set(5)
 	if a.AndNot(k) {
@@ -85,56 +75,8 @@ func TestAndNotEarlyZero(t *testing.T) {
 	}
 }
 
-func TestNextSet(t *testing.T) {
-	b := New(300)
-	want := []int{3, 64, 65, 150, 299}
-	for _, i := range want {
-		b.Set(i)
-	}
-	var got []int
-	for i := b.NextSet(0); i >= 0; i = b.NextSet(i + 1) {
-		got = append(got, i)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("iterated %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("iterated %v, want %v", got, want)
-		}
-	}
-	if b.NextSet(300) != -1 || b.NextSet(1000) != -1 {
-		t.Fatal("NextSet past capacity should be -1")
-	}
-	if b.NextSet(-5) != 3 {
-		t.Fatal("NextSet with negative start should begin at 0")
-	}
-}
-
-func TestAppendSetMatchesForEach(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	b := New(500)
-	for i := 0; i < 120; i++ {
-		b.Set(rng.Intn(500))
-	}
-	app := b.AppendSet(nil)
-	var fe []int
-	b.ForEach(func(i int) bool { fe = append(fe, i); return true })
-	if len(app) != len(fe) {
-		t.Fatalf("AppendSet %d items, ForEach %d", len(app), len(fe))
-	}
-	for i := range app {
-		if app[i] != fe[i] {
-			t.Fatalf("mismatch at %d: %d vs %d", i, app[i], fe[i])
-		}
-	}
-	if len(app) != b.Count() {
-		t.Fatalf("iteration found %d bits, Count says %d", len(app), b.Count())
-	}
-}
-
 func TestForEachEarlyStop(t *testing.T) {
-	b := NewFull(100)
+	b := full(100)
 	n := 0
 	b.ForEach(func(i int) bool { n++; return n < 7 })
 	if n != 7 {
@@ -198,19 +140,20 @@ func randomSet(n int, seed int64) *Bitset {
 }
 
 func TestPropDeMorgan(t *testing.T) {
-	// a AND NOT b == a XOR (a AND b)
+	// NOT (b AND NOT a) == a OR NOT b, with NOT x computed as
+	// full AND NOT x and a OR NOT b as full AND (a OR NOT b).
 	f := func(seedA, seedB int64, nRaw uint16) bool {
 		n := int(nRaw%512) + 1
 		a := randomSet(n, seedA)
 		b := randomSet(n, seedB)
 
-		lhs := a.Clone()
-		lhs.AndNot(b)
+		bNotA := b.Clone()
+		bNotA.AndNot(a)
+		lhs := full(n)
+		lhs.AndNot(bNotA)
 
-		rhs := a.Clone()
-		ab := a.Clone()
-		ab.And(b)
-		rhs.Xor(ab)
+		rhs := full(n)
+		rhs.AndUnion(a, b)
 
 		return lhs.Equal(rhs)
 	}
@@ -220,16 +163,16 @@ func TestPropDeMorgan(t *testing.T) {
 }
 
 func TestPropUnionCount(t *testing.T) {
-	// |a OR b| == |a| + |b| - |a AND b|
+	// |a OR b| == |a| + |b AND NOT a|
 	f := func(seedA, seedB int64, nRaw uint16) bool {
 		n := int(nRaw%512) + 1
 		a := randomSet(n, seedA)
 		b := randomSet(n, seedB)
 		or := a.Clone()
 		or.Or(b)
-		and := a.Clone()
-		and.And(b)
-		return or.Count() == a.Count()+b.Count()-and.Count()
+		bNotA := b.Clone()
+		bNotA.AndNot(a)
+		return or.Count() == a.Count()+bNotA.Count()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -237,15 +180,19 @@ func TestPropUnionCount(t *testing.T) {
 }
 
 func TestPropAndNotDisjoint(t *testing.T) {
-	// (a AND NOT b) AND b == empty
+	// no bit of a AND NOT b is in b
 	f := func(seedA, seedB int64, nRaw uint16) bool {
 		n := int(nRaw%512) + 1
 		a := randomSet(n, seedA)
 		b := randomSet(n, seedB)
 		d := a.Clone()
 		d.AndNot(b)
-		d.And(b)
-		return d.None()
+		disjoint := true
+		d.ForEach(func(i int) bool {
+			disjoint = !b.Test(i)
+			return disjoint
+		})
+		return disjoint
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -305,56 +252,12 @@ func TestNegativeCapacityPanics(t *testing.T) {
 }
 
 func BenchmarkAndNot4096(b *testing.B) {
-	x := NewFull(4096)
+	x := full(4096)
 	y := randomSet(4096, 7)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		x.AndNot(y)
 	}
-}
-
-func BenchmarkNextSetSparse(b *testing.B) {
-	x := New(65536)
-	for i := 0; i < 65536; i += 1024 {
-		x.Set(i)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for j := x.NextSet(0); j >= 0; j = x.NextSet(j + 1) {
-		}
-	}
-}
-
-// denseSet fills every other bit: the worst case for NextSet-loop
-// iteration (every call rescans its word from the start).
-func denseSet(n int) *Bitset {
-	b := New(n)
-	for i := 0; i < n; i += 2 {
-		b.Set(i)
-	}
-	return b
-}
-
-func BenchmarkIterationDense(b *testing.B) {
-	x := denseSet(65536)
-	b.Run("NextSetLoop", func(b *testing.B) {
-		b.ReportAllocs()
-		sum := 0
-		for i := 0; i < b.N; i++ {
-			for j := x.NextSet(0); j >= 0; j = x.NextSet(j + 1) {
-				sum += j
-			}
-		}
-		sinkInt = sum
-	})
-	b.Run("AppendSet", func(b *testing.B) {
-		b.ReportAllocs()
-		var buf []int
-		for i := 0; i < b.N; i++ {
-			buf = x.AppendSet(buf[:0])
-		}
-		sinkInt = len(buf)
-	})
 }
 
 var sinkInt int
@@ -370,7 +273,7 @@ func BenchmarkCount4096(b *testing.B) {
 }
 
 func BenchmarkAndUnion4096(b *testing.B) {
-	x := NewFull(4096)
+	x := full(4096)
 	s := randomSet(4096, 3)
 	m := randomSet(4096, 5)
 	b.ReportAllocs()

@@ -69,9 +69,6 @@ func xgetbv() (eax, edx uint32)
 // tails for the words past the last full vector block.
 
 //go:noescape
-func andWordsAVX2(dst, src []uint64)
-
-//go:noescape
 func orWordsAVX2(dst, src []uint64)
 
 //go:noescape
@@ -91,17 +88,6 @@ func sparseSetWordsAVX2(dst []uint64, ids []int32)
 
 //go:noescape
 func sparseClearWordsAVX2(dst []uint64, ids []int32)
-
-//go:noescape
-func sparseAndUnionWordsAVX2(dst, sat []uint64, ids []int32)
-
-func andWords(dst, src []uint64) {
-	if useAVX2 {
-		andWordsAVX2(dst, src)
-		return
-	}
-	andWordsGeneric(dst, src)
-}
 
 func orWords(dst, src []uint64) {
 	if useAVX2 {
@@ -154,12 +140,4 @@ func sparseClearWords(dst []uint64, ids []int32) {
 		return
 	}
 	sparseClearWordsGeneric(dst, ids)
-}
-
-func sparseAndUnionWords(dst, sat []uint64, ids []int32) {
-	if useAVX2 {
-		sparseAndUnionWordsAVX2(dst, sat, ids)
-		return
-	}
-	sparseAndUnionWordsGeneric(dst, sat, ids)
 }

@@ -13,7 +13,6 @@ package bitset
 // CPU supports them. Always false in this build mode.
 const HaveAVX2 = false
 
-func andWords(dst, src []uint64)  { andWordsGeneric(dst, src) }
 func orWords(dst, src []uint64)   { orWordsGeneric(dst, src) }
 func copyWords(dst, src []uint64) { copyWordsGeneric(dst, src) }
 
@@ -27,7 +26,3 @@ func popcntWords(w []uint64) int { return popcntWordsGeneric(w) }
 
 func sparseSetWords(dst []uint64, ids []int32)   { sparseSetWordsGeneric(dst, ids) }
 func sparseClearWords(dst []uint64, ids []int32) { sparseClearWordsGeneric(dst, ids) }
-
-func sparseAndUnionWords(dst, sat []uint64, ids []int32) {
-	sparseAndUnionWordsGeneric(dst, sat, ids)
-}

@@ -30,29 +30,6 @@ package bitset
 
 import "math/bits"
 
-// andWordsGeneric sets dst[i] &= src[i].
-func andWordsGeneric(dst, src []uint64) {
-	src = src[:len(dst)]
-	for len(dst) >= 8 && len(src) >= 8 {
-		d := dst[:8:8]
-		s := src[:8:8]
-		d[0] &= s[0]
-		d[1] &= s[1]
-		d[2] &= s[2]
-		d[3] &= s[3]
-		d[4] &= s[4]
-		d[5] &= s[5]
-		d[6] &= s[6]
-		d[7] &= s[7]
-		dst = dst[8:]
-		src = src[8:]
-	}
-	src = src[:len(dst)]
-	for i := range dst {
-		dst[i] &= src[i]
-	}
-}
-
 // orWordsGeneric sets dst[i] |= src[i].
 func orWordsGeneric(dst, src []uint64) {
 	src = src[:len(dst)]
@@ -185,45 +162,4 @@ func sparseClearWordsGeneric(dst []uint64, ids []int32) {
 	for _, id := range ids {
 		dst[uint(id)>>wordShift] &^= 1 << (uint(id) & wordMask)
 	}
-}
-
-// sparseAndUnionWordsGeneric clears bit id of dst for every id whose
-// sat bit is unset: the sparse AndUnionInto scatter loop. The body is
-// branch-free — bit &^ satWord is the bit itself when unsatisfied and
-// zero when satisfied — because the satisfied/unsatisfied mix is
-// workload-dependent and mispredicts dominate the branchy version.
-func sparseAndUnionWordsGeneric(dst, sat []uint64, ids []int32) {
-	for _, id := range ids {
-		wi := uint(id) >> wordShift
-		bit := uint64(1) << (uint(id) & wordMask)
-		dst[wi] &^= bit &^ sat[wi]
-	}
-}
-
-// --- shared set-bit scan helpers -------------------------------------
-//
-// NextSet, AppendSet and ForEach all walk set bits the same way:
-// find the next nonzero word, then strip bits off it low-to-high with
-// the branch-free trailing-zeros idiom (w &= w-1 removes the bit just
-// visited; no per-bit test-and-shift). The helpers below are that loop,
-// written once.
-
-// nextNonzeroWord returns the index of the first nonzero word at or
-// after wi, or -1 when the rest of the slice is zero.
-func nextNonzeroWord(words []uint64, wi int) int {
-	for ; wi < len(words) && wi >= 0; wi++ {
-		if words[wi] != 0 {
-			return wi
-		}
-	}
-	return -1
-}
-
-// appendSetBits appends base+TrailingZeros64 for every set bit of w, in
-// ascending order, and returns dst.
-func appendSetBits(dst []int, base int, w uint64) []int {
-	for ; w != 0; w &= w - 1 {
-		dst = append(dst, base+bits.TrailingZeros64(w))
-	}
-	return dst
 }

@@ -21,40 +21,8 @@
 // The sparse scatter loops are scalar by nature (one random
 // read-modify-write per id); their win over the Go twins is
 // SHLX/ANDN — flagless shifts by an arbitrary register count with no
-// CL shuffling and no branch in the and-union body. They require BMI1+
-// BMI2, which detectAVX2 gates alongside AVX2 itself.
-
-// func andWordsAVX2(dst, src []uint64)
-TEXT ·andWordsAVX2(SB), NOSPLIT, $0-48
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ src_base+24(FP), SI
-	XORQ DX, DX
-
-and_blk8:
-	LEAQ 8(DX), BX
-	CMPQ BX, CX
-	JA   and_tail
-	VMOVDQU (DI)(DX*8), Y0
-	VMOVDQU 32(DI)(DX*8), Y1
-	VPAND   (SI)(DX*8), Y0, Y0
-	VPAND   32(SI)(DX*8), Y1, Y1
-	VMOVDQU Y0, (DI)(DX*8)
-	VMOVDQU Y1, 32(DI)(DX*8)
-	MOVQ BX, DX
-	JMP  and_blk8
-
-and_tail:
-	CMPQ DX, CX
-	JGE  and_done
-	MOVQ (SI)(DX*8), AX
-	ANDQ AX, (DI)(DX*8)
-	INCQ DX
-	JMP  and_tail
-
-and_done:
-	VZEROUPPER
-	RET
+// CL shuffling. They require BMI1+BMI2, which detectAVX2 gates
+// alongside AVX2 itself.
 
 // func orWordsAVX2(dst, src []uint64)
 TEXT ·orWordsAVX2(SB), NOSPLIT, $0-48
@@ -307,33 +275,4 @@ sc_loop:
 	JMP   sc_loop
 
 sc_done:
-	RET
-
-// func sparseAndUnionWordsAVX2(dst, sat []uint64, ids []int32)
-//
-// Branch-free: bit &^ satWord is the bit itself when the member is
-// unsatisfied and zero when satisfied, so the clear is unconditional.
-TEXT ·sparseAndUnionWordsAVX2(SB), NOSPLIT, $0-72
-	MOVQ dst_base+0(FP), DI
-	MOVQ sat_base+24(FP), R10
-	MOVQ ids_base+48(FP), SI
-	MOVQ ids_len+56(FP), CX
-	XORQ DX, DX
-
-sa_loop:
-	CMPQ DX, CX
-	JGE  sa_done
-	MOVLQSX (SI)(DX*4), BX
-	MOVQ  BX, R8
-	SHRQ  $6, R8
-	MOVQ  $1, R9
-	SHLXQ BX, R9, R9
-	MOVQ  (R10)(R8*8), R11          // sat word
-	ANDNQ R9, R11, R9               // ^sat & bit: survives only if unsatisfied
-	NOTQ  R9
-	ANDQ  R9, (DI)(R8*8)
-	INCQ  DX
-	JMP   sa_loop
-
-sa_done:
 	RET

@@ -25,12 +25,6 @@ import (
 // Reference kernels: one obvious word loop each, no unrolling, no
 // accumulator tricks.
 
-func refAnd(dst, src []uint64) {
-	for i := range dst {
-		dst[i] &= src[i]
-	}
-}
-
 func refOr(dst, src []uint64) {
 	for i := range dst {
 		dst[i] |= src[i]
@@ -80,15 +74,6 @@ func refSparseSet(dst []uint64, ids []int32) {
 func refSparseClear(dst []uint64, ids []int32) {
 	for _, id := range ids {
 		dst[id>>wordShift] &^= 1 << (uint(id) & wordMask)
-	}
-}
-
-func refSparseAndUnion(dst, sat []uint64, ids []int32) {
-	for _, id := range ids {
-		bit := uint64(1) << (uint(id) & wordMask)
-		if sat[id>>wordShift]&bit == 0 {
-			dst[id>>wordShift] &^= bit
-		}
 	}
 }
 
@@ -161,11 +146,6 @@ func diffBinary(t *testing.T, name string,
 // serves all binary kernels.
 func adapt(f func(dst, src []uint64)) func(dst, src []uint64) uint64 {
 	return func(dst, src []uint64) uint64 { f(dst, src); return 0 }
-}
-
-func TestKernelDiffAnd(t *testing.T) {
-	diffBinary(t, "andWords", adapt(andWords), adapt(refAnd))
-	diffBinary(t, "andWordsGeneric", adapt(andWordsGeneric), adapt(refAnd))
 }
 
 func TestKernelDiffOr(t *testing.T) {
@@ -299,17 +279,6 @@ func TestKernelDiffSparse(t *testing.T) {
 					}
 				}
 
-				dst = randWords(rng, n, off)
-				sat := randWords(rng, n, off)
-				want = cloneWords(dst)
-				refSparseAndUnion(want, sat, ids)
-				sparseAndUnionWords(dst, sat, ids)
-				for i := range dst {
-					if dst[i] != want[i] {
-						t.Fatalf("sparseAndUnionWords: n=%d k=%d word %d = %#x, want %#x", n, k, i, dst[i], want[i])
-					}
-				}
-
 				// Generic twins.
 				dst = randWords(rng, n, off)
 				want = cloneWords(dst)
@@ -318,15 +287,6 @@ func TestKernelDiffSparse(t *testing.T) {
 				for i := range dst {
 					if dst[i] != want[i] {
 						t.Fatalf("sparseSetWordsGeneric: n=%d k=%d word %d mismatch", n, k, i)
-					}
-				}
-				dst = randWords(rng, n, off)
-				want = cloneWords(dst)
-				refSparseAndUnion(want, sat, ids)
-				sparseAndUnionWordsGeneric(dst, sat, ids)
-				for i := range dst {
-					if dst[i] != want[i] {
-						t.Fatalf("sparseAndUnionWordsGeneric: n=%d k=%d word %d mismatch", n, k, i)
 					}
 				}
 			}
@@ -475,18 +435,8 @@ func FuzzKernelDense(f *testing.F) {
 		}
 
 		x := cloneWords(a)
-		refAnd(x, b)
-		y := cloneWords(a)
-		andWords(y, b)
-		for i := range x {
-			if x[i] != y[i] {
-				t.Fatalf("and word %d: %#x != %#x", i, y[i], x[i])
-			}
-		}
-
-		x = cloneWords(a)
 		refOr(x, b)
-		y = cloneWords(a)
+		y := cloneWords(a)
 		orWords(y, b)
 		for i := range x {
 			if x[i] != y[i] {
@@ -535,8 +485,6 @@ func FuzzKernelSparse(f *testing.F) {
 		for i, b := range rawIDs {
 			ids[i] = int32(b) % int32(64*len(w))
 		}
-		sat := cloneWords(w)
-
 		a := cloneWords(w)
 		b := cloneWords(w)
 		refSparseClear(a, ids)
@@ -554,16 +502,6 @@ func FuzzKernelSparse(f *testing.F) {
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("sparseSet word %d: %#x != %#x", i, b[i], a[i])
-			}
-		}
-
-		a = cloneWords(w)
-		b = cloneWords(w)
-		refSparseAndUnion(a, sat, ids)
-		sparseAndUnionWords(b, sat, ids)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("sparseAndUnion word %d: %#x != %#x", i, b[i], a[i])
 			}
 		}
 	})

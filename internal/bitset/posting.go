@@ -175,33 +175,6 @@ func (p *Posting) AndNotInto(dst *Bitset) bool {
 	return false
 }
 
-// AndUnionInto sets dst &= sat | ^p, the compressed kernel's
-// per-attribute step with p as the attribute mask. Emptiness reporting
-// follows AndNotInto: exact when dense, conservatively false when
-// sparse (only the listed members can die, so only they are visited).
-//
-//apcm:hotpath
-func (p *Posting) AndUnionInto(dst, sat *Bitset) bool {
-	if p.b != nil {
-		return dst.AndUnion(sat, p.b)
-	}
-	sparseAndUnionWords(dst.words, sat.words, p.ids)
-	return false
-}
-
-// AppendSet appends the member ids in ascending order to dst.
-//
-//apcm:hotpath
-func (p *Posting) AppendSet(dst []int) []int {
-	if p.b != nil {
-		return p.b.AppendSet(dst)
-	}
-	for _, id := range p.ids {
-		dst = append(dst, int(id))
-	}
-	return dst
-}
-
 // ForEach calls fn for every member in ascending order until fn returns
 // false.
 func (p *Posting) ForEach(fn func(i int) bool) {

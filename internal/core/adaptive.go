@@ -29,8 +29,8 @@ type clusterState struct {
 	// value and Stores it; the match path Loads it with no lock held.
 	// In-place append/tombstone repairs go through the compiled
 	// value's own guarded entry points (tryAppend, tryTombstone), never
-	// through naked field writes after publication.
-	//apcm:publish
+	// through naked field writes after publication; make race's
+	// concurrent matcher tests catch a write that breaks this.
 	compiled atomic.Pointer[compiled]
 
 	// mode is the kernel serving non-probe events.

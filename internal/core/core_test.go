@@ -223,16 +223,40 @@ func TestAdaptiveTracksEstimates(t *testing.T) {
 	}
 }
 
+// TestConcurrentMatchersShareClusters races eight matchers over lazily
+// compiled clusters in both compiled modes: the adaptive path reaches
+// the compiled value through matchAdaptive and probe, the compressed
+// path through matchPool directly. The second pass follows deletes that
+// leave most clusters needing a rebuild, so the matchers also race a
+// recompile that replaces an attached cluster's compiled value.
 func TestConcurrentMatchersShareClusters(t *testing.T) {
-	g := redundantWorkload(3)
-	m := New(cfgWithMode(ModeAdaptive))
-	xs := g.Expressions(2000)
-	for _, x := range xs {
-		if err := m.Insert(x); err != nil {
-			t.Fatal(err)
+	for _, mode := range []Mode{ModeAdaptive, ModeCompressed} {
+		g := redundantWorkload(3)
+		m := New(cfgWithMode(mode))
+		xs := g.Expressions(2000)
+		for _, x := range xs {
+			if err := m.Insert(x); err != nil {
+				t.Fatal(err)
+			}
 		}
+		events := g.Events(400)
+		raceMatchers(t, m, xs, events)
+		var kept []*expr.Expression
+		for i, x := range xs {
+			if i%20 < 11 {
+				m.Delete(x.ID)
+			} else {
+				kept = append(kept, x)
+			}
+		}
+		raceMatchers(t, m, kept, events)
 	}
-	events := g.Events(400)
+}
+
+// raceMatchers matches events on eight goroutines at once and checks
+// every result against the oracle count over xs.
+func raceMatchers(t *testing.T, m *Matcher, xs []*expr.Expression, events []*expr.Event) {
+	t.Helper()
 	oracleCounts := make([]int, len(events))
 	for i, e := range events {
 		for _, x := range xs {
@@ -261,7 +285,7 @@ func TestConcurrentMatchersShareClusters(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	if msg, ok := <-errs; ok {
-		t.Fatal(msg)
+		t.Fatalf("%v: %s", m.cfg.Mode, msg)
 	}
 }
 

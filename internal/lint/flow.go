@@ -1,9 +1,9 @@
 package lint
 
 // flow.go is the shared flow-analysis substrate for the concurrency and
-// durability analyzers (lockorder, goroutinelife, fsyncorder,
-// atomicpublish). The original design called for golang.org/x/tools/go/ssa,
-// but go/ssa cannot be vendored offline (the repo vendors only the
+// durability analyzers (lockorder, goroutinelife, fsyncorder). The
+// original design called for golang.org/x/tools/go/ssa, but go/ssa
+// cannot be vendored offline (the repo vendors only the
 // analysis/cfg subset the Go toolchain itself ships); for the invariants
 // checked here — dominance of one call over another, reachability to a
 // return without passing a signal, may-acquire summaries — a CFG with
@@ -28,8 +28,8 @@ package lint
 // contribute nothing to summaries. That is unsound in general and the
 // right trade here — the invariants these analyzers encode (DESIGN §9,
 // §10, §11) are each owned by one package, and the annotation
-// (`//apcm:durable`, `//apcm:lockrank`, `//apcm:publish`) marks the
-// boundary where the reasoning must hold.
+// (`//apcm:durable`, `//apcm:lockrank`) marks the boundary where the
+// reasoning must hold.
 
 import (
 	"go/ast"
@@ -241,30 +241,6 @@ func (d *dominators) dominates(a, b flowPoint) bool {
 		return a.idx < b.idx
 	}
 	return d.blockDominates(a.block.Index, b.block.Index)
-}
-
-// reaches reports whether execution can flow from point a to point b:
-// later in the same block, or in a block reachable from a's successors
-// (a block can reach itself again around a loop).
-func reaches(a, b flowPoint) bool {
-	if a.block == b.block && a.idx < b.idx {
-		return true
-	}
-	seen := make(map[*cfg.Block]bool)
-	queue := append([]*cfg.Block(nil), a.block.Succs...)
-	for len(queue) > 0 {
-		blk := queue[0]
-		queue = queue[1:]
-		if seen[blk] {
-			continue
-		}
-		seen[blk] = true
-		if blk == b.block {
-			return true
-		}
-		queue = append(queue, blk.Succs...)
-	}
-	return false
 }
 
 // forEachCall walks the calls syntactically inside node n in source

@@ -31,8 +31,7 @@ import (
 // dominates nothing past its check, so the ordinary
 // `rec, err := log.Append(...)` then `if err != nil { return }` shape
 // verifies naturally, and a commit wait skipped on some path (a
-// "fast path" guarded by a cached watermark) is reported. Diagnostics
-// keep their "Append/Sync" wording so existing baseline keys hold.
+// "fast path" guarded by a cached watermark) is reported.
 //
 // The annotation is the boundary: un-annotated functions are not
 // durable paths (best-effort delivery may legitimately emit without

@@ -1,7 +1,7 @@
 // Package lint holds apcm's repo-specific go/analysis analyzers: the
 // engine's performance and correctness invariants that no compiler
-// checks, encoded once and enforced mechanically on every build (CI runs
-// the suite as a required step; see cmd/apcm-lint).
+// checks and no test run reliably reaches, enforced on every build (CI
+// runs the suite as a required step; see cmd/apcm-lint).
 //
 // The suite machine-checks the rules the hot path rests on:
 //
@@ -11,11 +11,8 @@
 //     map iteration, and appends to slices that provably start at
 //     capacity zero.
 //   - scratchrelease: every scratch/pool acquire (Engine.getScratch,
-//     sync.Pool Get) must be released on all return paths — the class of
-//     bug fixed in PR 3 (group-order counters never flushed because a
-//     scratch release path was missed).
-//   - atomicfield: a variable or field accessed through sync/atomic
-//     free functions must never also be read or written plainly.
+//     sync.Pool Get) must be released on all return paths, including
+//     the ones no allocation gate takes.
 //   - metricname: metric registrations use literal, unique,
 //     apcm_-prefixed snake_case names, outside hot paths, with label
 //     values drawn from compile-time-bounded sets.
@@ -30,9 +27,6 @@
 //     is dominated by a completed commit-log Append/Sync/WaitCommitted
 //     (never Stage alone) — the machine-checked half of delivered ⊆
 //     committed (DESIGN §9).
-//   - atomicpublish: fields annotated //apcm:publish are typed atomics
-//     (atomic.Pointer/Value/...), and pointer-flip-published values are
-//     not mutated after the Store.
 //
 // Annotation convention: a directive comment in the doc block of a
 // function, e.g.
@@ -45,8 +39,8 @@
 // Directives are ordinary line comments with no space after the slashes,
 // so go doc hides them, exactly like //go:noinline.
 //
-// Run the suite with `make lint`, `go run ./cmd/apcm-lint ./...`, or
-// `go vet -vettool=$(which apcm-lint) ./...`. See DESIGN.md §7.
+// Run the suite with `make lint`, which builds cmd/apcm-lint and runs
+// `go vet -vettool=$PWD/apcm-lint ./...`. See DESIGN.md §7.
 package lint
 
 import (
@@ -62,24 +56,21 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		HotPathAlloc,
 		ScratchRelease,
-		AtomicField,
 		MetricName,
 		LockOrder,
 		GoroutineLife,
 		FsyncOrder,
-		AtomicPublish,
 	}
 }
 
 // directive names recognised in doc comments. dirHotPath, dirDurable,
 // dirEmits, dirDetached and dirLockSafe annotate functions; dirLockRank
-// and dirPublish annotate struct fields.
+// annotates struct fields.
 const (
 	dirHotPath  = "apcm:hotpath"
 	dirLockRank = "apcm:lockrank" // =N: field's rank in the lock partial order
 	dirDurable  = "apcm:durable"  // function is a durable delivery path
 	dirEmits    = "apcm:emits"    // function emits delivery frames
-	dirPublish  = "apcm:publish"  // field is pointer-flip-published state
 	dirDetached = "apcm:detached" // next go statement deliberately has no join edge
 	dirLockSafe = "apcm:locksafe" // lock acquire here is reviewed (hotpath slow tail)
 )

@@ -28,8 +28,8 @@ func TestAnalyzers(t *testing.T) {
 // (make lint-smoke) expects a finding from every analyzer listed here.
 func TestSuiteShape(t *testing.T) {
 	want := []string{
-		"hotpathalloc", "scratchrelease", "atomicfield", "metricname",
-		"lockorder", "goroutinelife", "fsyncorder", "atomicpublish",
+		"hotpathalloc", "scratchrelease", "metricname", "lockorder",
+		"goroutinelife", "fsyncorder",
 	}
 	got := lint.Analyzers()
 	if len(got) != len(want) {

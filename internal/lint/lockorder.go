@@ -31,12 +31,11 @@ import (
 //     //apcm:locksafe with a justification.
 //
 // Lock identity is the declaring field or variable object, shared
-// across instances — the same deliberate conflation atomicfield uses:
-// two instances of conn.mu are one node, so hand-over-hand locking of
-// sibling instances reports as re-acquisition and needs an
-// //apcm:locksafe annotation or a baseline entry. Calls spawned with
-// `go` contribute nothing: the callee's locks are taken on another
-// stack, where nothing is held-while-acquiring.
+// across instances — a deliberate conflation: two instances of conn.mu
+// are one node, so hand-over-hand locking of sibling instances reports
+// as re-acquisition and needs an //apcm:locksafe annotation. Calls
+// spawned with `go` contribute nothing: the callee's locks are taken
+// on another stack, where nothing is held-while-acquiring.
 var LockOrder = &analysis.Analyzer{
 	Name:     "lockorder",
 	Doc:      "enforce //apcm:lockrank order, reject lock cycles and hot-path lock acquisition",

@@ -4,25 +4,18 @@
 // one violation per analyzer behind the apcmlint_smoke build tag, so
 // normal builds and tests never see it, while
 //
-//	go run ./cmd/apcm-lint -tags apcmlint_smoke ./internal/lint/smoke
+//	go vet -vettool=$PWD/apcm-lint -tags apcmlint_smoke ./internal/lint/smoke
 //
-// must exit nonzero with nine diagnostics — one from each of the eight
+// must exit nonzero with seven diagnostics — one from each of the six
 // analyzers, plus a second fsyncorder seed for the staged-commit shape.
-// `make lint-smoke` checks that every analyzer apcm-lint -list names
+// `make lint-smoke` checks that every analyzer apcm-lint -flags names
 // appears among the findings, and CI runs it as a required step (see
 // .github/workflows/ci.yml): a lint gate that cannot fail is
 // indistinguishable from no gate.
 package smoke
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-type thing struct{ n int64 }
-
-// scratch is distinct from thing so the scratchrelease seed's plain
-// field reads do not also trip atomicfield (which tracks thing.n).
 type scratch struct{ n int }
 
 var pool sync.Pool
@@ -48,13 +41,6 @@ func leakScratch(cond bool) int {
 		return 0
 	}
 	pool.Put(t)
-	return t.n
-}
-
-// mixedAccess seeds an atomicfield violation: t.n is incremented
-// atomically but read plainly.
-func mixedAccess(t *thing) int64 {
-	atomic.AddInt64(&t.n, 1)
 	return t.n
 }
 
@@ -110,11 +96,4 @@ func leakyDeliver(l *Log, w *wire, b []byte) {
 func stagedDeliver(l *Log, w *wire, b []byte) {
 	l.Stage(b)
 	w.send(b)
-}
-
-// published seeds an atomicpublish violation: an //apcm:publish field
-// that is not a typed atomic.
-type published struct {
-	//apcm:publish
-	table *thing
 }
