@@ -42,11 +42,13 @@ fault:
 # The replication crash matrix in isolation: 100 seeded leader/follower
 # schedules (leader killed mid-catch-up, follower crashed mid-ingest by
 # commit-log failpoints, asymmetric partitions manufacturing a stale
-# leader) under the race detector, verified against the prefix oracle
-# and epoch-fencing asserts. Same replay convention:
+# leader) under the race detector, verified against the prefix oracle,
+# epoch-fencing asserts and exact resume at the last ingested ack
+# (TestReplFailoverResumesAtLastAck pins the same without a crash).
+# Same replay convention:
 #   APCM_FAULT_SEED=42 make fault-repl
 fault-repl:
-	$(GO) test -race -timeout 10m -count=1 -run 'TestReplCrashMatrix|TestRepl|TestAsymmetricPartition|TestFollowerRejects|TestLeaderRetention' ./broker/
+	$(GO) test -race -timeout 10m -count=1 -run 'TestReplCrashMatrix|TestReplFailover|TestRepl|TestAsymmetricPartition|TestFollowerRejects|TestLeaderRetention' ./broker/
 
 # Short smoke runs of every decoder fuzz target: hardening for the wire
 # formats (expression/event frames, trace files read whole and record by

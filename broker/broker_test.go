@@ -113,6 +113,12 @@ func TestCrossClientDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	recvEvent(t, got)
+	// The writer counts a frame delivered only after writing it, so the
+	// subscriber can hold the event before Stats does.
+	waitFor(t, "the delivery to be counted", func() bool {
+		_, del := s.Stats()
+		return del >= 1
+	})
 	pub, del := s.Stats()
 	if pub != 1 || del != 1 {
 		t.Fatalf("Stats = %d published, %d delivered", pub, del)

@@ -12,8 +12,8 @@ import (
 // consumerState is one durable consumer identity: a name that outlives
 // any single connection. At most one connection is attached at a time;
 // its matched events are committed to the log before delivery, and its
-// acknowledged offset persists so the next attachment resumes where the
-// last one stopped.
+// acknowledged offset rides the same log so the next attachment resumes
+// where the last one stopped.
 //
 // Attachment protocol: a resuming connection claims cs.c first, replays
 // logged history, and only then flips cs.live. Publishers stage every
@@ -44,10 +44,11 @@ func (cs *consumerState) detach(c *conn) {
 	}
 }
 
-// openLog opens the commit log and offset store when LogDir is set.
-// Called from Serve before the accept loop, so every connection
-// goroutine observes the fields fully initialised; they are never
-// reassigned afterwards (Close closes them in place).
+// openLog opens the commit log, which holds the consumer offsets too,
+// when LogDir is set. Called from Serve before the accept loop, so
+// every connection goroutine observes the field fully initialised; it
+// is never reassigned afterwards (Close closes it in place). Readers
+// outside the connection goroutines (metric funcs) take s.mu.
 func (s *Server) openLog() error {
 	if s.LogDir == "" {
 		return nil
@@ -61,49 +62,25 @@ func (s *Server) openLog() error {
 	if cfg.Metrics == nil {
 		cfg.Metrics = s.Metrics
 	}
-	// Offsets open first: the log's retention floor callback reads the
-	// consumer low-water mark (OffsetStore.Min takes only the store's
-	// own lock, so calling it from under the log lock is cycle-free).
-	offs, err := commitlog.OpenOffsets(s.LogDir)
-	if err != nil {
-		return fmt.Errorf("broker: opening offset store: %w", err)
-	}
-	if cfg.RetainFloor == nil {
-		cfg.RetainFloor = offs.Min
-	}
 	l, err := commitlog.Open(s.LogDir, cfg)
 	if err != nil {
-		offs.Close()
 		return fmt.Errorf("broker: opening commit log: %w", err)
 	}
 	epoch, err := commitlog.LoadEpoch(s.LogDir)
 	if err != nil {
-		offs.Close()
 		l.Close()
 		return fmt.Errorf("broker: loading replication epoch: %w", err)
 	}
 	s.epoch.Store(epoch)
-	s.log, s.offsets = l, offs
+	s.log = l
 	return nil
 }
 
-// closeLog flushes and closes the durable state (Close path).
-func (s *Server) closeLog() {
-	s.mu.RLock()
-	l, offs := s.log, s.offsets
-	s.mu.RUnlock()
-	if offs != nil {
-		offs.Close()
-	}
-	if l != nil {
-		l.Close()
-	}
-}
-
 // Checkpoint persists restart state: the engine's subscription table
-// (when path is non-empty), every consumer's acknowledged offset, and
-// the commit log's staged tail. Each failing component counts toward
-// apcm_broker_checkpoint_errors_total; the first error is returned.
+// (when path is non-empty) and the commit log's staged tail, every
+// consumer's acknowledged offset included. Each failing component
+// counts toward apcm_broker_checkpoint_errors_total; the first error is
+// returned.
 func (s *Server) Checkpoint(path string) error {
 	var first error
 	record := func(err error) {
@@ -116,9 +93,6 @@ func (s *Server) Checkpoint(path string) error {
 	}
 	if path != "" {
 		record(s.eng.CheckpointSubscriptions(path))
-	}
-	if s.offsets != nil {
-		record(s.offsets.Sync())
 	}
 	if s.log != nil {
 		record(s.log.Sync())
@@ -291,9 +265,9 @@ func (c *conn) handleResume(body []byte) error {
 	cs.mu.Unlock()
 
 	// Effective start: the client's request, clamped forward by the
-	// persisted acknowledged offset and by retention.
+	// logged acknowledged offset and by retention.
 	start := from
-	if acked, ok := s.offsets.Get(name); ok && acked > start {
+	if acked, ok := s.log.Acked(name); ok && acked > start {
 		start = acked
 	}
 	if first := s.log.FirstOffset(); first > start {
@@ -395,10 +369,8 @@ func (c *conn) handleOffsetAck(body []byte) error {
 		return errors.New("offset-ack before resume")
 	}
 	c.s.offsetAcks.Add(1)
-	// Store the next offset; the store is monotone, so replayed or
-	// reordered acks regress nothing.
-	if err := c.s.offsets.Set(cs.name, off+1); err != nil {
-		c.s.Logf("broker: persisting offset for %q: %v", cs.name, err)
-	}
+	// The table is monotone, so replayed or reordered acks regress
+	// nothing; the next flush logs it.
+	c.s.log.Ack(cs.name, off+1)
 	return nil
 }

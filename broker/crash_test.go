@@ -22,8 +22,8 @@ import (
 // is killed at a seeded point in the commit path (append staging, the
 // segment write, either side of the fsync, or mid-rotation), the
 // on-disk state is degraded the way a real crash degrades it
-// (written-but-unsynced bytes vanish, a torn tail appears, the ack
-// journal loses its tail), and a restarted broker on the same directory
+// (written-but-unsynced bytes vanish, a torn tail appears, the last
+// offsets batch is torn), and a restarted broker on the same directory
 // must then deliver at-least-once with exact offset resume:
 //
 //   - nothing the pre-crash log holds is ever lost (union of both
@@ -44,12 +44,12 @@ var errInjectedCrash = errors.New("injected crash")
 
 // crashPlan is one seeded schedule.
 type crashPlan struct {
-	point           commitlog.Failpoint
-	nth             int  // crash on the nth hit of point
-	phase1          int  // events published before the crash window
-	phase2          int  // events published after restart
-	garbageTail     bool // append garbage to the last segment post-crash
-	truncateJournal bool // chop the ack journal's tail post-crash
+	point       commitlog.Failpoint
+	nth         int  // crash on the nth hit of point
+	phase1      int  // events published before the crash window
+	phase2      int  // events published after restart
+	garbageTail bool // append garbage to the last segment post-crash
+	tearAcks    bool // tear the log's last offsets batch post-crash
 }
 
 func newCrashPlan(rng *rand.Rand) crashPlan {
@@ -58,12 +58,12 @@ func newCrashPlan(rng *rand.Rand) crashPlan {
 		commitlog.FpPostSync, commitlog.FpRotate,
 	}
 	return crashPlan{
-		point:           points[rng.Intn(len(points))],
-		nth:             1 + rng.Intn(8),
-		phase1:          8 + rng.Intn(18),
-		phase2:          3 + rng.Intn(6),
-		garbageTail:     rng.Intn(3) == 0,
-		truncateJournal: rng.Intn(3) == 0,
+		point:       points[rng.Intn(len(points))],
+		nth:         1 + rng.Intn(8),
+		phase1:      8 + rng.Intn(18),
+		phase2:      3 + rng.Intn(6),
+		garbageTail: rng.Intn(3) == 0,
+		tearAcks:    rng.Intn(3) == 0,
 	}
 }
 
@@ -136,10 +136,11 @@ func startCrashServer(t *testing.T, dir string, fp commitlog.Config) (*Server, s
 }
 
 // groundTruth reopens the post-injection log offline and returns the
-// surviving record count and the set of event sequences it holds for
-// the consumer. This is the oracle: whatever recovery keeps is exactly
-// what the restarted broker must (re)deliver.
-func groundTruth(t *testing.T, dir, consumer string) (records uint64, seqs map[int]bool) {
+// surviving record count, the consumer's surviving acknowledged offset
+// (0 without one) and the set of event sequences the log holds for the
+// consumer. This is the oracle: whatever recovery keeps is exactly
+// what the restarted broker must (re)deliver, from exactly that offset.
+func groundTruth(t *testing.T, dir, consumer string) (records, acked uint64, seqs map[int]bool) {
 	t.Helper()
 	l, err := commitlog.Open(dir, commitlog.Config{SegmentBytes: crashSegmentBytes})
 	if err != nil {
@@ -175,7 +176,34 @@ func groundTruth(t *testing.T, dir, consumer string) (records uint64, seqs map[i
 	if err != nil {
 		t.Fatalf("ground-truth read: %v", err)
 	}
-	return l.NextOffset(), seqs
+	acked, _ = l.Acked(consumer)
+	return l.NextOffset(), acked, seqs
+}
+
+// tearLastOffsetsBatch truncates the last segment inside its final
+// offsets batch, if it has one: the machine died mid-write of an ack
+// flush, so that batch and anything after it never reached the disk.
+func tearLastOffsetsBatch(t *testing.T, dir string, rng *rand.Rand) {
+	t.Helper()
+	last := lastSegment(t, dir)
+	data, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, end := -1, 0
+	sc := commitlog.NewScanner(data, 0)
+	for sc.Next() {
+		if sc.IsOffsets() {
+			end = sc.ValidBytes()
+			start = end - len(sc.RawBatch())
+		}
+	}
+	if start < 0 {
+		return
+	}
+	if err := os.Truncate(last, int64(start+1+rng.Intn(end-start-1))); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCrashRecoveryMatrix(t *testing.T) {
@@ -195,8 +223,8 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 
 func runCrashSchedule(t *testing.T, rng *rand.Rand) {
 	plan := newCrashPlan(rng)
-	t.Logf("plan: crash on hit %d of %v, phase1=%d phase2=%d garbage=%v truncateJournal=%v",
-		plan.nth, plan.point, plan.phase1, plan.phase2, plan.garbageTail, plan.truncateJournal)
+	t.Logf("plan: crash on hit %d of %v, phase1=%d phase2=%d garbage=%v tearAcks=%v",
+		plan.nth, plan.point, plan.phase1, plan.phase2, plan.garbageTail, plan.tearAcks)
 	dir := t.TempDir()
 	const consumer = "crash"
 
@@ -254,8 +282,8 @@ func runCrashSchedule(t *testing.T, rng *rand.Rand) {
 		offs, _ := rec1.snapshot()
 		return len(offs) >= plan.phase1
 	})
-	// Let in-flight acks drain before the kill so the persisted offset
-	// is as fresh as a real shutdown race would leave it.
+	// Let in-flight acks drain before the kill so the logged offset is
+	// as fresh as a real shutdown race would leave it.
 	time.Sleep(5 * time.Millisecond)
 	c1.Close()
 	srv1.Close()
@@ -268,6 +296,9 @@ func runCrashSchedule(t *testing.T, rng *rand.Rand) {
 			t.Fatal(err)
 		}
 	}
+	if plan.tearAcks {
+		tearLastOffsetsBatch(t, dir, rng)
+	}
 	if plan.garbageTail {
 		last := lastSegment(t, dir)
 		f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -279,28 +310,9 @@ func runCrashSchedule(t *testing.T, rng *rand.Rand) {
 		f.Write(garbage)
 		f.Close()
 	}
-	journal := filepath.Join(dir, "offsets", consumer+".off")
-	if plan.truncateJournal {
-		if st, err := os.Stat(journal); err == nil && st.Size() > 0 {
-			// Chop to an arbitrary (possibly torn) length: the consumer
-			// rewinds to an older acknowledged offset, never forward.
-			if err := os.Truncate(journal, rng.Int63n(st.Size())); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 
 	// Oracle: what survived, and where must the resume start.
-	preRecords, gtSeqs := groundTruth(t, dir, consumer)
-	expectedStart := uint64(0)
-	if offs, err := commitlog.OpenOffsets(dir); err == nil {
-		if v, ok := offs.Get(consumer); ok {
-			expectedStart = v
-		}
-		offs.Close()
-	} else {
-		t.Fatal(err)
-	}
+	preRecords, expectedStart, gtSeqs := groundTruth(t, dir, consumer)
 	if expectedStart > preRecords {
 		t.Fatalf("persisted offset %d beyond surviving log end %d: ack for a lost record", expectedStart, preRecords)
 	}

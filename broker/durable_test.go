@@ -394,7 +394,11 @@ func TestSessionDurableResume(t *testing.T) {
 
 	_, addr2, _ := startDurableServer(t, dir)
 	addr.store(addr2)
-	waitFor(t, "session reconnected", func() bool { return sess.State() == SessionConnected })
+	// State alone can still read the dead srv1 connection's Connected;
+	// a counted reconnect has resubscribed and resumed on srv2.
+	waitFor(t, "session reconnected", func() bool {
+		return sess.Reconnects() >= 1 && sess.State() == SessionConnected
+	})
 	pub2, err := Dial(addr2)
 	if err != nil {
 		t.Fatal(err)

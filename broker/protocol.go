@@ -41,36 +41,36 @@
 // the effective start offset, replays every logged record for that
 // consumer from there as 'D' frames, and streams subsequent matches as
 // 'D' frames carrying their log offsets. 'K' acknowledges delivery
-// through an offset (cumulative); the server persists it so a later
-// resume starts after the last acknowledged record. Delivery is
-// at-least-once: a crash between delivery and ack redelivers.
+// through an offset (cumulative); the server logs it in its commit log
+// so a later resume starts after the last acknowledged record.
+// Delivery is at-least-once: a crash between delivery and ack
+// redelivers.
 //
-// Version 3 adds leader→follower replication (requires both sides to
-// run with a commit log; see Server.Follow):
+// Version 3 added leader→follower replication (requires both sides to
+// run with a commit log; see Server.Follow); version 4 moved consumer
+// offsets into the replicated log:
 //
-//	'F' repl-hello   follower→leader  uvarint epoch, uvarint next offset, node id
+//	'F' repl-hello   follower→leader  uvarint epoch, uvarint next offset, uvarint acks, node id
 //	'f' repl-welcome leader→follower  uvarint epoch, uvarint leader next, uvarint start offset
 //	'G' segment      leader→follower  uvarint flags (1=final), segment bytes chunk
 //	'g' segment-end  leader→follower  uvarint base, uvarint end, uvarint crc32
 //	'b' repl-batch   leader→follower  uvarint flags (1=final), raw batch bytes chunk
 //	'B' repl-ack     follower→leader  uvarint replicated next offset
-//	'J' repl-offsets leader→follower  n×(uvarint name len, name, uvarint next)
 //	'X' fence        either way       uvarint epoch
 //
 // A replication connection is an ordinary client connection until the
 // follower's 'F' handshake: it carries the follower's persisted epoch
-// and the next offset its log needs. The leader answers 'f' with its
-// epoch and the effective start offset (the follower's request clamped
-// forward past retention), then streams history — whole sealed
-// segments as 'G' chunks finalized by a CRC-carrying 'g' when the
-// follower's position aligns with a segment boundary, raw commit-log
-// batches as 'b' chunks otherwise — and parks on the group-commit
-// watermark for live tail streaming. The follower acknowledges ingest
-// progress with 'B' (which drives the leader's replicated watermark,
-// its retention clamp, and -repl-sync delivery gating) and pings with
-// 'H' so the leader's ordinary heartbeat reaper detects a dead
-// follower. 'J' periodically ships consumer offset snapshots so a
-// promoted follower resumes consumers near where the leader left off.
+// and its log's tail (next offset, offsets batches held at it). The
+// leader answers 'f' with its epoch and the effective start offset (the
+// request clamped forward past retention), then streams history —
+// whole sealed segments as 'G' chunks finalized by a CRC-carrying 'g'
+// when the follower's position aligns with a segment's start, raw
+// commit-log batches, consumer offsets batches included, as 'b' chunks
+// otherwise — and parks on the committed tail for live streaming. The
+// follower acknowledges ingest progress with 'B' (which drives the
+// leader's replicated watermark, its retention clamp, and -repl-sync
+// delivery gating) and pings with 'H' so the leader's ordinary
+// heartbeat reaper detects a dead follower.
 //
 // Epochs fence stale leaders: both sides persist a monotone epoch, a
 // follower that loses leader liveness promotes by durably bumping its
@@ -105,14 +105,16 @@ const MaxFrame = 1 << 20
 // speaks, carried in the hello handshake. Version 1 introduced the
 // handshake itself and the ping/pong keepalive frames; version 2 adds
 // durable delivery (resume, durable-match and offset-ack frames);
-// version 3 adds commit-log replication with epoch fencing.
-const ProtocolVersion = 3
+// version 3 adds commit-log replication with epoch fencing; version 4
+// moves consumer offsets into the replicated log (a version-3 follower
+// would reject its offsets batches as corrupt).
+const ProtocolVersion = 4
 
 // MinProtocolVersion is the oldest revision the server still accepts;
 // clients announcing anything in [MinProtocolVersion, ∞) negotiate
 // down to min(theirs, ProtocolVersion). It equals ProtocolVersion: every
 // connection speaks the full frame set, so no frame is gated by version.
-const MinProtocolVersion = 3
+const MinProtocolVersion = 4
 
 // Message type bytes.
 const (
@@ -135,7 +137,6 @@ const (
 	msgReplSegEnd  = 'g'
 	msgReplBatch   = 'b'
 	msgReplAck     = 'B'
-	msgReplOffsets = 'J'
 	msgFence       = 'X'
 )
 

@@ -240,9 +240,13 @@ func runLeaderKill(t *testing.T, plan replCrashPlan, leader *Server, leaderDir s
 	assertPrefixEqual(t, leaderRecs, onlineRecords(t, follower.log, at), at)
 
 	// Continuity: a durable consumer re-attaches to the promoted
-	// follower at its shipped offset and reads a gap-free stream through
-	// fresh post-failover publishes.
+	// follower at exactly the last acknowledgement the follower ingested
+	// and reads a gap-free stream through fresh post-failover publishes.
 	n0 := follower.log.NextOffset()
+	acked, _ := follower.log.Acked(consumer)
+	if acked > n0 {
+		t.Fatalf("follower holds ack %d beyond its log end %d: ack for an unreplicated record", acked, n0)
+	}
 	rec2 := &crashRecorder{}
 	c2, _ := durableDial(t, fAddr, ClientOptions{OnDurable: rec2.onDurable})
 	if err := c2.Subscribe(expr.MustNew(1, expr.Eq(1, 1)), func(*expr.Event) {}); err != nil {
@@ -252,8 +256,8 @@ func runLeaderKill(t *testing.T, plan replCrashPlan, leader *Server, leaderDir s
 	if err != nil {
 		t.Fatal(err)
 	}
-	if start > n0 {
-		t.Fatalf("resume started at %d beyond the follower log end %d: shipped ack for an unreplicated record", start, n0)
+	if start != acked {
+		t.Fatalf("resume started at %d, want the last ingested ack %d", start, acked)
 	}
 	for i := 0; i < plan.phase3; i++ {
 		if err := c2.Publish(crashEvent(2000 + i)); err != nil {

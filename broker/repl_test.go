@@ -150,10 +150,10 @@ func TestReplicationCatchUpAndLiveTail(t *testing.T) {
 		}
 	}
 
-	// Consumer offsets ship too: the client auto-acks, the leader
-	// journals, the 'J' frames land on the follower's store.
-	waitFor(t, "offset journal shipping", func() bool {
-		v, ok := follower.offsets.Get("repl")
+	// Consumer offsets ship too: the client auto-acks, the leader logs
+	// offsets batches, the follower folds them as it ingests.
+	waitFor(t, "offsets batch shipping", func() bool {
+		v, ok := follower.log.Acked("repl")
 		return ok && v == uint64(phase1+phase2)
 	})
 	if lead, foll := leader.Role(), follower.Role(); lead != "leader" || foll != "follower" {
@@ -414,5 +414,61 @@ func TestReplFailoverEndToEnd(t *testing.T) {
 	}
 	if sess.Reconnects() == 0 {
 		t.Fatal("session never reconnected; failover did not exercise rotation")
+	}
+}
+
+// TestReplFailoverResumesAtLastAck: a promoted follower resumes a
+// consumer at exactly the last acknowledgement it ingested. The
+// leader's heartbeat outlasts the test, so no periodic snapshot could
+// carry the ack; only the replicated log does.
+func TestReplFailoverResumesAtLastAck(t *testing.T) {
+	leader, lAddr := startReplServer(t, t.TempDir(), func(s *Server) { s.ReplHeartbeat = time.Hour })
+	follower, fAddr := startReplServer(t, t.TempDir(), func(s *Server) { s.Follow = lAddr })
+	waitFor(t, "follower attached", func() bool {
+		_, ok := leader.log.Replicated()
+		return ok
+	})
+	c, durables := durableDial(t, lAddr, ClientOptions{DisableAutoAck: true})
+	resumedConsumer(t, c, "exact")
+	const n, acked = 12, 7
+	for seq := 0; seq < n; seq++ {
+		if err := c.Publish(crashEvent(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		recvDurable(t, durables)
+	}
+	if err := c.AckOffset(acked - 1); err != nil {
+		t.Fatal(err)
+	}
+	// Frames on one connection are handled in order, so the ack is
+	// logged no later than the flush of the next publish; a publish
+	// after that flush reached the follower trails the ack in the log.
+	for next := uint64(n + 1); next <= n+2; next++ {
+		if err := c.Publish(crashEvent(int(next))); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "follower ingests the publish", func() bool { return follower.log.NextOffset() >= next })
+	}
+	c.Close()
+	leader.Close()
+	waitFor(t, "promotion", func() bool { return follower.Role() == "leader" })
+
+	c2, durables2 := durableDial(t, fAddr, ClientOptions{DisableAutoAck: true})
+	if err := c2.Subscribe(expr.MustNew(1, expr.Eq(1, 1)), func(*expr.Event) {}); err != nil {
+		t.Fatal(err)
+	}
+	start, err := c2.Resume("exact", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if start != acked {
+		t.Fatalf("promoted follower resumed the consumer at %d, want its last ack %d", start, acked)
+	}
+	for want := uint64(acked); want < n+2; want++ {
+		if r := recvDurable(t, durables2); r.off != want {
+			t.Fatalf("replay delivered offset %d, want %d", r.off, want)
+		}
 	}
 }

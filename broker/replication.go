@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"time"
 
 	"github.com/streammatch/apcm/internal/commitlog"
@@ -37,8 +38,7 @@ func roleName(r int32) string {
 // "follower", or "fenced".
 func (s *Server) Role() string { return roleName(s.role.Load()) }
 
-// replHeartbeat is the follower→leader ping cadence and the leader's
-// offset-journal shipping cadence.
+// replHeartbeat is the follower→leader ping cadence.
 func (s *Server) replHeartbeat() time.Duration {
 	if s.ReplHeartbeat > 0 {
 		return s.ReplHeartbeat
@@ -132,9 +132,8 @@ func (c *conn) sendChunked(typ byte, data []byte) bool {
 // handleReplHello is the leader half of the replication handshake: it
 // validates the follower's epoch, registers the connection as the
 // replica (stealing a dead predecessor's slot, like consumer claims),
-// answers with the effective start offset, and starts the sender and
-// offset-journal goroutines. The read loop keeps running to consume
-// the follower's acks and pings.
+// answers with the effective start offset, and starts the sender. The
+// read loop keeps running to consume the follower's acks and pings.
 func (c *conn) handleReplHello(body []byte) error {
 	s := c.s
 	peerEpoch, rest, err := readUvarint(body)
@@ -143,6 +142,10 @@ func (c *conn) handleReplHello(body []byte) error {
 	}
 	next, rest, err := readUvarint(rest)
 	if err != nil {
+		return errors.New("bad repl-hello")
+	}
+	acks, rest, err := readUvarint(rest)
+	if err != nil || acks > math.MaxUint32 {
 		return errors.New("bad repl-hello")
 	}
 	node := string(rest)
@@ -179,39 +182,39 @@ func (c *conn) handleReplHello(body []byte) error {
 
 	// Clamp the start forward past retention; a pristine follower
 	// bootstraps at the first retained offset via ResetTo.
-	start := next
-	if first := s.log.FirstOffset(); first > start {
-		start = first
+	start := commitlog.Pos{Off: next, Acks: uint32(acks)}
+	if first := s.log.FirstOffset(); first > start.Off {
+		start = commitlog.Pos{Off: first}
 	}
-	s.log.AttachReplica(start)
+	s.log.AttachReplica(start.Off)
 	welcome := appendUvarint([]byte{msgReplWelcome}, s.epoch.Load())
 	welcome = appendUvarint(welcome, s.log.NextOffset())
-	welcome = appendUvarint(welcome, start)
+	welcome = appendUvarint(welcome, start.Off)
 	if !c.send(welcome) {
 		return errors.New("connection closed during repl handshake")
 	}
-	s.Logf("broker: replica %q attached at offset %d (epoch %d)", node, start, s.epoch.Load())
+	s.Logf("broker: replica %q attached at offset %d (epoch %d)", node, start.Off, s.epoch.Load())
 	go c.replSender(start)
-	go c.replJournalLoop()
 	return nil
 }
 
-// replSender streams the log to the attached follower from offset next
-// onward: whole sealed segments (CRC-finalized 'G'/'g' chunk
-// transfers) while the position aligns with a segment boundary, raw
-// batches ('b') otherwise, parking on the group-commit watermark when
-// caught up. One goroutine per attached replica; exits when the
-// connection dies.
+// replSender streams the log to the attached follower from position
+// next onward: whole sealed segments (CRC-finalized 'G'/'g' chunk
+// transfers) while the position aligns with a segment's start, raw
+// batches ('b') otherwise — offsets batches included, so the follower
+// tracks every consumer's acknowledged offset exactly — parking on the
+// committed tail when caught up. One goroutine per attached replica;
+// exits when the connection dies.
 //
 // It carries no //apcm:durable annotation although it emits the frames
 // a follower's durability is built from: it never commits anything
 // itself, so its sends cannot be dominated by a same-function
 // Append/Sync. Commit ordering is inherited instead: ReadBatches and
-// WaitCommitted only ever surface records below the committed
-// watermark, so the shipped stream never outruns the leader's fsync.
+// WaitTail only ever surface batches behind the committed tail, so the
+// shipped stream never outruns the leader's fsync.
 // The replication crash matrix (make fault-repl) checks that
 // dynamically.
-func (c *conn) replSender(next uint64) {
+func (c *conn) replSender(next commitlog.Pos) {
 	s := c.s
 	for !c.dead() {
 		if shipped, ok := c.shipAlignedSegment(&next); !ok {
@@ -220,7 +223,7 @@ func (c *conn) replSender(next uint64) {
 			continue
 		}
 		sent := false
-		err := s.log.ReadBatches(next, func(base uint64, count uint32, raw []byte) error {
+		err := s.log.ReadBatches(next, func(raw []byte, end commitlog.Pos) error {
 			if c.dead() {
 				return errStopReplay
 			}
@@ -228,14 +231,14 @@ func (c *conn) replSender(next uint64) {
 				return errStopReplay
 			}
 			s.replBatchesSent.Add(1)
-			next = base + uint64(count)
+			next = end
 			sent = true
 			// Break out between batches if a rotation just sealed a
 			// segment we could bulk-ship instead.
 			return nil
 		})
 		if err != nil && !errors.Is(err, errStopReplay) {
-			s.Logf("broker: repl sender stopping at offset %d: %v", next, err)
+			s.Logf("broker: repl sender stopping at offset %d: %v", next.Off, err)
 			c.abort()
 			return
 		}
@@ -243,7 +246,7 @@ func (c *conn) replSender(next uint64) {
 			return
 		}
 		if !sent {
-			if _, err := s.log.WaitCommitted(next, c.dead); err != nil {
+			if _, err := s.log.WaitTail(next, c.dead); err != nil {
 				return
 			}
 		}
@@ -251,15 +254,15 @@ func (c *conn) replSender(next uint64) {
 }
 
 // shipAlignedSegment bulk-ships one sealed segment when *next sits
-// exactly on its base, advancing *next past it. ok=false means the
+// exactly on its start, advancing *next past it. ok=false means the
 // connection died.
-func (c *conn) shipAlignedSegment(next *uint64) (shipped, ok bool) {
+func (c *conn) shipAlignedSegment(next *commitlog.Pos) (shipped, ok bool) {
 	s := c.s
 	for _, si := range s.log.SealedSegments() {
-		if si.Base != *next {
+		if si.Start != *next {
 			continue
 		}
-		data, info, err := s.log.ReadSegment(si.Base)
+		data, info, err := s.log.ReadSegment(si.Start.Off)
 		if err != nil {
 			// Raced retention or disk trouble; the batch path re-reads.
 			return false, true
@@ -267,8 +270,8 @@ func (c *conn) shipAlignedSegment(next *uint64) (shipped, ok bool) {
 		if !c.sendChunked(msgReplSegment, data) {
 			return false, false
 		}
-		end := appendUvarint([]byte{msgReplSegEnd}, info.Base)
-		end = appendUvarint(end, info.End)
+		end := appendUvarint([]byte{msgReplSegEnd}, info.Start.Off)
+		end = appendUvarint(end, info.End.Off)
 		end = appendUvarint(end, uint64(crc32.ChecksumIEEE(data)))
 		if !c.send(end) {
 			return false, false
@@ -278,45 +281,6 @@ func (c *conn) shipAlignedSegment(next *uint64) (shipped, ok bool) {
 		return true, true
 	}
 	return false, true
-}
-
-// replJournalLoop periodically ships every consumer's acknowledged
-// offset to the follower, so a promotion resumes consumers near where
-// the leader left off (acks between ships are redelivered —
-// at-least-once, as everywhere else). Exits with the connection.
-func (c *conn) replJournalLoop() {
-	s := c.s
-	t := time.NewTicker(s.replHeartbeat())
-	defer t.Stop()
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-t.C:
-		}
-		frame := []byte{msgReplOffsets}
-		for _, name := range s.offsets.Names() {
-			next, ok := s.offsets.Get(name)
-			if !ok {
-				continue
-			}
-			frame = appendUvarint(frame, uint64(len(name)))
-			frame = append(frame, name...)
-			frame = appendUvarint(frame, next)
-			if len(frame) > 32<<10 {
-				if !c.send(frame) {
-					return
-				}
-				frame = []byte{msgReplOffsets}
-			}
-		}
-		if len(frame) > 1 {
-			if !c.send(frame) {
-				return
-			}
-			s.replJournalShips.Add(1)
-		}
-	}
 }
 
 // handleReplAck advances the replicated watermark from a follower 'B'

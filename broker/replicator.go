@@ -151,7 +151,7 @@ func (r *replicator) promoteAndFence(writeF func([]byte) error, reason string) {
 	// Linger one heartbeat before the caller closes the connection. The
 	// fence may still be sitting in the stale leader's receive queue, and
 	// closing immediately races its read loop against its write loop: a
-	// pong or journal frame hitting our closed socket errors the
+	// pong or batch frame hitting our closed socket errors the
 	// connection on its side and tears down its reader before the 'X' is
 	// dequeued. The fence is best-effort, but losing it to our own close
 	// is avoidable; once the leader processes it, fenceSelf closes the
@@ -173,13 +173,15 @@ func (r *replicator) followOnce(nc net.Conn) {
 		return writeFrame(nc, frame)
 	}
 	// Version hello and repl-hello are pipelined: the server processes
-	// frames in order, so the 'F' is handled on a fully negotiated v3
+	// frames in order, so the 'F' is handled on a fully negotiated
 	// connection; the server's hello reply arrives in the read loop.
 	if err := writeF(helloFrame()); err != nil {
 		return
 	}
+	tail := s.log.Tail()
 	hello := appendUvarint([]byte{msgReplHello}, s.epoch.Load())
-	hello = appendUvarint(hello, s.log.NextOffset())
+	hello = appendUvarint(hello, tail.Off)
+	hello = appendUvarint(hello, uint64(tail.Acks))
 	hello = append(hello, s.NodeID...)
 	if err := writeF(hello); err != nil {
 		return
@@ -224,8 +226,8 @@ func (r *replicator) followOnce(nc net.Conn) {
 		r.touch()
 		switch frame[0] {
 		case msgHello:
-			if len(frame) != 2 || frame[1] < 3 {
-				s.Logf("broker: replication needs protocol 3, leader %s negotiated %v", s.Follow, frame[1:])
+			if len(frame) != 2 || frame[1] < ProtocolVersion {
+				s.Logf("broker: replication needs protocol %d, leader %s negotiated %v", ProtocolVersion, s.Follow, frame[1:])
 				return
 			}
 		case msgReplWelcome:
@@ -338,25 +340,6 @@ func (r *replicator) followOnce(nc net.Conn) {
 			s.replIngested.Add(1)
 			if err := writeF(appendUvarint([]byte{msgReplAck}, end)); err != nil {
 				return
-			}
-		case msgReplOffsets:
-			body := frame[1:]
-			for len(body) > 0 {
-				nlen, rest, err := readUvarint(body)
-				if err != nil || uint64(len(rest)) < nlen {
-					s.Logf("broker: bad repl-offsets from %s", s.Follow)
-					return
-				}
-				name := string(rest[:nlen])
-				next, rest2, err := readUvarint(rest[nlen:])
-				if err != nil {
-					s.Logf("broker: bad repl-offsets from %s", s.Follow)
-					return
-				}
-				body = rest2
-				if err := s.offsets.Set(name, next); err != nil {
-					s.Logf("broker: persisting shipped offset for %q: %v", name, err)
-				}
 			}
 		case msgPong:
 			// Contact already counted; nothing else to do.

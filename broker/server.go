@@ -62,7 +62,8 @@ type Server struct {
 	// LogDir, when non-empty, enables durable delivery: matched events
 	// for resumed consumers are committed to a segmented log under this
 	// directory before they count as delivered, and per-consumer
-	// acknowledged offsets persist across restarts. Set before Serve.
+	// acknowledged offsets ride the same log across restarts. Set
+	// before Serve.
 	LogDir string
 	// Log tunes the commit log (segment size, flush policy, retention)
 	// when LogDir is set. Zero fields take commitlog defaults; Metrics
@@ -72,11 +73,11 @@ type Server struct {
 	// Set before Serve.
 	NodeID string
 	// Follow, when non-empty, starts this server as a follower of the
-	// leader at that address: it replicates the leader's commit log and
-	// consumer offsets, rejects client operations (connections fail
-	// over to the leader), and promotes itself to leader when the
-	// leader stays silent past ReplTimeout. Requires LogDir. Set
-	// before Serve.
+	// leader at that address: it replicates the leader's commit log,
+	// consumer offsets included, rejects client operations (connections
+	// fail over to the leader), and promotes itself to leader when the
+	// leader stays silent past ReplTimeout. Requires LogDir. Set before
+	// Serve.
 	Follow string
 	// ReplSync, on the leader, tightens durable delivery to
 	// delivered ⊆ committed ⊆ replicated: a durable frame is pushed
@@ -85,9 +86,8 @@ type Server struct {
 	// (counted by apcm_broker_repl_sync_degraded_total) rather than
 	// blocking. Set before Serve.
 	ReplSync bool
-	// ReplHeartbeat is the follower's ping cadence toward the leader
-	// and the leader's offset-journal shipping cadence. Defaults to
-	// 250ms. Set before Serve.
+	// ReplHeartbeat is the follower's ping cadence toward the leader.
+	// Defaults to 250ms. Set before Serve.
 	ReplHeartbeat time.Duration
 	// ReplTimeout is how long a follower tolerates total leader
 	// silence (no frames on the replication connection, dial failures
@@ -106,8 +106,7 @@ type Server struct {
 	closed    bool
 	ln        net.Listener
 
-	log     *commitlog.Log // nil without LogDir
-	offsets *commitlog.OffsetStore
+	log *commitlog.Log // nil without LogDir
 
 	draining          atomic.Bool
 	published         atomic.Int64
@@ -148,7 +147,6 @@ type Server struct {
 	replBatchesSent     atomic.Int64
 	replSegmentsShipped atomic.Int64
 	replAcks            atomic.Int64
-	replJournalShips    atomic.Int64
 	replIngested        atomic.Int64
 	replSyncWaits       atomic.Int64
 	replSyncDegraded    atomic.Int64
@@ -316,14 +314,17 @@ func (s *Server) attachMetrics() {
 	reg.GaugeFunc("apcm_broker_repl_role", "replication role: 0 leader, 1 follower, 2 fenced",
 		func() float64 { return float64(s.role.Load()) })
 	reg.GaugeFunc("apcm_broker_repl_lag", "records committed on the leader but not yet acknowledged by the attached follower", func() float64 {
-		if s.log == nil {
+		s.mu.RLock()
+		l := s.log
+		s.mu.RUnlock()
+		if l == nil {
 			return 0
 		}
-		repl, ok := s.log.Replicated()
+		repl, ok := l.Replicated()
 		if !ok {
 			return 0
 		}
-		if next := s.log.NextOffset(); next > repl {
+		if next := l.NextOffset(); next > repl {
 			return float64(next - repl)
 		}
 		return 0
@@ -334,8 +335,6 @@ func (s *Server) attachMetrics() {
 		func() float64 { return float64(s.replSegmentsShipped.Load()) })
 	reg.CounterFunc("apcm_broker_repl_acks_total", "replication acknowledgements received from the follower",
 		func() float64 { return float64(s.replAcks.Load()) })
-	reg.CounterFunc("apcm_broker_repl_journal_ships_total", "consumer offset-journal snapshots shipped to the follower",
-		func() float64 { return float64(s.replJournalShips.Load()) })
 	reg.CounterFunc("apcm_broker_repl_ingested_total", "segments and batches ingested from the leader",
 		func() float64 { return float64(s.replIngested.Load()) })
 	reg.CounterFunc("apcm_broker_repl_fences_total", "times this node fenced itself on seeing a higher epoch",
@@ -419,7 +418,7 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	ln := s.ln
+	ln, l := s.ln, s.log
 	replStop, replDone := s.replStop, s.replDone
 	conns := make([]*conn, 0, len(s.conns))
 	for c := range s.conns {
@@ -436,7 +435,9 @@ func (s *Server) Close() {
 	for _, c := range conns {
 		c.shutdown()
 	}
-	s.closeLog()
+	if l != nil {
+		l.Close() // flushes staged records and pending acks
+	}
 }
 
 // Shutdown drains the server gracefully: it stops accepting, nacks new

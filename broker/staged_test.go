@@ -35,14 +35,18 @@ func histSnapshot(t *testing.T, reg *metrics.Registry, name string) metrics.Hist
 	return metrics.HistogramSnapshot{}
 }
 
-// resumedConsumer subscribes c to every event with attr 1 = 1 and
-// resumes it as consumer name from offset 0.
+// resumedConsumer resumes c as consumer name from offset 0 and
+// subscribes it to every event with attr 1 = 1.
 func resumedConsumer(t *testing.T, c *Client, name string) {
 	t.Helper()
-	if err := c.Subscribe(expr.MustNew(1, expr.Eq(1, 1)), func(*expr.Event) {}); err != nil {
+	// Resume first: its reply precedes the replay, but the server's read
+	// loop finishes the replay and flips the consumer live before it
+	// handles the subscribe, so once Subscribe returns every later
+	// publish is pushed live (and counted delivered), not replayed.
+	if _, err := c.Resume(name, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Resume(name, 0); err != nil {
+	if err := c.Subscribe(expr.MustNew(1, expr.Eq(1, 1)), func(*expr.Event) {}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -302,6 +306,12 @@ func TestResumeDuringStagedPublishes(t *testing.T) {
 		recvDurable(t, durables1)
 	}
 	c1.Close()
+	// Until the server has torn c1 down, a live publish still matches its
+	// durable subscription — logged for the consumer, so replayed to c2 —
+	// and c2's volatile one too: one event, two frames.
+	waitFor(t, "the predecessor's teardown", func() bool {
+		return metricValue(t, reg, "apcm_broker_subscriptions") == 0
+	})
 
 	var frames atomic.Int64 // every delivery frame, volatile or durable
 	c2, rec := recordingClient(t, addr, ClientOptions{})

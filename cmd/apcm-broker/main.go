@@ -30,13 +30,14 @@
 // -log-dir enables the durable commit log: every matched delivery is
 // appended to a segmented, CRC-framed log and group-committed (fsync)
 // before it counts as delivered, and clients that resume with a
-// consumer name restart from their last acknowledged offset after a
-// crash or reconnect. -segment-bytes, -flush-bytes, -flush-interval,
-// -retention-bytes, -retention-age and -no-fsync tune it.
+// consumer name restart from their last acknowledged offset, which the
+// same log holds, after a crash or reconnect. -segment-bytes,
+// -flush-bytes, -flush-interval, -retention-bytes, -retention-age and
+// -no-fsync tune it.
 //
 // -follow ADDR starts the broker as a replicating follower of the
-// leader at ADDR: it ingests the leader's commit log and consumer
-// offsets verbatim, rejects client operations (sessions fail over to
+// leader at ADDR: it ingests the leader's commit log, consumer offsets
+// included, verbatim, rejects client operations (sessions fail over to
 // the leader), and promotes itself — durably bumping the replication
 // epoch, which fences the old leader — when the leader stays silent
 // past -repl-timeout. On the leader, -repl-sync gates durable delivery
@@ -106,7 +107,7 @@ func main() {
 		follow     = flag.String("follow", "", "leader address: start as a replicating follower that promotes itself on leader loss (requires -log-dir)")
 		nodeID     = flag.String("node-id", "", "node name used in the replication handshake and logs")
 		replSync   = flag.Bool("repl-sync", false, "gate durable delivery on follower acknowledgement (delivered ⊆ committed ⊆ replicated)")
-		replHB     = flag.Duration("repl-heartbeat", 0, "replication ping and offset-shipping cadence (0 = 250ms default)")
+		replHB     = flag.Duration("repl-heartbeat", 0, "follower-to-leader replication ping cadence (0 = 250ms default)")
 		replTO     = flag.Duration("repl-timeout", 0, "leader silence tolerated before a follower promotes itself (0 = 3s default)")
 	)
 	flag.Parse()
@@ -275,7 +276,7 @@ func main() {
 		// Checkpoint before draining: Shutdown closes every connection,
 		// which unregisters its subscriptions — the state to persist is
 		// the one that existed while clients were still attached. The
-		// same call syncs the commit log and consumer offset journals.
+		// same call syncs the commit log, consumer offsets included.
 		if err := srv.Checkpoint(*checkpoint); err != nil {
 			fmt.Fprintf(os.Stderr, "apcm-broker: checkpoint: %v\n", err)
 		} else if *checkpoint != "" {

@@ -9,14 +9,16 @@
 // offset, so the commit point — the moment WaitCommitted (or Append,
 // which is Stage plus that wait) returns — survives crashes.
 //
-// The broker uses one Log for durable match delivery plus an
-// OffsetStore tracking each consumer's acknowledged position; both live
+// The log also holds each consumer's acknowledged position (Ack,
+// Acked) as offsets batches, which take no record offset: Read skips
+// them, replication ships them verbatim, and recovery, ingest and
+// install fold them into the table. The broker's durable state lives
 // under one directory:
 //
 //	dir/
 //	  00000000000000000000.seg   segment files, named by base offset
 //	  00000000000000004096.seg
-//	  offsets/<consumer>.off     acknowledged-offset journals
+//	  epoch                      replication epoch (see StoreEpoch)
 package commitlog
 
 import (
@@ -24,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 )
 
 // MaxRecord bounds a single record's payload (matches the broker's
@@ -41,15 +44,23 @@ const maxBatchData = 1 << 25
 //	[0]     magic (batchMagic)
 //	[1:5]   crc32 (IEEE) over bytes [5:end-of-batch]
 //	[5:13]  base offset of the first record
-//	[13:17] record count
+//	[13:17] record count; offsetsFlag marks an offsets batch
 //	[17:21] data length (bytes of record data after the header)
 //
 // Record data is a sequence of (uvarint length, payload) pairs. The crc
 // covers the base offset, count, data length and every record byte, so
 // a torn write, a bit flip or a spliced header all fail closed.
+//
+// An offsets batch sets offsetsFlag in the count field (inside the
+// crc) and holds, instead of records, a uvarint sequence number — 1 +
+// the number of offsets batches at the same base before it — followed
+// by count (uvarint name length, name, uvarint next offset) pairs. Its
+// base is the next record offset and it consumes none, so (base, seq)
+// names its position between the record batches around it.
 const (
-	batchMagic = 0xA7
-	headerSize = 21
+	batchMagic  = 0xA7
+	headerSize  = 21
+	offsetsFlag = 1 << 31
 )
 
 // ErrCorrupt marks a batch that fails structural or checksum
@@ -85,6 +96,50 @@ func appendBatch(dst []byte, base uint64, records [][]byte) []byte {
 	return dst
 }
 
+// appendOffsetsBatch encodes acks as one offsets batch at position
+// (base, seq) and appends it to dst.
+func appendOffsetsBatch(dst []byte, base uint64, seq uint32, acks map[string]uint64) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, headerSize)...)
+	dst = binary.AppendUvarint(dst, uint64(seq))
+	for name, next := range acks {
+		dst = binary.AppendUvarint(dst, uint64(len(name)))
+		dst = append(dst, name...)
+		dst = binary.AppendUvarint(dst, next)
+	}
+	fillHeader(dst[start:], base, offsetsFlag|uint32(len(acks)))
+	return dst
+}
+
+// walkAcks validates an offsets batch body of n pairs, returning its
+// sequence number and calling fn (when non-nil) for every pair; name
+// aliases body.
+func walkAcks(body []byte, n uint32, fn func(name []byte, next uint64)) (uint32, error) {
+	seq, k := binary.Uvarint(body)
+	if k <= 0 || seq == 0 || seq > math.MaxUint32 {
+		return 0, fmt.Errorf("%w: offsets batch sequence malformed", ErrCorrupt)
+	}
+	for body = body[k:]; n > 0; n-- {
+		nlen, k := binary.Uvarint(body)
+		if k <= 0 || nlen == 0 || uint64(len(body)-k) < nlen {
+			return 0, fmt.Errorf("%w: offsets pair malformed", ErrCorrupt)
+		}
+		name := body[k : k+int(nlen)]
+		next, j := binary.Uvarint(body[k+int(nlen):])
+		if j <= 0 {
+			return 0, fmt.Errorf("%w: offsets pair malformed", ErrCorrupt)
+		}
+		body = body[k+int(nlen)+j:]
+		if fn != nil {
+			fn(name, next)
+		}
+	}
+	if len(body) != 0 {
+		return 0, fmt.Errorf("%w: %d trailing bytes after the offsets pairs", ErrCorrupt, len(body))
+	}
+	return uint32(seq), nil
+}
+
 // Scanner iterates the batches of one segment's bytes. It never panics
 // or over-reads on corrupt input: Next returns false at the first
 // invalid, truncated or discontinuous batch, Err reports why (nil for a
@@ -100,6 +155,9 @@ type Scanner struct {
 	base  uint64 // base offset of the current batch
 	count uint32
 	recs  [][]byte // records of the current batch (aliases data)
+	seq   uint32   // offsets batch sequence number; 0 for a records batch
+	acks  []byte   // offsets batch body (aliases data)
+	nacks uint32   // offsets batch pair count
 }
 
 // NewScanner scans data, expecting the first batch to start at offset
@@ -126,6 +184,8 @@ func (s *Scanner) Next() bool {
 	}
 	base := binary.BigEndian.Uint64(rest[5:13])
 	count := binary.BigEndian.Uint32(rest[13:17])
+	offsets := count&offsetsFlag != 0
+	count &^= offsetsFlag
 	dataLen := binary.BigEndian.Uint32(rest[17:21])
 	if dataLen > maxBatchData {
 		s.err = fmt.Errorf("%w: data length %d exceeds bound", ErrCorrupt, dataLen)
@@ -153,6 +213,18 @@ func (s *Scanner) Next() bool {
 	// corruption of a different kind — same verdict.
 	s.recs = s.recs[:0]
 	body := rest[headerSize:end]
+	if offsets {
+		seq, err := walkAcks(body, count, nil)
+		if err != nil {
+			s.err = err
+			return false
+		}
+		s.base, s.count, s.seq, s.acks, s.nacks = base, 0, seq, body, count
+		s.start = s.pos
+		s.pos += end
+		return true
+	}
+	s.seq, s.acks = 0, nil
 	for i := uint32(0); i < count; i++ {
 		rlen, n := binary.Uvarint(body)
 		if n <= 0 || rlen > MaxRecord || uint64(len(body)-n) < rlen {
@@ -178,12 +250,33 @@ func (s *Scanner) Next() bool {
 // Next).
 func (s *Scanner) Base() uint64 { return s.base }
 
-// Records returns the current batch's records; the slices alias the
-// scanned data and are invalidated by the next call to Next.
+// Records returns the current batch's records (none for an offsets
+// batch); the slices alias the scanned data and are invalidated by the
+// next call to Next.
 func (s *Scanner) Records() [][]byte { return s.recs }
 
-// Count returns the record count of the current batch.
+// Count returns the record count of the current batch (0 for an
+// offsets batch).
 func (s *Scanner) Count() uint32 { return s.count }
+
+// IsOffsets reports whether the current batch is an offsets batch.
+func (s *Scanner) IsOffsets() bool { return s.seq != 0 }
+
+// Pos returns the position just past the current batch.
+func (s *Scanner) Pos() Pos { return Pos{Off: s.next, Acks: s.seq} }
+
+// foldAcks raises table's entry for every pair of the current offsets
+// batch to the pair's offset (a no-op on a records batch).
+func (s *Scanner) foldAcks(table map[string]uint64) {
+	if s.seq == 0 {
+		return
+	}
+	_, _ = walkAcks(s.acks, s.nacks, func(name []byte, next uint64) {
+		if next > table[string(name)] {
+			table[string(name)] = next
+		}
+	}) // validated by Next
+}
 
 // RawBatch returns the current batch's full on-disk bytes, header
 // included — the unit replication ships verbatim so the follower's

@@ -104,12 +104,6 @@ type Config struct {
 	// RetainAge, when > 0, deletes sealed segments whose last write is
 	// older than this.
 	RetainAge time.Duration
-	// RetainFloor, when non-nil, reports the lowest offset an external
-	// reader (a registered durable consumer) still needs, or ok=false
-	// when there is none. Retention never deletes a segment containing
-	// offsets >= the floor. The callback runs with the log's lock held
-	// and must not call back into the Log.
-	RetainFloor func() (floor uint64, ok bool)
 	// Metrics, when non-nil, receives append/flush/fsync latencies and
 	// segment/rotation/retention counters.
 	Metrics *metrics.Registry
@@ -139,6 +133,7 @@ func (c *Config) fillDefaults() {
 type segment struct {
 	base  uint64 // offset of the first record
 	end   uint64 // offset one past the last record
+	acks  uint32 // offsets batches at base that precede the segment
 	size  int64  // flushed bytes
 	path  string
 	mtime time.Time // seal time (sealed segments; retention age)
@@ -149,7 +144,8 @@ type segment struct {
 // by a single flusher goroutine; WaitCommitted returns only after a
 // record is on disk, so its nil return is the delivery-counting event.
 // Append is the two in one call. Reads (Read) see exactly the committed
-// prefix.
+// prefix. Consumer acknowledgements (Ack) ride the same flushes as
+// offsets batches.
 type Log struct {
 	dir string
 	cfg Config
@@ -166,8 +162,11 @@ type Log struct {
 
 	next        uint64 // next offset to assign
 	committed   uint64 // offsets below this are durable
+	ackSeq      uint32 // offsets batches committed at offset committed
 	stagedBase  uint64
 	stagedCount uint32
+	sealed      uint64 // flushes sealed (Sync's generation count)
+	flushed     uint64 // flushes completed
 
 	f      *os.File // active segment
 	segs   []segment
@@ -187,6 +186,13 @@ type Log struct {
 	done chan struct{} // flusher exited
 
 	truncations int64 // recovery truncations performed by Open
+
+	// Consumer offsets: every consumer's next offset, and the entries
+	// the next flush logs. Ack takes omu alone, never mu, so an ack never
+	// queues behind staging.
+	omu     sync.Mutex //apcm:lockrank=2
+	acked   map[string]uint64
+	pending map[string]uint64
 
 	mAppendLat  *metrics.Histogram
 	mFlushLat   *metrics.Histogram
@@ -221,7 +227,8 @@ func Open(dir string, cfg Config) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, cfg: cfg, kick: make(chan struct{}, 1), done: make(chan struct{})}
+	l := &Log{dir: dir, cfg: cfg, kick: make(chan struct{}, 1), done: make(chan struct{}),
+		acked: make(map[string]uint64), pending: make(map[string]uint64)}
 	l.cond = sync.NewCond(&l.mu)
 	l.attachMetrics()
 	if err := l.recover(); err != nil {
@@ -270,8 +277,9 @@ func (l *Log) attachMetrics() {
 		"live segment files (sealed + active)")
 }
 
-// recover scans dir's segment chain and restores next/committed and the
-// active segment. Called once from Open, before the flusher starts.
+// recover scans dir's segment chain and restores next/committed, the
+// consumer offsets table and the active segment. Called once from Open,
+// before the flusher starts.
 func (l *Log) recover() error {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
@@ -307,18 +315,21 @@ func (l *Log) recover() error {
 		l.active = segment{base: 0, end: 0, path: segPath(l.dir, 0)}
 		return nil
 	}
-	next := bases[0]
+	tail := Pos{Off: bases[0]}
 	for i, base := range bases {
 		path := segPath(l.dir, base)
-		if base != next {
-			return fmt.Errorf("commitlog: offset gap: segment %s starts at %d, expected %d", path, base, next)
+		if base != tail.Off {
+			return fmt.Errorf("commitlog: offset gap: segment %s starts at %d, expected %d", path, base, tail.Off)
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
+		start := tail
 		sc := NewScanner(data, base)
 		for sc.Next() {
+			sc.foldAcks(l.acked)
+			tail = sc.Pos()
 		}
 		last := i == len(bases)-1
 		if serr := sc.Err(); serr != nil {
@@ -333,7 +344,7 @@ func (l *Log) recover() error {
 			l.truncations++
 			l.mTruncs.Inc()
 		}
-		info := segment{base: base, end: sc.NextOffset(), size: int64(sc.ValidBytes()), path: path}
+		info := segment{base: base, end: sc.NextOffset(), acks: start.Acks, size: int64(sc.ValidBytes()), path: path}
 		if st, err := os.Stat(path); err == nil {
 			info.mtime = st.ModTime()
 		}
@@ -348,10 +359,10 @@ func (l *Log) recover() error {
 		} else {
 			l.segs = append(l.segs, info)
 		}
-		next = sc.NextOffset()
 	}
-	l.next = next
-	l.committed = next
+	l.next = tail.Off
+	l.committed = tail.Off
+	l.ackSeq = tail.Acks
 	return nil
 }
 
@@ -483,8 +494,10 @@ func (l *Log) failLocked(err error) {
 }
 
 // flushLoop is the single flusher goroutine: woken by kicks (a staged
-// record, a full buffer, Close) or the block-time timer, it flushes the
-// staged batch repeatedly until nothing is staged, then sleeps again.
+// record, a full buffer, Sync, Close) or the block-time timer, it
+// flushes repeatedly until nothing is staged and no ack is pending,
+// then sleeps again. Acks do not kick: they ride the next records
+// flush, or the timer's within FlushInterval.
 //
 // flushLocked drops l.mu around the segment IO and re-acquires it to
 // advance the commit point; to the instance-conflated lock graph that
@@ -503,7 +516,7 @@ func (l *Log) flushLoop() {
 			t.Reset(l.cfg.FlushInterval)
 		}
 		l.mu.Lock()
-		for l.stagedCount > 0 && l.err == nil {
+		for (l.stagedCount > 0 || l.acksPending()) && l.err == nil {
 			l.flushLocked()
 		}
 		closed, err := l.closed, l.err
@@ -514,25 +527,41 @@ func (l *Log) flushLoop() {
 	}
 }
 
-// flushLocked seals the staged batch and writes it out. Called with mu
-// held; the lock is released around the IO so staging continues during
-// the write, and re-acquired to advance the commit point.
+// flushLocked seals the staged batch, and behind it an offsets batch of
+// the pending acknowledgements, and writes both out in one write and
+// fsync. Called with mu held; the lock is released around the IO so
+// staging continues during the write, and re-acquired to advance the
+// commit point.
 func (l *Log) flushLocked() {
 	data := l.buf
-	base := l.stagedBase
 	count := l.stagedCount
+	end := l.next
+	base := end - uint64(count)
 	l.buf = l.spare
 	l.spare = nil
 	l.buf = l.buf[:headerSize]
 	l.stagedCount = 0
+	l.sealed++
 	l.cond.Broadcast() // buffer room is available again
 
-	if l.active.size > 0 && l.active.size+int64(len(data)) > l.cfg.SegmentBytes {
+	if count > 0 && l.rotationDue(len(data)) {
 		if err := l.rotateLocked(base); err != nil {
 			l.failLocked(err)
 			return
 		}
 	}
+	recEnd := len(data)
+	seq := l.ackSeq
+	if count > 0 {
+		seq = 0
+	}
+	l.omu.Lock()
+	if len(l.pending) > 0 {
+		seq++
+		data = appendOffsetsBatch(data, end, seq, l.pending)
+		clear(l.pending)
+	}
+	l.omu.Unlock()
 	f := l.f
 	path := l.active.path
 	size := l.active.size
@@ -540,18 +569,22 @@ func (l *Log) flushLocked() {
 	fp := l.cfg.Failpoint
 	l.mu.Unlock()
 
-	fillHeader(data, base, count)
+	out := data[headerSize:]
+	if count > 0 {
+		fillHeader(data[:recEnd], base, count)
+		out = data
+	}
 	var err error
 	if fp != nil {
 		err = fp(FailpointInfo{Point: FpWrite, Path: path, Size: size, Synced: synced})
 	}
 	if err == nil {
 		wstart := time.Now()
-		_, err = f.Write(data)
+		_, err = f.Write(out)
 		l.mFlushLat.ObserveDuration(time.Since(wstart))
 	}
 	if err == nil && fp != nil {
-		err = fp(FailpointInfo{Point: FpPreSync, Path: path, Size: size + int64(len(data)), Synced: synced})
+		err = fp(FailpointInfo{Point: FpPreSync, Path: path, Size: size + int64(len(out)), Synced: synced})
 	}
 	if err == nil && !l.cfg.NoFsync {
 		sstart := time.Now()
@@ -559,7 +592,7 @@ func (l *Log) flushLocked() {
 		l.mSyncLat.ObserveDuration(time.Since(sstart))
 	}
 	if err == nil && fp != nil {
-		err = fp(FailpointInfo{Point: FpPostSync, Path: path, Size: size + int64(len(data)), Synced: size + int64(len(data))})
+		err = fp(FailpointInfo{Point: FpPostSync, Path: path, Size: size + int64(len(out)), Synced: size + int64(len(out))})
 	}
 
 	l.mu.Lock()
@@ -567,17 +600,34 @@ func (l *Log) flushLocked() {
 		l.failLocked(err)
 		return
 	}
-	l.active.size += int64(len(data))
+	l.active.size += int64(len(out))
 	if !l.cfg.NoFsync {
 		l.synced = l.active.size
 	}
-	l.committed = base + uint64(count)
-	l.active.end = l.committed
+	l.committed = end
+	l.ackSeq = seq
+	l.active.end = end
+	l.flushed++
 	l.spare = data[:headerSize]
 	l.mFlushes.Inc()
 	l.mFlushRecs.Observe(float64(count))
-	l.mFlushedB.Add(int64(len(data)))
+	l.mFlushedB.Add(int64(len(out)))
 	l.cond.Broadcast()
+}
+
+// rotationDue reports whether a records batch of n bytes must open a
+// fresh segment. Only a segment that holds records is sealed, so
+// segment bases stay unique; offsets batches never rotate, so a
+// follower ingesting the same batches seals at the same boundaries.
+func (l *Log) rotationDue(n int) bool {
+	return l.active.end > l.active.base && l.active.size+int64(n) > l.cfg.SegmentBytes
+}
+
+// acksPending reports whether an acknowledgement awaits its flush.
+func (l *Log) acksPending() bool {
+	l.omu.Lock()
+	defer l.omu.Unlock()
+	return len(l.pending) > 0
 }
 
 // rotateLocked seals the active segment (final fsync, close) and
@@ -608,7 +658,7 @@ func (l *Log) rotateLocked(base uint64) error {
 		return err
 	}
 	l.f = f
-	l.active = segment{base: base, end: base, path: segPath(l.dir, base)}
+	l.active = segment{base: base, end: base, acks: l.ackSeq, path: segPath(l.dir, base)}
 	l.synced = 0
 	l.mRotations.Inc()
 	l.mSegments.Add(1)
@@ -619,23 +669,22 @@ func (l *Log) rotateLocked(base uint64) error {
 // applyRetentionLocked deletes the oldest sealed segments that exceed
 // the byte or age budget. The active segment never qualifies, so the
 // log always retains at least the current segment. Deletion is clamped
-// to the retention floor — the minimum of the consumer low-water mark
-// (Config.RetainFloor) and the replicated watermark while a follower
-// is attached — so budget pressure can never delete a segment a
-// registered consumer has not acknowledged or a follower has not
-// ingested. The clamp is also what makes sealed-segment shipping safe:
-// a segment being fetched for an attached follower necessarily ends
-// above the replicated watermark and so cannot be removed mid-ship.
+// to the retention floor — the minimum of every consumer's acknowledged
+// offset and, while a follower is attached, the replicated watermark —
+// and only a segment ending below the floor goes. A consumer's latest
+// offsets batch sits in a segment ending at or above its offset, so a
+// restart never loses it; a segment being shipped to the follower ends
+// above the watermark, so it is never removed mid-ship.
 func (l *Log) applyRetentionLocked() {
 	if l.cfg.RetainBytes <= 0 && l.cfg.RetainAge <= 0 {
 		return
 	}
 	floor := ^uint64(0)
-	if l.cfg.RetainFloor != nil {
-		if f, ok := l.cfg.RetainFloor(); ok && f < floor {
-			floor = f
-		}
+	l.omu.Lock()
+	for _, next := range l.acked {
+		floor = min(floor, next)
 	}
+	l.omu.Unlock()
 	if l.replAttached && l.replicated < floor {
 		floor = l.replicated
 	}
@@ -651,7 +700,7 @@ func (l *Log) applyRetentionLocked() {
 		if !overBytes && !overAge {
 			return
 		}
-		if oldest.end > floor {
+		if oldest.end >= floor {
 			l.mRetClamped.Inc()
 			return // still needed; retry once the floor advances
 		}
@@ -666,10 +715,11 @@ func (l *Log) applyRetentionLocked() {
 }
 
 // Read invokes fn for every committed record with offset >= from, in
-// offset order. rec aliases an internal buffer and must not be retained
-// across calls. A segment deleted by retention between the snapshot and
-// the read is skipped (its records are gone by policy); a non-nil error
-// from fn aborts the read and is returned.
+// offset order, skipping offsets batches. rec aliases an internal
+// buffer and must not be retained across calls. A segment deleted by
+// retention between the snapshot and the read is skipped (its records
+// are gone by policy); a non-nil error from fn aborts the read and is
+// returned.
 func (l *Log) Read(from uint64, fn func(off uint64, rec []byte) error) error {
 	l.mu.Lock()
 	segs := make([]segment, 0, len(l.segs)+1)
@@ -719,11 +769,15 @@ func (l *Log) Read(from uint64, fn func(off uint64, rec []byte) error) error {
 	return nil
 }
 
-// Sync blocks until every record staged before the call is committed.
+// Sync blocks until every record staged and every acknowledgement
+// taken before the call is committed.
 func (l *Log) Sync() error {
 	l.mu.Lock()
-	target := l.next
-	for l.committed < target && l.err == nil && !l.closed {
+	target := l.sealed
+	if l.stagedCount > 0 || l.acksPending() {
+		target++
+	}
+	for l.flushed < target && l.err == nil && !l.closed {
 		l.kickFlusher()
 		l.cond.Wait()
 	}
@@ -732,9 +786,51 @@ func (l *Log) Sync() error {
 	return err
 }
 
-// Close flushes staged records, stops the flusher and closes the active
-// segment. Blocked appends are released (their records are flushed, not
-// dropped). Close after a sticky failure returns that failure.
+// Ack records next as consumer name's next offset: one past the last
+// record it acknowledged. The table is monotone, so replayed or
+// reordered acks regress nothing; the entry reaches disk with the next
+// flush (within FlushInterval), and until then a crash rewinds the
+// consumer to its previous ack — redelivery, never loss.
+func (l *Log) Ack(name string, next uint64) {
+	l.omu.Lock()
+	if next > l.acked[name] {
+		l.acked[name] = next
+		l.pending[name] = next
+	}
+	l.omu.Unlock()
+}
+
+// ValidName reports whether name is usable as a consumer identity:
+// 1..128 bytes of [A-Za-z0-9._-], not starting with a dot.
+func ValidName(name string) bool {
+	if name == "" || len(name) > 128 || name[0] == '.' {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
+			c == '.', c == '_', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// Acked returns consumer name's acknowledged next offset, and false
+// when it never acknowledged anything.
+func (l *Log) Acked(name string) (uint64, bool) {
+	l.omu.Lock()
+	defer l.omu.Unlock()
+	next, ok := l.acked[name]
+	return next, ok
+}
+
+// Close flushes staged records and pending acknowledgements, stops the
+// flusher and closes the active segment. Blocked appends are released
+// (their records are flushed, not dropped). Close after a sticky
+// failure returns that failure.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {

@@ -400,103 +400,205 @@ func TestSyncAndEmptyRecord(t *testing.T) {
 	}
 }
 
-func TestOffsetStore(t *testing.T) {
-	dir := t.TempDir()
-	o, err := OpenOffsets(dir)
-	if err != nil {
+// ackSync acknowledges next for name and waits for the offsets batch
+// to be committed.
+func ackSync(t *testing.T, l *Log, name string, next uint64) {
+	t.Helper()
+	l.Ack(name, next)
+	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := o.Get("c1"); ok {
-		t.Fatal("Get on empty store succeeded")
+}
+
+// TestAcksSurviveReopen: acknowledgements are monotone, ride the log
+// as offsets batches that take no record offset, and come back from
+// recovery's scan.
+func TestAcksSurviveReopen(t *testing.T) {
+	dir := t.TempDir()
+	l := openLog(t, dir, fastCfg())
+	if _, ok := l.Acked("c1"); ok {
+		t.Fatal("Acked on an empty log succeeded")
 	}
-	for i := uint64(1); i <= 10; i++ {
-		if err := o.Set("c1", i); err != nil {
+	for i := uint64(0); i < 10; i++ {
+		if _, err := l.Append([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
+		ackSync(t, l, "c1", i+1)
 	}
-	if err := o.Set("c1", 5); err != nil { // regression ignored
+	ackSync(t, l, "c1", 5) // regression ignored
+	if v, ok := l.Acked("c1"); !ok || v != 10 {
+		t.Fatalf("Acked(c1) = %d,%v, want 10,true", v, ok)
+	}
+	ackSync(t, l, "c2", 7)
+	if got := l.NextOffset(); got != 10 {
+		t.Fatalf("offsets batches took record offsets: next = %d, want 10", got)
+	}
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := o.Get("c1"); !ok || v != 10 {
-		t.Fatalf("Get(c1) = %d,%v, want 10,true", v, ok)
-	}
-	if err := o.Set("c2", 77); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen: both values recovered.
-	o2, err := OpenOffsets(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o2.Close()
-	if v, _ := o2.Get("c1"); v != 10 {
+
+	re := openLog(t, dir, fastCfg())
+	if v, _ := re.Acked("c1"); v != 10 {
 		t.Fatalf("recovered c1 = %d, want 10", v)
 	}
-	if v, _ := o2.Get("c2"); v != 77 {
-		t.Fatalf("recovered c2 = %d, want 77", v)
+	if v, _ := re.Acked("c2"); v != 7 {
+		t.Fatalf("recovered c2 = %d, want 7", v)
 	}
-	if got := o2.Names(); len(got) != 2 || got[0] != "c1" || got[1] != "c2" {
-		t.Fatalf("Names = %v", got)
+	got := collect(t, re, 0)
+	if len(got) != 10 {
+		t.Fatalf("read %d records, want 10", len(got))
 	}
-}
-
-func TestOffsetStoreTornTail(t *testing.T) {
-	dir := t.TempDir()
-	o, err := OpenOffsets(dir)
-	if err != nil {
-		t.Fatal(err)
+	for i := uint64(0); i < 10; i++ {
+		if rec := got[i]; len(rec) != 1 || rec[0] != byte(i) {
+			t.Fatalf("record %d = %v", i, rec)
+		}
 	}
-	if err := o.Set("c", 41); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Set("c", 42); err != nil {
-		t.Fatal(err)
-	}
-	o.Close()
-	// Tear the last value: truncate 3 bytes into it.
-	path := filepath.Join(dir, offsetsDir, "c.off")
-	if err := os.Truncate(path, 13); err != nil {
-		t.Fatal(err)
-	}
-	o2, err := OpenOffsets(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o2.Close()
-	if v, ok := o2.Get("c"); !ok || v != 41 {
-		t.Fatalf("after torn tail Get = %d,%v, want 41,true (previous value)", v, ok)
-	}
-	// The journal is appendable again after repair.
-	if err := o2.Set("c", 43); err != nil {
-		t.Fatal(err)
+	if off, err := re.Append([]byte("after")); err != nil || off != 10 {
+		t.Fatalf("Append after reopen = %d, %v, want 10", off, err)
 	}
 }
 
-func TestOffsetStoreCompaction(t *testing.T) {
+// TestOldOffsetsDirIgnored: an offsets/ journal directory left by an
+// older build neither fails Open nor feeds the table; its consumers
+// resume wherever they ask to.
+func TestOldOffsetsDirIgnored(t *testing.T) {
 	dir := t.TempDir()
-	o, err := OpenOffsets(dir)
-	if err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "offsets"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	defer o.Close()
-	n := compactAt/8 + 10
-	for i := 1; i <= n; i++ {
-		if err := o.Set("big", uint64(i)); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "offsets", "c.off"), []byte{0, 0, 0, 0, 0, 0, 0, 9}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l := openLog(t, dir, fastCfg())
+	if v, ok := l.Acked("c"); ok {
+		t.Fatalf("Acked(c) = %d from an old journal, want none", v)
+	}
+}
+
+// TestTornOffsetsBatchRewindsAck: a torn final offsets batch is
+// truncated like any torn batch and the consumer falls back to its
+// previous acknowledgement — older, so redelivery covers the gap.
+func TestTornOffsetsBatchRewindsAck(t *testing.T) {
+	dir := t.TempDir()
+	l := openLog(t, dir, fastCfg())
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st, err := os.Stat(filepath.Join(dir, offsetsDir, "big.off"))
+	ackSync(t, l, "c", 2)
+	ackSync(t, l, "c", 3)
+	l.Close()
+	path := segPath(dir, 0)
+	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Size() >= compactAt {
-		t.Fatalf("journal is %d bytes after compaction threshold", st.Size())
+	if err := os.Truncate(path, st.Size()-3); err != nil {
+		t.Fatal(err)
 	}
-	if v, _ := o.Get("big"); v != uint64(n) {
-		t.Fatalf("value after compaction = %d, want %d", v, n)
+	re := openLog(t, dir, fastCfg())
+	if re.RecoveryTruncations() != 1 {
+		t.Fatalf("RecoveryTruncations = %d, want 1", re.RecoveryTruncations())
+	}
+	if v, ok := re.Acked("c"); !ok || v != 2 {
+		t.Fatalf("after torn offsets batch Acked = %d,%v, want 2,true (previous ack)", v, ok)
+	}
+	if got := re.NextOffset(); got != 3 {
+		t.Fatalf("NextOffset = %d, want 3", got)
+	}
+	ackSync(t, re, "c", 3)
+	if v, _ := re.Acked("c"); v != 3 {
+		t.Fatalf("Acked after repair = %d, want 3", v)
+	}
+}
+
+// TestNoAcksWriteNoOffsetsBatch: a log whose consumers never ack holds
+// exactly its record batches, byte for byte.
+func TestNoAcksWriteNoOffsetsBatch(t *testing.T) {
+	l := openLog(t, t.TempDir(), fastCfg())
+	var want int64
+	for i := 0; i < 20; i++ {
+		rec := []byte(fmt.Sprintf("rec-%02d", i))
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		want += int64(headerSize + 1 + len(rec))
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(segPath(l.Dir(), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() != want {
+		t.Fatalf("segment holds %d bytes, want %d (one batch per record, nothing else)", st.Size(), want)
+	}
+}
+
+// TestAckFlushCrashMatrix: a crash at each point of an ack-only flush
+// recovers either the previous or the new acknowledgement — never a
+// value no ack carried — and never disturbs the records.
+func TestAckFlushCrashMatrix(t *testing.T) {
+	for _, point := range []Failpoint{FpWrite, FpPreSync, FpPostSync} {
+		point := point
+		t.Run(point.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			boom := errors.New("injected crash")
+			var armed sync.Mutex
+			arm := false
+			var synced int64 = -1
+			cfg := fastCfg()
+			cfg.Failpoint = func(fi FailpointInfo) error {
+				armed.Lock()
+				defer armed.Unlock()
+				if arm && fi.Point == point {
+					synced = fi.Synced
+					return boom
+				}
+				return nil
+			}
+			l, err := Open(dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				if _, err := l.Append([]byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ackSync(t, l, "c", 2)
+			armed.Lock()
+			arm = true
+			armed.Unlock()
+			l.Ack("c", 4)
+			if err := l.Sync(); !errors.Is(err, boom) {
+				t.Fatalf("Sync = %v, want injected crash", err)
+			}
+			l.Close()
+			if point == FpPreSync {
+				// Written, never synced: the page cache died with the machine.
+				if err := os.Truncate(segPath(dir, 0), synced); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			re := openLog(t, dir, fastCfg())
+			v, _ := re.Acked("c")
+			if v != 2 && v != 4 {
+				t.Fatalf("recovered ack %d, want 2 or 4", v)
+			}
+			if point == FpWrite && v != 2 {
+				t.Fatalf("ack %d survived a crash before its write", v)
+			}
+			if point == FpPostSync && v != 4 {
+				t.Fatalf("synced ack lost: recovered %d, want 4", v)
+			}
+			if got := len(collect(t, re, 0)); got != 4 || re.NextOffset() != 4 {
+				t.Fatalf("recovered %d records, next %d, want 4, 4", got, re.NextOffset())
+			}
+		})
 	}
 }
 

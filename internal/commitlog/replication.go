@@ -3,6 +3,7 @@ package commitlog
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"time"
 )
@@ -15,6 +16,8 @@ import (
 // follower's batch boundaries — and therefore every offset a consumer
 // could resume from — coincide with the leader's, and the follower's
 // own torn-tail recovery in Open works unchanged after a crash.
+// Offsets batches ship in the same stream, so a promoted follower
+// resumes every consumer at the last acknowledgement it ingested.
 //
 // Alongside the fsync watermark (committed) the log tracks a
 // replicated watermark: the next offset an attached follower has not
@@ -33,11 +36,25 @@ var (
 	ErrNotEmpty = errors.New("commitlog: log not empty")
 )
 
+// Pos is a read position between two batches: Off is the next record
+// offset and Acks counts the offsets batches at Off already passed
+// (offsets batches take no record offset, so Off alone cannot tell
+// them apart).
+type Pos struct {
+	Off  uint64
+	Acks uint32
+}
+
+// before reports whether p precedes q in log order.
+func (p Pos) before(q Pos) bool {
+	return p.Off < q.Off || p.Off == q.Off && p.Acks < q.Acks
+}
+
 // SegmentInfo describes one sealed segment, the unit of bulk catch-up.
 type SegmentInfo struct {
-	Base uint64 // offset of the first record
-	End  uint64 // offset one past the last record
-	Size int64  // file size in bytes
+	Start Pos   // position of the segment's first batch
+	End   Pos   // position just past its last batch
+	Size  int64 // file size in bytes
 }
 
 // SealedSegments lists the sealed segments, oldest first. The active
@@ -47,11 +64,34 @@ func (l *Log) SealedSegments() []SegmentInfo {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]SegmentInfo, 0, len(l.segs))
-	for _, sg := range l.segs {
-		out = append(out, SegmentInfo{Base: sg.base, End: sg.end, Size: sg.size})
+	for i := range l.segs {
+		out = append(out, l.infoLocked(i))
 	}
 	return out
 }
+
+// infoLocked describes sealed segment i; it ends where the segment
+// after it starts.
+func (l *Log) infoLocked(i int) SegmentInfo {
+	sg, after := l.segs[i], l.active
+	if i+1 < len(l.segs) {
+		after = l.segs[i+1]
+	}
+	return SegmentInfo{
+		Start: Pos{Off: sg.base, Acks: sg.acks},
+		End:   Pos{Off: after.base, Acks: after.acks},
+		Size:  sg.size,
+	}
+}
+
+// Tail returns the position just past the last committed batch.
+func (l *Log) Tail() Pos {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.tailLocked()
+}
+
+func (l *Log) tailLocked() Pos { return Pos{Off: l.committed, Acks: l.ackSeq} }
 
 // ReadSegment returns the full bytes of the sealed segment whose base
 // offset is base. The caller checksums the transfer; the batch CRCs
@@ -61,9 +101,9 @@ func (l *Log) ReadSegment(base uint64) ([]byte, SegmentInfo, error) {
 	l.mu.Lock()
 	var info SegmentInfo
 	var path string
-	for _, sg := range l.segs {
+	for i, sg := range l.segs {
 		if sg.base == base {
-			info = SegmentInfo{Base: sg.base, End: sg.end, Size: sg.size}
+			info = l.infoLocked(i)
 			path = sg.path
 			break
 		}
@@ -79,35 +119,32 @@ func (l *Log) ReadSegment(base uint64) ([]byte, SegmentInfo, error) {
 	return data, info, nil
 }
 
-// ReadBatches invokes fn for every committed batch whose base offset is
-// >= from, in offset order, passing the batch's raw on-disk bytes.
-// from must be a batch boundary of this log (it always is when the
-// caller is resuming a follower that ingests whole batches); a position
-// inside a batch, below the retention floor, or beyond the committed
-// watermark returns ErrNotReplicable. raw aliases an internal buffer
-// and must not be retained across calls.
-func (l *Log) ReadBatches(from uint64, fn func(base uint64, count uint32, raw []byte) error) error {
+// ReadBatches invokes fn for every committed batch past position from,
+// in log order, passing the batch's raw on-disk bytes and the position
+// just past it. from must be a batch boundary of this log (it always is
+// when the caller is resuming a follower that ingests whole batches); a
+// position inside a batch, below the retention floor, or beyond the
+// committed watermark returns ErrNotReplicable. raw aliases an internal
+// buffer and must not be retained across calls.
+func (l *Log) ReadBatches(from Pos, fn func(raw []byte, end Pos) error) error {
 	l.mu.Lock()
 	segs := make([]segment, 0, len(l.segs)+1)
 	segs = append(segs, l.segs...)
 	act := l.active
 	act.end = l.committed
 	segs = append(segs, act)
-	first := l.segs
-	lo := act.base
-	if len(first) > 0 {
-		lo = first[0].base
-	}
+	tail := l.tailLocked()
 	l.mu.Unlock()
+	lo := segs[0].base
 
-	if from < lo {
-		return fmt.Errorf("%w: offset %d below retained first offset %d", ErrNotReplicable, from, lo)
+	if from.Off < lo {
+		return fmt.Errorf("%w: offset %d below retained first offset %d", ErrNotReplicable, from.Off, lo)
 	}
-	if from > act.end {
-		return fmt.Errorf("%w: offset %d beyond committed %d", ErrNotReplicable, from, act.end)
+	if from.Off > tail.Off {
+		return fmt.Errorf("%w: offset %d beyond committed %d", ErrNotReplicable, from.Off, tail.Off)
 	}
 	for _, sg := range segs {
-		if sg.end <= from || sg.end == sg.base {
+		if sg.end < from.Off || sg.size == 0 {
 			continue
 		}
 		data, err := os.ReadFile(sg.path)
@@ -121,16 +158,17 @@ func (l *Log) ReadBatches(from uint64, fn func(base uint64, count uint32, raw []
 		}
 		sc := NewScanner(data, sg.base)
 		for sc.Next() {
-			if sc.Base() >= sg.end {
+			end := sc.Pos()
+			if tail.before(end) {
 				break // flushed after our snapshot; not committed to us
 			}
-			if sc.NextOffset() <= from {
+			if !from.before(end) {
 				continue
 			}
-			if sc.Base() < from {
-				return fmt.Errorf("%w: offset %d is inside a batch [%d,%d)", ErrNotReplicable, from, sc.Base(), sc.NextOffset())
+			if sc.Base() < from.Off {
+				return fmt.Errorf("%w: offset %d is inside a batch [%d,%d)", ErrNotReplicable, from.Off, sc.Base(), sc.NextOffset())
 			}
-			if err := fn(sc.Base(), sc.Count(), sc.RawBatch()); err != nil {
+			if err := fn(sc.RawBatch(), end); err != nil {
 				return err
 			}
 		}
@@ -146,11 +184,12 @@ func (l *Log) ReadBatches(from uint64, fn func(base uint64, count uint32, raw []
 
 // IngestBatch validates raw as exactly one batch whose base offset is
 // this log's next offset, appends it to the active segment verbatim
-// (rotating first if it would overflow), fsyncs unless Config.NoFsync,
-// and advances both the next and committed watermarks. It is the
+// (rotating first, by the flusher's rule, if it would overflow), fsyncs
+// unless Config.NoFsync, advances both the next and committed
+// watermarks and folds an offsets batch into the table. It is the
 // follower half of replication: the log must have no concurrent
-// appenders (a follower log never does), which is enforced by
-// rejecting the call while records are staged.
+// appenders (a follower log never does), which is enforced by rejecting
+// the call while records are staged.
 //
 //apcm:durable
 func (l *Log) IngestBatch(raw []byte) (uint64, error) {
@@ -176,7 +215,7 @@ func (l *Log) IngestBatch(raw []byte) (uint64, error) {
 		return 0, fmt.Errorf("%w: %d trailing bytes after batch", ErrCorrupt, len(raw)-sc.ValidBytes())
 	}
 	count := sc.Count()
-	if l.active.size > 0 && l.active.size+int64(len(raw)) > l.cfg.SegmentBytes {
+	if count > 0 && l.rotationDue(len(raw)) {
 		if err := l.rotateLocked(l.next); err != nil {
 			l.failLocked(err)
 			return 0, err
@@ -217,7 +256,11 @@ func (l *Log) IngestBatch(raw []byte) (uint64, error) {
 	}
 	l.next += uint64(count)
 	l.committed = l.next
+	l.ackSeq = sc.Pos().Acks
 	l.active.end = l.committed
+	l.omu.Lock()
+	sc.foldAcks(l.acked)
+	l.omu.Unlock()
 	l.mIngests.Inc()
 	l.mIngestedB.Add(int64(len(raw)))
 	l.cond.Broadcast()
@@ -225,12 +268,12 @@ func (l *Log) IngestBatch(raw []byte) (uint64, error) {
 }
 
 // InstallSegment installs data as a complete sealed segment — the bulk
-// catch-up path, used when the follower's next offset is exactly a
-// sealed segment's base on the leader. The log's active segment must be
-// empty (nothing ever written at this position); the data is fully
-// validated batch by batch, written to a temp file, fsync'd and
-// atomically renamed into the segment chain, and a fresh active segment
-// is created at the installed segment's end.
+// catch-up path, used when the follower's position is exactly a sealed
+// segment's start on the leader. An active segment holding records is
+// sealed first; one holding only offsets batches fails ErrNotEmpty. The
+// data is fully validated batch by batch, written to a temp file,
+// fsync'd, atomically renamed into the segment chain and folded into
+// the table, and a fresh active segment is created at its end.
 //
 //apcm:durable
 func (l *Log) InstallSegment(data []byte) error {
@@ -242,12 +285,14 @@ func (l *Log) InstallSegment(data []byte) error {
 	if l.err != nil {
 		return l.err
 	}
-	if l.stagedCount != 0 || l.active.size != 0 {
-		return fmt.Errorf("%w: active segment has %d bytes", ErrNotEmpty, l.active.size)
+	if l.stagedCount != 0 {
+		return fmt.Errorf("%w: records staged", ErrNotEmpty)
 	}
 	base := l.next
+	tail := Pos{Off: base, Acks: l.ackSeq}
 	sc := NewScanner(data, base)
 	for sc.Next() {
+		tail = sc.Pos()
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("commitlog: installing segment at %d: %w", base, err)
@@ -255,6 +300,15 @@ func (l *Log) InstallSegment(data []byte) error {
 	end := sc.NextOffset()
 	if end == base {
 		return fmt.Errorf("%w: empty segment", ErrCorrupt)
+	}
+	if l.active.end > l.active.base {
+		if err := l.rotateLocked(base); err != nil {
+			l.failLocked(err)
+			return err
+		}
+	}
+	if l.active.size != 0 {
+		return fmt.Errorf("%w: active segment has %d bytes", ErrNotEmpty, l.active.size)
 	}
 	fp := l.cfg.Failpoint
 	if fp != nil {
@@ -302,7 +356,7 @@ func (l *Log) InstallSegment(data []byte) error {
 		l.failLocked(err)
 		return err
 	}
-	sealed := segment{base: base, end: end, size: int64(len(data)), path: l.active.path, mtime: time.Now()}
+	sealed := segment{base: base, end: end, acks: l.active.acks, size: int64(len(data)), path: l.active.path, mtime: time.Now()}
 	l.segs = append(l.segs, sealed)
 	f, err := createSegment(l.dir, end)
 	if err != nil {
@@ -310,10 +364,16 @@ func (l *Log) InstallSegment(data []byte) error {
 		return err
 	}
 	l.f = f
-	l.active = segment{base: end, end: end, path: segPath(l.dir, end)}
+	l.active = segment{base: end, end: end, acks: tail.Acks, path: segPath(l.dir, end)}
 	l.synced = 0
 	l.next = end
 	l.committed = end
+	l.ackSeq = tail.Acks
+	l.omu.Lock()
+	for sc = NewScanner(data, base); sc.Next(); {
+		sc.foldAcks(l.acked)
+	}
+	l.omu.Unlock()
 	l.mSegments.Add(1)
 	l.mIngests.Inc()
 	l.mIngestedB.Add(int64(len(data)))
@@ -442,28 +502,36 @@ func (l *Log) WaitReplicated(off uint64, cancelled func() bool) error {
 
 // WaitCommitted blocks until the committed watermark exceeds after,
 // then returns it: the commit wait for a record Stage put at offset
-// after, and where the leader's tail-streaming loop parks between
-// batches. Close flushes what was staged before it, so a wait on a
-// staged offset outlives Close; a wait past the staged end returns
-// ErrClosed. cancelled is polled at every wakeup (the returned
-// watermark is then possibly still <= after); arrange for Wake to be
-// called after flipping whatever cancelled reads.
+// after.
 func (l *Log) WaitCommitted(after uint64, cancelled func() bool) (uint64, error) {
+	tail, err := l.WaitTail(Pos{Off: after, Acks: math.MaxUint32}, cancelled)
+	return tail.Off, err
+}
+
+// WaitTail blocks until a batch past position after is committed, then
+// returns the committed tail: where the leader's tail-streaming loop
+// parks between batches, waking for records and offsets batches alike.
+// Close flushes what was staged before it, so a wait on a staged offset
+// outlives Close; a wait past the staged end returns ErrClosed.
+// cancelled is polled at every wakeup (the returned tail is then
+// possibly still not past after); arrange for Wake to be called after
+// flipping whatever cancelled reads.
+func (l *Log) WaitTail(after Pos, cancelled func() bool) (Pos, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.committed <= after && l.err == nil && (!l.closed || after < l.next) {
+	for !after.before(l.tailLocked()) && l.err == nil && (!l.closed || after.Off < l.next) {
 		if cancelled != nil && cancelled() {
-			return l.committed, nil
+			return l.tailLocked(), nil
 		}
 		l.cond.Wait()
 	}
 	switch {
 	case l.err != nil:
-		return 0, l.err
-	case l.committed > after:
-		return l.committed, nil
+		return Pos{}, l.err
+	case after.before(l.tailLocked()):
+		return l.tailLocked(), nil
 	}
-	return l.committed, ErrClosed
+	return l.tailLocked(), ErrClosed
 }
 
 // Wake broadcasts to every waiter parked on the log's condition

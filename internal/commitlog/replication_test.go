@@ -23,24 +23,24 @@ func fillLeader(t *testing.T, l *Log, n int) {
 }
 
 // replicate ships everything the leader has committed beyond the
-// follower's next offset: whole sealed segments where the positions
-// line up, streamed batches otherwise.
+// follower's tail: whole sealed segments where the positions line up,
+// streamed batches otherwise.
 func replicate(t *testing.T, leader, follower *Log) {
 	t.Helper()
 	for {
-		next := follower.NextOffset()
-		if next >= leader.Committed() {
+		pos := follower.Tail()
+		if !pos.before(leader.Tail()) {
 			return
 		}
 		installed := false
 		for _, si := range leader.SealedSegments() {
-			if si.Base == next {
-				data, _, err := leader.ReadSegment(si.Base)
+			if si.Start == pos {
+				data, _, err := leader.ReadSegment(si.Start.Off)
 				if err != nil {
-					t.Fatalf("ReadSegment(%d): %v", si.Base, err)
+					t.Fatalf("ReadSegment(%d): %v", si.Start.Off, err)
 				}
 				if err := follower.InstallSegment(data); err != nil {
-					t.Fatalf("InstallSegment(%d): %v", si.Base, err)
+					t.Fatalf("InstallSegment(%d): %v", si.Start.Off, err)
 				}
 				installed = true
 				break
@@ -49,12 +49,12 @@ func replicate(t *testing.T, leader, follower *Log) {
 		if installed {
 			continue
 		}
-		err := leader.ReadBatches(next, func(base uint64, count uint32, raw []byte) error {
+		err := leader.ReadBatches(pos, func(raw []byte, _ Pos) error {
 			_, err := follower.IngestBatch(raw)
 			return err
 		})
 		if err != nil {
-			t.Fatalf("ReadBatches(%d): %v", next, err)
+			t.Fatalf("ReadBatches(%v): %v", pos, err)
 		}
 		return
 	}
@@ -141,7 +141,7 @@ func TestReadBatchesInsideBatchRejected(t *testing.T) {
 	if _, err := l.IngestBatch(raw); err != nil {
 		t.Fatal(err)
 	}
-	err := l.ReadBatches(1, func(uint64, uint32, []byte) error { return nil })
+	err := l.ReadBatches(Pos{Off: 1}, func([]byte, Pos) error { return nil })
 	if !errors.Is(err, ErrNotReplicable) {
 		t.Fatalf("err = %v, want ErrNotReplicable", err)
 	}
@@ -201,30 +201,109 @@ func TestRetentionClampedByReplica(t *testing.T) {
 	fillLeader(t, l, 100)
 }
 
-// TestRetentionClampedByConsumerFloor: the RetainFloor callback holds
-// segments a slow registered consumer still needs.
+// TestRetentionClampedByConsumerFloor: a slow consumer's acknowledged
+// offset holds the segments it still needs.
 func TestRetentionClampedByConsumerFloor(t *testing.T) {
-	var mu sync.Mutex
-	floor := uint64(0)
 	cfg := fastCfg()
 	cfg.SegmentBytes = 256
 	cfg.RetainBytes = 512
-	cfg.RetainFloor = func() (uint64, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		return floor, true
-	}
 	l := openLog(t, t.TempDir(), cfg)
+	fillLeader(t, l, 1)
+	ackSync(t, l, "slow", 1)
 	fillLeader(t, l, 300)
 	if got := l.FirstOffset(); got != 0 {
-		t.Fatalf("retention deleted past consumer floor 0: first = %d", got)
+		t.Fatalf("retention deleted past consumer floor 1: first = %d", got)
 	}
-	mu.Lock()
-	floor = l.Committed()
-	mu.Unlock()
+	ackSync(t, l, "slow", l.Committed())
 	fillLeader(t, l, 300)
 	if got := l.FirstOffset(); got == 0 {
 		t.Fatal("retention never resumed after the consumer floor advanced")
+	}
+}
+
+// TestRetentionKeepsLatestAckAtSegmentEnd pins the retention edge: a
+// consumer's latest offsets batch is the last thing in a sealed
+// segment whose end equals the consumer floor. Deleting that segment
+// would drop the consumer from the table recovery rebuilds, and with
+// it the floor that protects its records.
+func TestRetentionKeepsLatestAckAtSegmentEnd(t *testing.T) {
+	dir := t.TempDir()
+	cfg := fastCfg()
+	cfg.SegmentBytes = 256
+	cfg.RetainBytes = 300
+	l := openLog(t, dir, cfg)
+	rec := make([]byte, 64) // 86-byte batches: two fit a segment, a third rotates
+	for i := 0; i < 2; i++ {
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ackSync(t, l, "slow", 2)
+	for i := 0; i < 40; i++ {
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ackSync(t, l, "fast", l.Committed())
+	fillLeader(t, l, 40)
+	segs := l.SealedSegments()
+	if len(segs) == 0 || segs[0].Start.Off != 0 || segs[0].End != (Pos{Off: 2, Acks: 1}) {
+		t.Fatalf("sealed segments %v, want the first to hold offsets [0,2) and the ack", segs)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := openLog(t, dir, cfg)
+	if v, ok := re.Acked("slow"); !ok || v != 2 {
+		t.Fatalf("recovered slow consumer at %d,%v, want 2,true", v, ok)
+	}
+	fillLeader(t, re, 40)
+	if got := re.FirstOffset(); got != 0 {
+		t.Fatalf("retention deleted the slow consumer's records after a restart: first = %d", got)
+	}
+}
+
+// TestReplicateCarriesAcks: offsets batches replicate through both
+// catch-up paths, so the follower's table and tail match the leader's
+// and a second pass ships nothing twice.
+func TestReplicateCarriesAcks(t *testing.T) {
+	cfg := fastCfg()
+	cfg.SegmentBytes = 512
+	leader := openLog(t, t.TempDir(), cfg)
+	for i := 0; i < 120; i++ {
+		fillLeader(t, leader, 1)
+		if i%7 == 0 {
+			ackSync(t, leader, "a", leader.Committed())
+		}
+		if i%11 == 0 {
+			ackSync(t, leader, "b", leader.Committed()-1)
+			ackSync(t, leader, "b", leader.Committed())
+		}
+	}
+	fdir := t.TempDir()
+	follower := openLog(t, fdir, cfg)
+	replicate(t, leader, follower)
+	replicate(t, leader, follower)
+	if got, want := follower.Tail(), leader.Tail(); got != want {
+		t.Fatalf("follower tail %v, leader %v", got, want)
+	}
+	for _, name := range []string{"a", "b"} {
+		lv, _ := leader.Acked(name)
+		if fv, ok := follower.Acked(name); !ok || fv != lv {
+			t.Fatalf("follower acked %s = %d,%v, leader %d", name, fv, ok, lv)
+		}
+	}
+	if !reflect.DeepEqual(collect(t, follower, 0), collect(t, leader, 0)) {
+		t.Fatal("follower records differ from leader")
+	}
+	follower.Close()
+	re := openLog(t, fdir, cfg)
+	if got, want := re.Tail(), leader.Tail(); got != want {
+		t.Fatalf("reopened follower tail %v, leader %v", got, want)
+	}
+	if v, _ := re.Acked("a"); v != 120 {
+		t.Fatalf("reopened follower acked a = %d, want 120", v)
 	}
 }
 
@@ -344,6 +423,54 @@ func TestWaitCommittedCancellable(t *testing.T) {
 	}
 }
 
+// TestInstallSegmentSealsIngestedActive: a follower that ingested a
+// segment batch by batch still has it active when the sender, finding
+// its position at the start of a segment the leader has since sealed,
+// ships that one whole; the install seals the active segment first.
+func TestInstallSegmentSealsIngestedActive(t *testing.T) {
+	cfg := fastCfg()
+	cfg.SegmentBytes = 512
+	leader := openLog(t, t.TempDir(), cfg)
+	follower := openLog(t, t.TempDir(), cfg)
+	fillLeader(t, leader, 1)
+	ackSync(t, leader, "c", 1)
+	replicate(t, leader, follower)
+	for len(leader.SealedSegments()) < 2 {
+		fillLeader(t, leader, 1)
+	}
+	firstEnd := leader.SealedSegments()[0].End
+	err := leader.ReadBatches(follower.Tail(), func(raw []byte, end Pos) error {
+		if firstEnd.before(end) {
+			return errStop
+		}
+		_, err := follower.IngestBatch(raw)
+		return err
+	})
+	if err != nil && !errors.Is(err, errStop) {
+		t.Fatal(err)
+	}
+	second := leader.SealedSegments()[1]
+	if follower.Tail() != second.Start {
+		t.Fatalf("follower at %v, want the second segment's start %v", follower.Tail(), second.Start)
+	}
+	data, _, err := leader.ReadSegment(second.Start.Off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.InstallSegment(data); err != nil {
+		t.Fatalf("InstallSegment over an ingested active segment: %v", err)
+	}
+	replicate(t, leader, follower)
+	if !reflect.DeepEqual(collect(t, follower, 0), collect(t, leader, 0)) {
+		t.Fatal("follower records differ from leader")
+	}
+	if v, _ := follower.Acked("c"); v != 1 {
+		t.Fatalf("follower acked c = %d, want 1", v)
+	}
+}
+
+var errStop = errors.New("stop")
+
 // TestInstallSegmentCrashLeavesRecoverableLog: a failpoint "crash" at
 // each install stage leaves a directory Open recovers to a consistent
 // prefix (never a gap, never fabricated records).
@@ -356,7 +483,7 @@ func TestInstallSegmentCrashLeavesRecoverableLog(t *testing.T) {
 	if len(segs) == 0 {
 		t.Fatal("leader has no sealed segments")
 	}
-	data, info, err := leader.ReadSegment(segs[0].Base)
+	data, info, err := leader.ReadSegment(segs[0].Start.Off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,12 +511,12 @@ func TestInstallSegmentCrashLeavesRecoverableLog(t *testing.T) {
 
 			re := openLog(t, fdir, fastCfg())
 			next := re.NextOffset()
-			if next != 0 && next != info.End {
-				t.Fatalf("recovered next = %d, want 0 or %d", next, info.End)
+			if next != 0 && next != info.End.Off {
+				t.Fatalf("recovered next = %d, want 0 or %d", next, info.End.Off)
 			}
-			if next == info.End {
-				if got := len(collect(t, re, 0)); got != int(info.End-info.Base) {
-					t.Fatalf("recovered %d records, want %d", got, info.End-info.Base)
+			if next == info.End.Off {
+				if got := len(collect(t, re, 0)); got != int(info.End.Off-info.Start.Off) {
+					t.Fatalf("recovered %d records, want %d", got, info.End.Off-info.Start.Off)
 				}
 			}
 		})
